@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 
 from .catalog import TYPE_NAMES, build_entry_ladder, entries_for_type
 from .enumerator import audit, canonical_form, classify
@@ -26,6 +24,7 @@ from .multiplet import (
     volume,
 )
 from .toric import (
+    _FAMILIES,
     anticanonical_square,
     gorenstein_index,
     hj_resolve,
@@ -37,19 +36,8 @@ class FlagError(Exception):
     pass
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DELPEZZO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _cmd_classify(args) -> int:
-    report = classify(args.a, threads=args.threads)
+    report = classify(args.a)
     sys.stdout.write(report.to_text())
     if args.json:
         with open(args.json, "w") as fh:
@@ -92,7 +80,7 @@ def _cmd_verify_type(args) -> int:
             )
             all_ok = all_ok and ok
             print(f"{entry.name} configuration {idx + 1}/{len(entry.configs)}")
-            print(f"  volume {_frac_str(vol)}  index {idx_val}")
+            print(f"  volume {vol}  index {idx_val}")
             print(f"  certificates: {'pass' if report.passed else 'FAIL ' + ','.join(report.failures)}")
             print(f"  identities: {'pass' if idents else 'FAIL'}")
             print(f"  index certificate: {'pass' if certificate_index_is_a(pair) else 'FAIL'}")
@@ -103,9 +91,6 @@ def _cmd_verify_type(args) -> int:
                 print("  local checks: pass")
             print(f"  canonical key: {canonical_form(pair)}")
     return 0 if all_ok else 1
-
-
-_FAMILIES = ("O", "I", "II1", "II2", "P113")
 
 
 def _cmd_toric(args) -> int:
@@ -123,11 +108,11 @@ def _cmd_toric(args) -> int:
     if ins:
         for r in ins:
             d = res.discrepancies[r]
-            print(f"  inserted ray {r}: discrepancy {_frac_str(d)}, "
-                  f"relative anticanonical coefficient {_frac_str(-args.a * d)}")
+            print(f"  inserted ray {r}: discrepancy {d}, "
+                  f"relative anticanonical coefficient {-args.a * d}")
     else:
         print("  already smooth, no insertions")
-    print(f"  volume {_frac_str(vol)}")
+    print(f"  volume {vol}")
     print(f"  index {idx}")
     if args.json:
         with open(args.json, "w") as fh:
@@ -138,8 +123,14 @@ def _cmd_toric(args) -> int:
 
 def _cmd_dualgraph(args) -> int:
     entries = _type_entries(args)
-    entry = entries[0] if len(entries) == 1 else entries[args.config - 1]
-    ladder = build_entry_ladder(entry, args.a, 0)
+    configs = [(entry, idx) for entry in entries for idx in range(len(entry.configs))]
+    if not 1 <= args.config <= len(configs):
+        raise FlagError(
+            f"type {args.type} has {len(configs)} configuration(s) at index {args.a}; "
+            f"--config must be in 1..{len(configs)}"
+        )
+    entry, idx = configs[args.config - 1]
+    ladder = build_entry_ladder(entry, args.a, idx)
     pair = ladder.bottom_pair()
     graph = pair.model.dual_graph(pair.E0.support, pair.E0.as_dict())
     if args.format == "dot":
@@ -165,7 +156,7 @@ def _cmd_dualgraph(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    report = audit(args.a, args.nmax, h0=args.h0, threads=args.threads)
+    report = audit(args.a, args.nmax, h0=args.h0)
     sys.stdout.write(report.to_text())
     if args.json:
         with open(args.json, "w") as fh:
@@ -184,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="enumerate and compare against the catalog")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--json", type=str, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify-type", help="certify one catalog type")
@@ -211,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--h0", type=int, default=None)
     p.add_argument("--json", type=str, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_audit)
 
     return parser

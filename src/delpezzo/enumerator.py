@@ -5,13 +5,16 @@ the top Hirzebruch surface F_n as ``h0 sigma + h l``, a cell is a tuple
 (a, n, h0, h); the divisor on top is then ``(2a - h0) sigma`` plus fibers of
 total multiplicity ``(n+2)a - h``, and the per-curve intersection numbers
 give exact budgets that every admissible stack of subschemes must consume
-precisely.  Cells are cut down by closed-form predicates (p1 through p8
-below) that are each an exact integer evaluation; the survivors run a
-depth-first enumeration of subscheme configurations level by level, and
-every configuration that reaches the bottom is certified from scratch:
-effectivity and nefness down the ladder, the basic-pair conditions, exact
-volume, exact Gorenstein index, and the intersection identities on an
-independent code path.
+precisely.  Cells are cut down by exact integer inequalities: whole ranges
+of h0 and n die by ``length_zero``, ``small_multiple_region``,
+``large_multiple_volume`` and the n-cap, and each remaining cell gets a
+verdict from ``cell_verdict`` (``window``, ``coefficient_persistence``,
+``volume``, ``section_budget``, ``sigma_budget``, ``unresolved_sections``);
+the cells with no verdict run a depth-first enumeration of subscheme
+configurations level by level, and every configuration that reaches the
+bottom is certified from scratch: effectivity and nefness down the ladder,
+the basic-pair conditions, exact volume, exact Gorenstein index, and the
+intersection identities on an independent code path.
 
 Candidates are deduplicated by a canonical form: the weighted dual graph of
 the contracted configuration together with (a, volume, index).  Isomorphic
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import build_entry_ladder, catalog_entries
+from .catalog import _partitions, build_entry_ladder, catalog_entries
 from .elimination import (
     NodeDatum,
     OnCurveDatum,
@@ -118,39 +121,45 @@ def p4_length(h0: int) -> int:
     return h0 // 2
 
 
-def p3_window(a: int, n: int, h0: int, h: int) -> bool:
-    """Degree window: L nef and big on top, the divisor effective, and the
-    adjoint multiple b K + L nef on the base."""
-    b = p4_length(h0)
-    if not (n * h0 <= h <= (n + 2) * a):
-        return False
-    if h0 * (2 * h - n * h0) <= 0:
-        return False
-    return h - (n + 2) * b >= n * (h0 - 2 * b)
-
-
 def _volume_cap(a: int, n: int, h0: int, h: int) -> int:
     """Largest allowed sum of j * deg(Delta_j) for volume at least 2a."""
     return -n * h0 + 2 * h0 + 2 * h - 2 * a * a
 
 
-def p5_small_multiple_kill(a: int, n: int, h0: int, h: int) -> str | None:
-    """Exact kills for cells with h0 <= a.
+def cell_verdict(a: int, n: int, h0: int, h: int) -> str | None:
+    """Name of the first exact inequality that kills the cell, or None.
 
-    The sigma coefficient 2a - h0 of the top divisor persists to the bottom,
-    where coefficients are capped at a - 1, so the excess must be carried by
-    extra sections; each section consumes n fiber units of the divisor class
-    and carries an orthogonality budget of at least h.  One of the three
-    requirements always fails within the window.
+    ``window``: L must be nef and big on top, the divisor effective, and
+    the adjoint multiple b K + L nef on the base.  For h0 <= a the sigma
+    coefficient 2a - h0 of the top divisor persists to the bottom, where
+    coefficients are capped at a - 1, so the excess must be carried by extra
+    sections; each section consumes n fiber units of the divisor class and
+    carries an orthogonality budget of at least h
+    (``coefficient_persistence``, ``section_budget``).  The volume allowance
+    ``_volume_cap`` must be nonnegative (``volume``) and must cover the sigma
+    budget (``sigma_budget``).  A cell whose divisor could hold a section
+    other than sigma, with n fiber units and an orthogonality budget of at
+    least h inside the allowance, is outside the search model
+    (``unresolved_sections``).
     """
-    if h0 > a:
-        return None
-    if h > 2 * a + n * (h0 - 1):
+    b = h0 // 2
+    if (
+        not n * h0 <= h <= (n + 2) * a
+        or h0 * (2 * h - n * h0) <= 0
+        or h - (n + 2) * b < n * (h0 - 2 * b)
+    ):
+        return "window"
+    if h0 <= a and h > 2 * a + n * (h0 - 1):
         return "coefficient_persistence"
-    if _volume_cap(a, n, h0, h) < 0:
+    cap = -n * h0 + 2 * h0 + 2 * h - 2 * a * a
+    if cap < 0:
         return "volume"
-    if 2 * a * a > (2 - n) * h0 + h:
+    if h0 <= a and 2 * a * a > (2 - n) * h0 + h:
         return "section_budget"
+    if h - n * h0 > cap:
+        return "sigma_budget"
+    if (n + 2) * a - h >= n and h <= cap:
+        return "unresolved_sections"
     return None
 
 
@@ -173,29 +182,6 @@ def p7_degree_cap(a: int, h0: int) -> int:
     if h0 <= a:
         raise ValueError("degree cap applies to h0 > a only")
     return (2 * a) // (h0 - a)
-
-
-def p8_budget_window(a: int, n: int, h0: int, h: int) -> str | None:
-    """Exact budget kills: the volume allowance must be nonnegative and must
-    cover the sigma budget."""
-    cap = _volume_cap(a, n, h0, h)
-    if cap < 0:
-        return "volume"
-    if h - n * h0 > cap:
-        return "sigma_budget"
-    return None
-
-
-def section_excluded(a: int, n: int, h0: int, h: int) -> bool:
-    """Certify that no section other than sigma can occur in the top divisor.
-
-    A section needs n fiber units of the divisor class and carries an
-    orthogonality budget of at least h, which must fit in the volume cap.
-    """
-    f = (n + 2) * a - h
-    if f < n:
-        return True
-    return h > _volume_cap(a, n, h0, h)
 
 
 # -- cells ----------------------------------------------------------------------
@@ -246,19 +232,9 @@ def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
                 kill("large_multiple_volume")
                 continue
             for h in range(n * h0, (n + 2) * a + 1):
-                if not p3_window(a, n, h0, h):
-                    kill("window")
-                    continue
-                reason = p5_small_multiple_kill(a, n, h0, h)
+                reason = cell_verdict(a, n, h0, h)
                 if reason:
                     kill(reason)
-                    continue
-                reason = p8_budget_window(a, n, h0, h)
-                if reason:
-                    kill(reason)
-                    continue
-                if not section_excluded(a, n, h0, h):
-                    kill("unresolved_sections")
                     continue
                 origin = ["window", "sections_excluded"]
                 if _normalization_active(a, n, h0, h):
@@ -268,16 +244,6 @@ def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
 
 
 # -- the per-cell search ---------------------------------------------------------
-
-
-def _partitions(n: int, cap: int) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - first, first):
-            out.append((first,) + rest)
-    return out
 
 
 @dataclass
@@ -390,13 +356,8 @@ def _subscheme_candidates(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
     return results
 
 
-def search_cell(cell: SearchCell, collect: str = "summary") -> CellOutcome:
-    """Exhaust the subscheme configurations of one cell.
-
-    ``collect="ladders"`` additionally keeps the descended ladder objects on
-    the survivor records (for in-process callers; they are dropped from the
-    JSON report).
-    """
+def search_cell(cell: SearchCell) -> CellOutcome:
+    """Exhaust the subscheme configurations of one cell."""
     a, n, h0, h, b = cell.a, cell.n, cell.h0, cell.h, cell.b
     out = CellOutcome(cell)
     c0 = 2 * a - h0
@@ -442,9 +403,6 @@ def search_cell(cell: SearchCell, collect: str = "summary") -> CellOutcome:
                 pair.model.intersect(pair.L0, rec.cls) < 0 for rec in pair.model.curves
             ):
                 raise SearchExplosion("fundamental class negative on a tracked curve")
-            vol_str = (
-                f"{vol.numerator}/{vol.denominator}" if vol.denominator != 1 else str(vol.numerator)
-            )
             certificates = {
                 "ladder": True,
                 "basic_pair": True,
@@ -453,10 +411,10 @@ def search_cell(cell: SearchCell, collect: str = "summary") -> CellOutcome:
                 "index_is_a": True,
                 "index_certificate": certificate_index_is_a(pair),
             }
-            record = {
+            out.survivors.append({
                 "key": canonical_form(pair),
                 "type": None,  # tagged against the catalog by the caller
-                "volume": vol_str,
+                "volume": str(vol),
                 "index": a,
                 "cell": (a, n, h0, h),
                 "E0": [
@@ -470,10 +428,7 @@ def search_cell(cell: SearchCell, collect: str = "summary") -> CellOutcome:
                 "dual_graph": pair.model.dual_graph(pair.E0.support, pair.E0.as_dict()).to_dot(),
                 "multiplet": ladder_json(ladder, certificates),
                 "index_certificate": certificate_index_is_a(pair),
-            }
-            if collect == "ladders":
-                record["ladder"] = ladder
-            out.survivors.append(record)
+            })
 
         def dfs(i: int, model, E, L, spent: int, deltas: list[Subscheme]) -> None:
             out.configs += 1
@@ -540,9 +495,7 @@ class ClassificationReport:
             "cells_visited": self.cells_visited,
             "configurations": self.configs,
             "candidates": self.candidates,
-            "survivors": [
-                {k: v for k, v in s.items() if k != "ladder"} for s in self.survivors
-            ],
+            "survivors": self.survivors,
             "rows": self.rows,
             "unexpected": self.unexpected,
             "missing": self.missing,
@@ -591,16 +544,7 @@ def catalog_key_map(a: int) -> dict[str, tuple[str, int]]:
     return out
 
 
-def _search_many(cells: list[SearchCell], threads: int) -> list[CellOutcome]:
-    if threads <= 1 or len(cells) <= 1:
-        return [search_cell(c) for c in cells]
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(search_cell, cells))
-
-
-def classify(a: int, threads: int = 1) -> ClassificationReport:
+def classify(a: int) -> ClassificationReport:
     """Enumerate all index-a surfaces of volume at least 2a and compare the
     survivors against the built-in catalog."""
     if a < 2:
@@ -620,7 +564,7 @@ def classify(a: int, threads: int = 1) -> ClassificationReport:
             f"{killed['unresolved_sections']} cell(s) admit divisor shapes outside the "
             "section-plus-fibers model and were not searched"
         )
-    outcomes = _search_many(cells, threads)
+    outcomes = [search_cell(c) for c in cells]
 
     survivors: dict[str, dict] = {}
     configs = sum(o.configs for o in outcomes)
@@ -650,12 +594,9 @@ def classify(a: int, threads: int = 1) -> ClassificationReport:
         for entry in catalog_entries(a):
             found = per_entry.get(entry.name, set())
             expected = {k for k, v in key_map.items() if v[0] == entry.name}
-            vol = entry.volume
             row = {
                 "type": entry.name,
-                "volume": f"{vol.numerator}/{vol.denominator}"
-                if vol.denominator != 1
-                else str(vol.numerator),
+                "volume": str(entry.volume),
                 "index": a,
                 "configurations": len(found),
             }
@@ -707,9 +648,7 @@ class AuditReport:
             "searched": self.searched,
             "candidates_rejected": self.rejected,
             "survivors_in_catalog": self.survivors_in_catalog,
-            "survivors_outside": [
-                {k: v for k, v in s.items() if k != "ladder"} for s in self.survivors_outside
-            ],
+            "survivors_outside": self.survivors_outside,
             "inconsistencies": self.inconsistencies,
             "clean": self.clean,
         }
@@ -731,7 +670,7 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def audit(a: int, n_max: int, h0: int | None = None, threads: int = 1) -> AuditReport:
+def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     """Sweep every cell up to the caps, re-deriving the closed-form kills and
     running the full search on whatever they leave open.
 
@@ -760,33 +699,27 @@ def audit(a: int, n_max: int, h0: int | None = None, threads: int = 1) -> AuditR
                 if b < 1:
                     kill("length_zero")
                     continue
-                if not p3_window(a, n, h0v, h):
-                    kill("window")
-                    continue
-                reason = p5_small_multiple_kill(a, n, h0v, h)
-                if reason:
-                    kill(reason)
-                    continue
-                if h0v <= a:
-                    inconsistencies.append(
-                        f"cell (n={n}, h0={h0v}, h={h}) escapes the small-multiple kills"
-                    )
-                    continue
-                reason = p8_budget_window(a, n, h0v, h)
-                if reason:
-                    kill(reason)
-                    continue
-                if not section_excluded(a, n, h0v, h):
-                    inconsistencies.append(
-                        f"cell (n={n}, h0={h0v}, h={h}) admits unmodelled sections"
-                    )
-                    continue
-                origin = ["audit"]
-                if _normalization_active(a, n, h0v, h):
-                    origin.append("top_off_sigma")
-                to_search.append(SearchCell(a, n, h0v, h, b, tuple(origin)))
+                reason = cell_verdict(a, n, h0v, h)
+                if reason in (None, "sigma_budget", "unresolved_sections"):
+                    if h0v <= a:
+                        inconsistencies.append(
+                            f"cell (n={n}, h0={h0v}, h={h}) escapes the small-multiple kills"
+                        )
+                        continue
+                    if reason == "unresolved_sections":
+                        inconsistencies.append(
+                            f"cell (n={n}, h0={h0v}, h={h}) admits unmodelled sections"
+                        )
+                        continue
+                    if reason is None:
+                        origin = ["audit"]
+                        if _normalization_active(a, n, h0v, h):
+                            origin.append("top_off_sigma")
+                        to_search.append(SearchCell(a, n, h0v, h, b, tuple(origin)))
+                        continue
+                kill(reason)
 
-    outcomes = _search_many(to_search, threads)
+    outcomes = [search_cell(c) for c in to_search]
     rejected: dict[str, int] = {}
     survivors: dict[str, dict] = {}
     for o in outcomes:
@@ -845,16 +778,13 @@ def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int =
         n = rng.randint(1, 2 * a)
         f = rng.choice([0, 0, 1, 2, rng.randint(0, 4)])
         h = (n + 2) * a - f
-        if not p3_window(a, n, h0, h):
-            continue
-        if not section_excluded(a, n, h0, h):
-            continue
+        if cell_verdict(a, n, h0, h) in ("window", "unresolved_sections"):
+            continue  # h0 > a here, so every other kill implies sections excluded
         b_top = p4_length(h0)
         if b_top < 1:
             continue
         b = rng.randint(1, min(b_top, 4))
-        parts_pool = _partitions(f, min(a - 1, f)) if f else [()]
-        parts = rng.choice(parts_pool) if parts_pool else ()
+        parts = rng.choice(_partitions(f, a - 1))
 
         top = SurfaceModel.hirzebruch(n)
         coeffs = {0: c0}

@@ -106,7 +106,6 @@ class CurveRecord:
     id: int
     name: str
     cls: DivisorClass
-    alive: bool = True
 
 
 @dataclass(frozen=True)
@@ -329,10 +328,7 @@ class SurfaceModel:
         if isinstance(point, GenericPoint):
             incident: tuple[int, ...] = ()
         elif isinstance(point, OnCurvePoint):
-            rec = self.curve(point.curve)
-            if not rec.alive:
-                raise InvalidPointError(f"curve {rec.name} is not alive")
-            incident = (rec.id,)
+            incident = (self.curve(point.curve).id,)
         elif isinstance(point, NodePoint):
             r1, r2 = self.curve(point.curve1), self.curve(point.curve2)
             if r1.id == r2.id:
@@ -354,7 +350,7 @@ class SurfaceModel:
                 exc = list(cls.exc)
                 exc[j] = -1
                 cls = DivisorClass(cls.base, tuple(exc))
-            curves.append(CurveRecord(rec.id, rec.name, cls, rec.alive))
+            curves.append(CurveRecord(rec.id, rec.name, cls))
         if name is None:
             name = f"e_{new_exc}"
         exc_cls = DivisorClass((0,) * self.base_rank, (0,) * j + (1,))

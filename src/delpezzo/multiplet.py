@@ -17,7 +17,6 @@ that tie the levels together, and computes volumes and Gorenstein indices.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -579,7 +578,7 @@ def ladder_json(ladder: Ladder, certificates: dict | None = None) -> dict:
             for lv in ladder.levels
             if lv.delta is not None
         ],
-        "volume": f"{vol.numerator}/{vol.denominator}" if vol.denominator != 1 else str(vol.numerator),
+        "volume": str(vol),
         "index": index_of(pair),
         "E_0": [
             {"curve": pair.model.curve(c).name, "coeff": v, "self_intersection": pair.model.self_intersection(c)}
@@ -589,7 +588,3 @@ def ladder_json(ladder: Ladder, certificates: dict | None = None) -> dict:
     if certificates is not None:
         out["certificates"] = certificates
     return out
-
-
-def ladder_json_str(ladder: Ladder, certificates: dict | None = None) -> str:
-    return json.dumps(ladder_json(ladder, certificates), sort_keys=True)

@@ -14,7 +14,6 @@ Self-intersections in a smooth complete fan follow the relation
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,7 +272,3 @@ def exceptional_graph(fan: Fan2D, a: int) -> WeightedGraph:
         if r in index and s in index:
             edges.add((min(index[r], index[s]), max(index[r], index[s])))
     return WeightedGraph.build(weights, sorted(edges))
-
-
-def resolution_report_json(fan: Fan2D, a: int | None = None) -> str:
-    return json.dumps(hj_resolve(fan).report_json(a), sort_keys=True)

@@ -1,5 +1,6 @@
 import json
 
+from delpezzo.catalog import build_entry_ladder
 from delpezzo.cli import main
 
 
@@ -66,12 +67,6 @@ def test_classify_json_and_exit(capsys, tmp_path):
     assert len(data["survivors"]) == 14
 
 
-def test_classify_threads_byte_stable(capsys):
-    _, out1, _ = run(capsys, "classify", "--a", "4", "--threads", "1")
-    _, out2, _ = run(capsys, "classify", "--a", "4", "--threads", "2")
-    assert out1 == out2
-
-
 def test_classify_low_index_warns(capsys):
     code, out, _ = run(capsys, "classify", "--a", "2")
     assert code == 0
@@ -95,6 +90,39 @@ def test_dualgraph_json(capsys, tmp_path):
     names = {v["name"] for v in data["vertices"]}
     assert names == {"sigma", "l_1", "Gamma_P2_1", "Gamma_P2_2"}
     assert len(data["edges"]) == 2
+
+
+def test_dualgraph_config_out_of_range(capsys, tmp_path):
+    out_path = tmp_path / "g.dot"
+    for type_name, config in (("II", "3"), ("III", "4"), ("O", "0")):
+        code, _, err = run(
+            capsys, "dualgraph", "--type", type_name, "--a", "6", "--config", config,
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert "--config" in err
+    assert not out_path.exists()
+
+
+def test_dualgraph_config_selects_the_configuration(capsys, tmp_path, monkeypatch):
+    # the E0 graph is the same for every configuration of a type, so record
+    # which catalog configuration the command builds
+    import delpezzo.cli as cli
+
+    built = []
+
+    def recording(entry, a, config=0):
+        built.append((entry.name, config))
+        return build_entry_ladder(entry, a, config)
+
+    monkeypatch.setattr(cli, "build_entry_ladder", recording)
+    for type_name, config in (("II", "1"), ("II", "2"), ("III", "3"), ("A5", "2")):
+        code, _, _ = run(
+            capsys, "dualgraph", "--type", type_name, "--a", "5", "--config", config,
+            "--out", str(tmp_path / "g.dot"),
+        )
+        assert code == 0
+    assert built == [("II_1", 0), ("II_2", 0), ("III", 2), ("A5", 1)]
 
 
 def test_audit_cli(capsys):
@@ -130,14 +158,3 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-type", "--type", "O", "--a", "4")
     assert code == 1
     assert "FAIL forced" in out
-
-
-def test_threads_env_default(monkeypatch):
-    from delpezzo.cli import build_parser
-
-    monkeypatch.setenv("DELPEZZO_THREADS", "3")
-    args = build_parser().parse_args(["classify", "--a", "4"])
-    assert args.threads == 3
-    monkeypatch.setenv("DELPEZZO_THREADS", "not-a-number")
-    args = build_parser().parse_args(["classify", "--a", "4"])
-    assert args.threads == 1

@@ -8,14 +8,14 @@ from delpezzo.enumerator import (
     audit,
     canonical_form,
     catalog_key_map,
+    cell_verdict,
     classify,
     generate_cells,
     p1_plane_excluded,
-    p5_small_multiple_kill,
+    p5_region_killed,
     p6_large_multiple_kill,
     p7_degree_cap,
     search_cell,
-    section_excluded,
 )
 from delpezzo.graphs import WeightedGraph, canonical_key
 
@@ -26,12 +26,15 @@ def test_plane_branch_excluded(a):
 
 
 def test_small_multiple_kills():
-    # every cell with h0 <= a dies by one of the three exact reasons
-    for a in (4, 5):
+    # every cell with 2 <= h0 <= a dies by the window or one of the three
+    # small-multiple reasons, as p5_region_killed claims
+    small = {"window", "coefficient_persistence", "volume", "section_budget"}
+    for a in range(3, 13):
+        assert p5_region_killed(a)
         for h0 in range(2, a + 1):
             for n in range(0, 2 * a + 5):
                 for h in range(n * h0, (n + 2) * a + 1):
-                    assert p5_small_multiple_kill(a, n, h0, h) is not None
+                    assert cell_verdict(a, n, h0, h) in small
 
 
 def test_large_multiple_kill_values():
@@ -52,7 +55,18 @@ def test_sections_excluded_on_generated_cells():
     for a in (4, 5, 6):
         cells, _ = generate_cells(a)
         for c in cells:
-            assert section_excluded(c.a, c.n, c.h0, c.h)
+            assert cell_verdict(c.a, c.n, c.h0, c.h) is None
+
+
+def test_audit_and_classify_share_the_cell_verdict():
+    # audit sweeps each cell that classify prunes by region, so with n up to
+    # 2a it must search exactly the cells classify generates
+    for a in range(3, 13):
+        rep = classify(a)
+        swept = audit(a, 2 * a)
+        assert swept.searched == rep.cells_visited
+        if a >= 4:
+            assert swept.survivors_in_catalog == len(rep.survivors)
 
 
 def test_cells_deterministic():
@@ -162,9 +176,3 @@ def test_audit_small_clean():
 def test_audit_degenerate_cap():
     rep = audit(4, 0)
     assert rep.clean and rep.searched == 0 and not rep.survivors_outside
-
-
-def test_threads_do_not_change_results():
-    r1 = classify(4, threads=1)
-    r2 = classify(4, threads=2)
-    assert r1.to_json() == r2.to_json()
