@@ -163,6 +163,26 @@ def cell_verdict(a: int, n: int, h0: int, h: int) -> str | None:
     return None
 
 
+def _verdict_breakpoints(a: int, n: int, h0: int) -> tuple[int, ...]:
+    """The values of h at which some inequality of ``cell_verdict`` flips.
+
+    For fixed (a, n, h0) every inequality there is linear in h, so the
+    verdict is constant between consecutive breakpoints: each entry is the
+    least h on the far side of one threshold, in the order of the rules.
+    """
+    b = h0 // 2
+    return (
+        n * h0 // 2 + 1,
+        (n + 2) * b + n * (h0 - 2 * b),
+        2 * a + n * (h0 - 1) + 1,
+        -((2 * h0 - n * h0 - 2 * a * a) // 2),
+        2 * a * a - (2 - n) * h0,  # equals the last entry
+        2 * a * a - 2 * h0,
+        (n + 2) * a - n + 1,
+        2 * a * a + n * h0 - 2 * h0,
+    )
+
+
 def p5_region_killed(a: int) -> bool:
     """All cells with h0 <= a die, uniformly in n: inside the persistence
     window, (2 - n) h0 + h <= 2 h0 + 2a - n <= 4a < 2a^2."""
@@ -206,40 +226,47 @@ def _normalization_active(a: int, n: int, h0: int, h: int) -> bool:
 
 
 def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
-    """Cells surviving the closed-form predicates, plus kill statistics."""
+    """Cells surviving the closed-form predicates, plus kill statistics.
+
+    Kills are counted per constant interval of h: ``_verdict_breakpoints``
+    cuts each (n, h0) window, ``cell_verdict`` (still the only source of the
+    rules) is asked once per piece, and h runs one by one only where it
+    returns None.  Cells and kill counts are those of a per-h sweep.
+    """
     killed: dict[str, int] = {}
-
-    def kill(reason: str) -> None:
-        killed[reason] = killed.get(reason, 0) + 1
-
     cells = []
     if not p5_region_killed(a):
         killed["small_multiple_region_open"] = 1
     for h0 in range(1, 2 * a):
         b = p4_length(h0)
         if b < 1:
-            kill("length_zero")
+            killed["length_zero"] = killed.get("length_zero", 0) + 1
             continue
         if h0 <= a:
             if p5_region_killed(a):
-                kill("small_multiple_region")
+                killed["small_multiple_region"] = killed.get("small_multiple_region", 0) + 1
                 continue
             n_hi = 2 * a  # only reachable at a = 2, reported as a caveat
         else:
             n_hi = p7_degree_cap(a, h0)
         for n in range(0, n_hi + 1):
             if p6_large_multiple_kill(a, n, h0):
-                kill("large_multiple_volume")
+                killed["large_multiple_volume"] = killed.get("large_multiple_volume", 0) + 1
                 continue
-            for h in range(n * h0, (n + 2) * a + 1):
-                reason = cell_verdict(a, n, h0, h)
+            # the n-cap keeps n * h0 <= (n + 2) a, so no piece is empty
+            lo, hi = n * h0, (n + 2) * a
+            cuts = sorted({p for p in _verdict_breakpoints(a, n, h0) if lo < p <= hi})
+            edges = [lo, *cuts, hi + 1]
+            for start, stop in zip(edges, edges[1:]):
+                reason = cell_verdict(a, n, h0, start)
                 if reason:
-                    kill(reason)
+                    killed[reason] = killed.get(reason, 0) + stop - start
                     continue
-                origin = ["window", "sections_excluded"]
-                if _normalization_active(a, n, h0, h):
-                    origin.append("top_off_sigma")
-                cells.append(SearchCell(a, n, h0, h, b, tuple(origin)))
+                for h in range(start, stop):
+                    origin = ["window", "sections_excluded"]
+                    if _normalization_active(a, n, h0, h):
+                        origin.append("top_off_sigma")
+                    cells.append(SearchCell(a, n, h0, h, b, tuple(origin)))
     return cells, killed
 
 
@@ -403,13 +430,14 @@ def search_cell(cell: SearchCell) -> CellOutcome:
                 pair.model.intersect(pair.L0, rec.cls) < 0 for rec in pair.model.curves
             ):
                 raise SearchExplosion("fundamental class negative on a tracked curve")
+            index_certificate = certificate_index_is_a(pair)
             certificates = {
                 "ladder": True,
                 "basic_pair": True,
                 "identities": True,
                 "volume_at_least_2a": True,
                 "index_is_a": True,
-                "index_certificate": certificate_index_is_a(pair),
+                "index_certificate": index_certificate,
             }
             out.survivors.append({
                 "key": canonical_form(pair),
@@ -427,7 +455,7 @@ def search_cell(cell: SearchCell) -> CellOutcome:
                 ],
                 "dual_graph": pair.model.dual_graph(pair.E0.support, pair.E0.as_dict()).to_dot(),
                 "multiplet": ladder_json(ladder, certificates),
-                "index_certificate": certificate_index_is_a(pair),
+                "index_certificate": index_certificate,
             })
 
         def dfs(i: int, model, E, L, spent: int, deltas: list[Subscheme]) -> None:

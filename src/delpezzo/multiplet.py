@@ -333,34 +333,39 @@ def identities_check(ladder: Ladder) -> bool:
 
     These are computed from raw lattice intersections on one side and from
     the subscheme degrees and contact orders on the other, independently of
-    the bookkeeping used to build the ladder.
+    the bookkeeping used to build the ladder.  One bottom-up pass keeps
+    running totals of the degree side over the subschemes at and below
+    each level; the lattice side is computed afresh at every level.
     """
     a = ladder.a
-    degs = ladder.delta_degrees()
     bot = ladder.bottom
     k0l0 = bot.model.intersect(bot.model.canonical_class() + bot.L, bot.L)
     l0sq = bot.model.intersect(bot.L, bot.L)
 
-    for lv in ladder.levels:
-        below = [j for j in degs if j <= lv.i]
-        lhs = lv.model.intersect(lv.L, lv.E.class_in(lv.model))
-        if lhs != sum(j * (a - j) * degs[j] for j in below):
+    weighted = genus = linear = 0  # sums of j(a-j) deg, j(j-1) deg, j deg
+    below: list[tuple[int, Subscheme]] = []  # nonempty subschemes so far
+    for lv in reversed(ladder.levels):
+        if lv.delta is not None and not lv.delta.is_empty():
+            j, d = lv.i, lv.delta.degree
+            weighted += j * (a - j) * d
+            genus += j * (j - 1) * d
+            linear += j * d
+            below.append((j, lv.delta))
+
+        if lv.model.intersect(lv.L, lv.E.class_in(lv.model)) != weighted:
             return False
 
         kl = lv.model.intersect(lv.model.canonical_class() + lv.L, lv.L)
-        if kl - k0l0 != sum(j * (j - 1) * degs[j] for j in below):
+        if kl - k0l0 != genus:
             return False
 
         for cid in lv.E.support:
-            contact = sum(
-                j * ladder.level(j).delta.contact(cid) for j in below
-            )
+            contact = sum(j * delta.contact(cid) for j, delta in below)
             if lv.model.intersect(lv.L, lv.model.curve(cid).cls) != contact:
                 return False
 
         mk = -1 * lv.model.canonical_class()
-        rhs = lv.model.intersect(mk, lv.L) - sum(j * degs[j] for j in below)
-        if Fraction(l0sq, a) != rhs:
+        if Fraction(l0sq, a) != lv.model.intersect(mk, lv.L) - linear:
             return False
     return True
 

@@ -92,13 +92,15 @@ def _resolve_cone(v: tuple[int, int], w: tuple[int, int]) -> list[tuple[int, int
         d = _det(v, w)
         # Solve det(v, u) = 1; solutions form u0 + t v.
         g, x, y = _ext_gcd(v[0], v[1])
-        assert g == 1
+        if g != 1:
+            raise FanError(f"ray {v} is not primitive: gcd {g}")
         u0 = (-y, x)  # det(v, u0) = v_x x + v_y y = 1
         t_val = _det(u0, w)
         # Shift into the window 1 <= det(u, w) <= d.
         t = -((t_val - 1) // d)
         u = (u0[0] + t * v[0], u0[1] + t * v[1])
-        assert _det(v, u) == 1 and 1 <= _det(u, w) < d
+        if not (_det(v, u) == 1 and 1 <= _det(u, w) < d):
+            raise FanError(f"inserted ray {u} is not the next boundary point of <{v}, {w}>")
         inserted.append(u)
         v = u
     return inserted
@@ -178,7 +180,8 @@ def _barycentric(
     d = _det(v, w)
     p = Fraction(_det(u, w), d)
     q = Fraction(_det(v, u), d)
-    assert (p * v[0] + q * w[0], p * v[1] + q * w[1]) == (u[0], u[1])
+    if (p * v[0] + q * w[0], p * v[1] + q * w[1]) != (u[0], u[1]):
+        raise FanError(f"barycentric coordinates of {u} in <{v}, {w}> do not reproduce it")
     return p, q
 
 

@@ -5,6 +5,8 @@ import pytest
 from delpezzo.catalog import build_entry_ladder, entry_by_name
 from delpezzo.enumerator import (
     SearchCell,
+    _normalization_active,
+    _verdict_breakpoints,
     audit,
     canonical_form,
     catalog_key_map,
@@ -12,6 +14,7 @@ from delpezzo.enumerator import (
     classify,
     generate_cells,
     p1_plane_excluded,
+    p4_length,
     p5_region_killed,
     p6_large_multiple_kill,
     p7_degree_cap,
@@ -67,6 +70,68 @@ def test_audit_and_classify_share_the_cell_verdict():
         assert swept.searched == rep.cells_visited
         if a >= 4:
             assert swept.survivors_in_catalog == len(rep.survivors)
+
+
+def _cells_per_h(a):
+    """Reference for generate_cells: one cell_verdict call per cell."""
+    killed = {}
+
+    def kill(reason):
+        killed[reason] = killed.get(reason, 0) + 1
+
+    cells = []
+    if not p5_region_killed(a):
+        killed["small_multiple_region_open"] = 1
+    for h0 in range(1, 2 * a):
+        b = p4_length(h0)
+        if b < 1:
+            kill("length_zero")
+            continue
+        if h0 <= a:
+            if p5_region_killed(a):
+                kill("small_multiple_region")
+                continue
+            n_hi = 2 * a
+        else:
+            n_hi = p7_degree_cap(a, h0)
+        for n in range(0, n_hi + 1):
+            if p6_large_multiple_kill(a, n, h0):
+                kill("large_multiple_volume")
+                continue
+            for h in range(n * h0, (n + 2) * a + 1):
+                reason = cell_verdict(a, n, h0, h)
+                if reason:
+                    kill(reason)
+                    continue
+                origin = ["window", "sections_excluded"]
+                if _normalization_active(a, n, h0, h):
+                    origin.append("top_off_sigma")
+                cells.append(SearchCell(a, n, h0, h, b, tuple(origin)))
+    return cells, killed
+
+
+def test_cell_verdict_is_constant_between_breakpoints():
+    # over the wider sweep audit makes (h0 <= a, n beyond the n-cap)
+    for a in range(2, 9):
+        for h0 in range(1, 2 * a):
+            for n in range(0, 3 * a + 1):
+                cuts = set(_verdict_breakpoints(a, n, h0))
+                verdict = cell_verdict(a, n, h0, n * h0)
+                for h in range(n * h0 + 1, (n + 2) * a + 1):
+                    nxt = cell_verdict(a, n, h0, h)
+                    assert h in cuts or nxt == verdict, (a, n, h0, h)
+                    verdict = nxt
+
+
+@pytest.mark.parametrize("a", [*range(2, 65), 256, 512])
+def test_generate_cells_matches_the_per_h_sweep(a):
+    # a missed breakpoint would miscount kills silently: compare the cells,
+    # the kill counts and the order in which kill reasons first appear
+    cells, killed = generate_cells(a)
+    ref_cells, ref_killed = _cells_per_h(a)
+    assert cells == ref_cells
+    assert killed == ref_killed
+    assert list(killed) == list(ref_killed)
 
 
 def test_cells_deterministic():

@@ -1,9 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from delpezzo.catalog import build_entry_ladder, catalog_entries, entry_by_name
 from delpezzo.elimination import OnCurveDatum, Subscheme
+from delpezzo.enumerator import random_pseudo_fundamental_ladders
 from delpezzo.lattice import Divisor, SurfaceModel
 from delpezzo.multiplet import (
     BasicPair,
@@ -171,6 +173,69 @@ def test_identities_all_levels_empty_multiplet():
     for lv in lad.levels:
         assert lv.model.intersect(lv.L, lv.E.class_in(lv.model)) == 0
     assert identities_check(lad)
+
+
+def _identities_per_level(ladder):
+    """Reference for identities_check: every level rescans the levels below."""
+    a = ladder.a
+    degs = ladder.delta_degrees()
+    bot = ladder.bottom
+    k0l0 = bot.model.intersect(bot.model.canonical_class() + bot.L, bot.L)
+    l0sq = bot.model.intersect(bot.L, bot.L)
+    for lv in ladder.levels:
+        below = [j for j in degs if j <= lv.i]
+        lhs = lv.model.intersect(lv.L, lv.E.class_in(lv.model))
+        if lhs != sum(j * (a - j) * degs[j] for j in below):
+            return False
+        kl = lv.model.intersect(lv.model.canonical_class() + lv.L, lv.L)
+        if kl - k0l0 != sum(j * (j - 1) * degs[j] for j in below):
+            return False
+        for cid in lv.E.support:
+            contact = sum(j * ladder.level(j).delta.contact(cid) for j in below)
+            if lv.model.intersect(lv.L, lv.model.curve(cid).cls) != contact:
+                return False
+        mk = -1 * lv.model.canonical_class()
+        rhs = lv.model.intersect(mk, lv.L) - sum(j * degs[j] for j in below)
+        if Fraction(l0sq, a) != rhs:
+            return False
+    return True
+
+
+def test_identities_check_matches_the_per_level_rescan():
+    ladders = [
+        build_entry_ladder(entry, a, idx)
+        for a in (4, 5, 6, 7, 8)
+        for entry in catalog_entries(a)
+        for idx in range(len(entry.configs))
+    ]
+    ladders += random_pseudo_fundamental_ladders(0, 100)
+    assert len(ladders) > 100
+    for lad in ladders:
+        assert identities_check(lad) == _identities_per_level(lad)
+
+
+def _with_delta(lad, i, delta):
+    levels = list(lad.levels)
+    levels[lad.b - i] = dataclasses.replace(lad.level(i), delta=delta)
+    return dataclasses.replace(lad, levels=tuple(levels))
+
+
+@pytest.mark.parametrize(
+    "name, datum, tampered",
+    [
+        # same degree 2, contact with sigma 1 instead of 2
+        ("II_1", OnCurveDatum(0, 2, 2), OnCurveDatum(0, 1, 2)),
+        # same contact 1, degree 2 instead of 1
+        ("I", OnCurveDatum(0, 1, 1), OnCurveDatum(0, 1, 2)),
+    ],
+)
+def test_identities_check_rejects_a_tampered_subscheme(name, datum, tampered):
+    lad = _entry_ladder(5, name)
+    assert lad.level(1).delta == Subscheme((datum,))
+    assert identities_check(lad) and _identities_per_level(lad)
+    bad = _with_delta(lad, 1, Subscheme((tampered,)))
+    assert not identities_check(bad)
+    assert not _identities_per_level(bad)
 
 
 def test_volume_cross_check_runs():

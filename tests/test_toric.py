@@ -4,6 +4,7 @@ import pytest
 
 from delpezzo.catalog import entry_by_name, build_entry_ladder
 from delpezzo.graphs import isomorphic
+from delpezzo import toric
 from delpezzo.multiplet import contracted_graph
 from delpezzo.toric import (
     Fan2D,
@@ -26,6 +27,14 @@ def test_fan_validation():
         Fan2D(((1, 0), (0, 1)))  # not complete
     with pytest.raises(FanError):
         Fan2D(((1, 0), (0, 1), (1, 0)))  # repeated ray
+
+
+def test_resolution_invariants_raise_fan_errors(monkeypatch):
+    # the checks inside the resolution walk are errors, not asserts, so they
+    # hold under python -O too
+    monkeypatch.setattr(toric, "_ext_gcd", lambda a, b: (2, 1, 0))
+    with pytest.raises(FanError):
+        hj_resolve(family_fan("O", 5))
 
 
 def test_smooth_fan_has_no_insertions():
