@@ -29,10 +29,8 @@ from .elimination import (
 )
 from .multiplet import (
     BasicPair,
-    FundamentalMultiplet,
     Ladder,
     build_ladder,
-    descend,
     volume,
     check_basic_pair,
     nef_certificate,
@@ -63,10 +61,8 @@ __all__ = [
     "transform",
     "check_psi_nef",
     "BasicPair",
-    "FundamentalMultiplet",
     "Ladder",
     "build_ladder",
-    "descend",
     "volume",
     "check_basic_pair",
     "nef_certificate",

@@ -19,7 +19,6 @@ from .multiplet import (
     certify_ladder,
     identities_check,
     index_of,
-    ladder_json,
     local_lemma_checks,
     volume,
 )

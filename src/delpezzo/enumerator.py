@@ -34,24 +34,29 @@ from .elimination import (
     NodeDatum,
     OnCurveDatum,
     Subscheme,
-    eliminate,
     node_coefficients,
     on_curve_coefficients,
-    transform,
 )
 from .graphs import canonical_key
-from .lattice import Divisor, SurfaceModel
+from .lattice import Divisor, DivisorClass, SurfaceModel
 from .multiplet import (
     BasicPair,
-    build_ladder,
+    Ladder,
+    LadderLevel,
     certificate_index_is_a,
     certify_ladder,
+    close_ladder,
     contracted_graph,
+    descend_step,
     identities_check,
     index_of,
     ladder_json,
     volume,
 )
+
+# Not called here; perfbench/test_perfbench.py reads enumerator.build_ladder and .eliminate.
+from .elimination import eliminate
+from .multiplet import build_ladder
 
 _CONFIG_CAP = 2_000_000
 
@@ -383,6 +388,30 @@ def _subscheme_candidates(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
     return results
 
 
+def _top(a: int, n: int, c0: int, parts) -> tuple[SurfaceModel, Divisor, DivisorClass]:
+    """F_n, the top divisor c0 sigma plus one fiber per part, and L = -aK - E."""
+    model = SurfaceModel.hirzebruch(n)
+    coeffs = {model.curve_by_name("sigma").id: c0}
+    for part in parts:
+        model, rec = model.add_fiber()
+        coeffs[rec.id] = part
+    E = Divisor.from_dict(coeffs)
+    return model, E, -a * model.canonical_class() - E.class_in(model)
+
+
+def _budgets(model: SurfaceModel, E: Divisor, L: DivisorClass) -> tuple[int, dict] | None:
+    """L.E and L.C for every component C of E, or None if any is negative."""
+    be = model.intersect(L, E.class_in(model))
+    if be < 0:
+        return None
+    budgets = {}
+    for cid in E.support:
+        budgets[cid] = model.intersect(L, model.curve(cid).cls)
+        if budgets[cid] < 0:
+            return None
+    return be, budgets
+
+
 def search_cell(cell: SearchCell) -> CellOutcome:
     """Exhaust the subscheme configurations of one cell."""
     a, n, h0, h, b = cell.a, cell.n, cell.h0, cell.h, cell.b
@@ -400,100 +429,81 @@ def search_cell(cell: SearchCell) -> CellOutcome:
     def reject(reason: str) -> None:
         out.rejected[reason] = out.rejected.get(reason, 0) + 1
 
+    def finish(ladder: Ladder) -> None:
+        out.candidates += 1
+        report = certify_ladder(ladder)
+        if not report.passed:
+            reject("certificates:" + ",".join(report.failures))
+            return
+        vol = volume(ladder)
+        if vol < 2 * a:
+            reject("volume")
+            return
+        pair = ladder.bottom_pair()
+        if index_of(pair) != a:
+            reject("index")
+            return
+        if not identities_check(ladder):
+            raise SearchExplosion("identity re-verification failed on a survivor")
+        if any(pair.model.intersect(pair.L0, rec.cls) < 0 for rec in pair.model.curves):
+            raise SearchExplosion("fundamental class negative on a tracked curve")
+        index_certificate = certificate_index_is_a(pair)
+        certificates = {
+            "ladder": True,
+            "basic_pair": True,
+            "identities": True,
+            "volume_at_least_2a": True,
+            "index_is_a": True,
+            "index_certificate": index_certificate,
+        }
+        out.survivors.append({
+            "key": canonical_form(pair),
+            "type": None,  # tagged against the catalog by the caller
+            "volume": str(vol),
+            "index": a,
+            "cell": (a, n, h0, h),
+            "E0": [
+                {
+                    "curve": pair.model.curve(c).name,
+                    "coeff": v,
+                    "self_intersection": pair.model.self_intersection(c),
+                }
+                for c, v in pair.E0.items
+            ],
+            "dual_graph": pair.model.dual_graph(pair.E0.support, pair.E0.as_dict()).to_dot(),
+            "multiplet": ladder_json(ladder, certificates),
+            "index_certificate": index_certificate,
+        })
+
+    def dfs(i: int, model, E, L, spent: int, levels: list[LadderLevel]) -> None:
+        # E is nonzero effective: the top divisor by construction, the
+        # others by the test before each descent.
+        out.configs += 1
+        if out.configs > _CONFIG_CAP:
+            raise SearchExplosion(f"configuration cap exceeded in cell {cell}")
+        found = _budgets(model, E, L)
+        if found is None:
+            return
+        be, budgets = found
+        v_left = v_max - spent
+        if v_left < 0 or not _degrees_feasible(a, i, be, v_left):
+            return
+        if any(r > v_left for r in budgets.values()):
+            return
+        if i == 0:
+            if be == 0 and all(r == 0 for r in budgets.values()):
+                finish(close_ladder(a, levels, model, E, L))
+            return
+        forbid = forbid_top_sigma and i == b
+        for sub in _subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid):
+            if i == 1 and sub.degree * (a - 1) != be:
+                continue
+            level, E2, L2 = descend_step(a, i, model, E, L, sub)
+            if E2.is_effective() and not E2.is_zero():
+                dfs(i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level])
+
     for parts in _partitions(f, a - 1):
-        top = SurfaceModel.hirzebruch(n)
-        coeffs = {top.curve_by_name("sigma").id: c0}
-        for part in parts:
-            top, rec = top.add_fiber()
-            coeffs[rec.id] = part
-        E_top = Divisor.from_dict(coeffs)
-        L_top = -a * top.canonical_class() - E_top.class_in(top)
-
-        def finish(deltas: list[Subscheme], spent: int) -> None:
-            out.candidates += 1
-            ladder = build_ladder(a, top, E_top, deltas, strict=False)
-            report = certify_ladder(ladder)
-            if not report.passed:
-                reject("certificates:" + ",".join(report.failures))
-                return
-            vol = volume(ladder)
-            if vol < 2 * a:
-                reject("volume")
-                return
-            pair = ladder.bottom_pair()
-            if index_of(pair) != a:
-                reject("index")
-                return
-            if not identities_check(ladder):
-                raise SearchExplosion("identity re-verification failed on a survivor")
-            if any(
-                pair.model.intersect(pair.L0, rec.cls) < 0 for rec in pair.model.curves
-            ):
-                raise SearchExplosion("fundamental class negative on a tracked curve")
-            index_certificate = certificate_index_is_a(pair)
-            certificates = {
-                "ladder": True,
-                "basic_pair": True,
-                "identities": True,
-                "volume_at_least_2a": True,
-                "index_is_a": True,
-                "index_certificate": index_certificate,
-            }
-            out.survivors.append({
-                "key": canonical_form(pair),
-                "type": None,  # tagged against the catalog by the caller
-                "volume": str(vol),
-                "index": a,
-                "cell": (a, n, h0, h),
-                "E0": [
-                    {
-                        "curve": pair.model.curve(c).name,
-                        "coeff": v,
-                        "self_intersection": pair.model.self_intersection(c),
-                    }
-                    for c, v in pair.E0.items
-                ],
-                "dual_graph": pair.model.dual_graph(pair.E0.support, pair.E0.as_dict()).to_dot(),
-                "multiplet": ladder_json(ladder, certificates),
-                "index_certificate": index_certificate,
-            })
-
-        def dfs(i: int, model, E, L, spent: int, deltas: list[Subscheme]) -> None:
-            out.configs += 1
-            if out.configs > _CONFIG_CAP:
-                raise SearchExplosion(f"configuration cap exceeded in cell {cell}")
-            if not E.is_effective() or E.is_zero():
-                return
-            be = model.intersect(L, E.class_in(model))
-            if be < 0:
-                return
-            budgets = {}
-            for cid in E.support:
-                r = model.intersect(L, model.curve(cid).cls)
-                if r < 0:
-                    return
-                budgets[cid] = r
-            v_left = v_max - spent
-            if v_left < 0 or not _degrees_feasible(a, i, be, v_left):
-                return
-            if any(r > v_left for r in budgets.values()):
-                return
-            if i == 0:
-                if be == 0 and all(r == 0 for r in budgets.values()):
-                    finish(deltas, spent)
-                return
-            forbid = forbid_top_sigma and i == b
-            for sub in _subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid):
-                if i == 1 and sub.degree * (a - 1) != be:
-                    continue
-                elim = eliminate(model, sub)
-                E2 = transform(E, elim, a - i)
-                if not E2.is_effective() or E2.is_zero():
-                    continue
-                L2 = elim.transform_class(L, i)
-                dfs(i - 1, elim.model, E2, L2, spent + i * sub.degree, deltas + [sub])
-
-        dfs(b, top, E_top, L_top, 0, [])
+        dfs(b, *_top(a, n, c0, parts), 0, [])
     return out
 
 
@@ -814,39 +824,22 @@ def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int =
         b = rng.randint(1, min(b_top, 4))
         parts = rng.choice(_partitions(f, a - 1))
 
-        top = SurfaceModel.hirzebruch(n)
-        coeffs = {0: c0}
-        for part in parts:
-            top, rec = top.add_fiber()
-            coeffs[rec.id] = part
-        E = Divisor.from_dict(coeffs)
-        L = -a * top.canonical_class() - E.class_in(top)
-        be_top = top.intersect(L, E.class_in(top))
+        model, E, L = _top(a, n, c0, parts)
+        be_top = model.intersect(L, E.class_in(model))
         if be_top < 0 or be_top > 60:
             continue
         v_cap = be_top  # sum j d_j never exceeds sum j(a-j) d_j
 
-        model, Ecur, Lcur = top, E, L
-        deltas: list[Subscheme] = []
+        levels: list[LadderLevel] = []
         spent = 0
-        ok = True
         for i in range(b, 0, -1):
-            be = model.intersect(Lcur, Ecur.class_in(model))
-            budgets = {}
-            for cid in Ecur.support:
-                r = model.intersect(Lcur, model.curve(cid).cls)
-                if r < 0:
-                    ok = False
-                    break
-                budgets[cid] = r
-            if not ok or be < 0 or not _degrees_feasible(a, i, be, v_cap - spent):
-                ok = False
+            found = _budgets(model, E, L)
+            if found is None or not _degrees_feasible(a, i, found[0], v_cap - spent):
                 break
+            be, budgets = found
             cands = [
                 sub
-                for sub in _subscheme_candidates(
-                    model, Ecur, i, a, v_cap - spent, be, budgets, False
-                )
+                for sub in _subscheme_candidates(model, E, i, a, v_cap - spent, be, budgets, False)
                 if _degrees_feasible(
                     a, i - 1, be - i * (a - i) * sub.degree, v_cap - spent - i * sub.degree
                 )
@@ -854,21 +847,16 @@ def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int =
             if i == 1:
                 cands = [sub for sub in cands if sub.degree * (a - 1) == be]
             if not cands:
-                ok = False
                 break
             sub = rng.choice(cands)
-            elim = eliminate(model, sub)
-            E2 = transform(Ecur, elim, a - i)
-            if not E2.is_effective() or E2.is_zero():
-                ok = False
+            level, E, L = descend_step(a, i, model, E, L, sub)
+            if not E.is_effective() or E.is_zero():
                 break
-            Lcur = elim.transform_class(Lcur, i)
-            model, Ecur = elim.model, E2
+            model = level.elim.model
             spent += i * sub.degree
-            deltas.append(sub)
-        if not ok:
-            continue
-        ladder = build_ladder(a, top, E, deltas, strict=False)
-        if certify_ladder(ladder, require_fundamental=False).passed:
-            out.append(ladder)
+            levels.append(level)
+        else:
+            ladder = close_ladder(a, levels, model, E, L)
+            if certify_ladder(ladder, require_fundamental=False).passed:
+                out.append(ladder)
     return out

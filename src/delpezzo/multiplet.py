@@ -122,51 +122,38 @@ def build_ladder(
     levels = []
     for idx, sub in enumerate(deltas):
         i = b - idx
-        elim = eliminate(model, sub)
-        levels.append(LadderLevel(i, model, E, L, elim.subscheme, elim))
-        E = transform(E, elim, a - i)
-        L = elim.transform_class(L, i)
-        model = elim.model
+        level, E, L = descend_step(a, i, model, E, L, sub)
+        levels.append(level)
+        model = level.elim.model
         if strict and not E.is_effective():
             raise StructuralError(f"divisor not effective below level {i}")
         if strict and E.is_zero():
             raise StructuralError(f"divisor vanished below level {i}")
-    levels.append(LadderLevel(0, model, E, L, None, None))
-    ladder = Ladder(a, tuple(levels))
-    _assert_class_consistency(ladder)
-    return ladder
+    return close_ladder(a, levels, model, E, L)
 
 
-def _assert_class_consistency(ladder: Ladder) -> None:
+def descend_step(
+    a: int, i: int, model: SurfaceModel, E: Divisor, L: DivisorClass, sub: Subscheme
+) -> tuple[LadderLevel, Divisor, DivisorClass]:
+    """Eliminate ``sub`` at level i: the level-i record, then E and L one level
+    down (E_{i-1} = transform(E_i, a-i), L_{i-1} = L_i - i.K_rel) on the model
+    ``level.elim.model``.  The one place a ladder is descended."""
+    elim = eliminate(model, sub)
+    level = LadderLevel(i, model, E, L, elim.subscheme, elim)
+    return level, transform(E, elim, a - i), elim.transform_class(L, i)
+
+
+def close_ladder(
+    a: int, levels: list[LadderLevel], model: SurfaceModel, E: Divisor, L: DivisorClass
+) -> Ladder:
+    """Append level 0 to the descended levels and check the two transforms agree."""
+    ladder = Ladder(a, (*levels, LadderLevel(0, model, E, L, None, None)))
     # The divisor-level transform and the class-level transform must agree.
     for lv in ladder.levels:
-        want = -ladder.a * lv.model.canonical_class() - lv.E.class_in(lv.model)
+        want = -a * lv.model.canonical_class() - lv.E.class_in(lv.model)
         if want != lv.L:
             raise InternalConsistencyError("class of E and fundamental class disagree")
-
-
-@dataclass(frozen=True)
-class FundamentalMultiplet:
-    """A multiplet by its top data: surface, divisor, one subscheme per level.
-
-    ``deltas`` runs from the top level down; ``descend`` realizes the full
-    ladder of eliminations.
-    """
-
-    a: int
-    model: SurfaceModel
-    E: Divisor
-    deltas: tuple[Subscheme, ...]
-
-    @property
-    def b(self) -> int:
-        return len(self.deltas)
-
-
-def descend(multiplet: FundamentalMultiplet, *, strict: bool = True) -> Ladder:
-    return build_ladder(
-        multiplet.a, multiplet.model, multiplet.E, list(multiplet.deltas), strict=strict
-    )
+    return ladder
 
 
 # -- certificates ----------------------------------------------------------
@@ -407,17 +394,10 @@ def index_of(pair: BasicPair) -> int:
     only zero coefficients are canonical points of index one.  The overall
     index is the least common multiple.
     """
-    model, a = pair.model, pair.a
-    ids = list(contracted_support(pair))
-    adj = {c: set() for c in ids}
-    for x in ids:
-        for y in ids:
-            if x < y and model.intersection(x, y) == 1:
-                adj[x].add(y)
-                adj[y].add(x)
+    g = contracted_graph(pair)
     seen: set[int] = set()
     result = 1
-    for start in ids:
+    for start in range(g.order):
         if start in seen:
             continue
         comp = [start]
@@ -425,13 +405,12 @@ def index_of(pair: BasicPair) -> int:
         stack = [start]
         while stack:
             v = stack.pop()
-            for w in adj[v]:
+            for w in g.neighbours(v):
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
                     stack.append(w)
-        g = math.gcd(a, *(pair.E0.coeff(c) for c in comp))
-        result = result * (a // g) // math.gcd(result, a // g)
+        result = math.lcm(result, pair.a // math.gcd(pair.a, *(g.weights[v][1] for v in comp)))
     return result
 
 

@@ -18,9 +18,11 @@ from delpezzo.enumerator import (
     p5_region_killed,
     p6_large_multiple_kill,
     p7_degree_cap,
+    random_pseudo_fundamental_ladders,
     search_cell,
 )
 from delpezzo.graphs import WeightedGraph, canonical_key
+from delpezzo.multiplet import build_ladder
 
 
 @pytest.mark.parametrize("a", [4, 5, 6, 7, 8])
@@ -228,6 +230,19 @@ def test_search_cell_rejects_low_index_candidates():
     out = search_cell(cell)
     assert not out.survivors
     assert out.rejected.get("index", 0) == 1
+
+
+def test_fuzzer_ladders_equal_their_rebuilds():
+    # the fuzzer keeps the levels it descended; rebuilding them from the top
+    # data and the chosen subschemes must give the same ladder, level by level
+    ladders = random_pseudo_fundamental_ladders(0, 100)
+    assert len(ladders) == 100
+    for lad in ladders:
+        deltas = [lv.delta for lv in lad.levels[:-1]]
+        rebuilt = build_ladder(lad.a, lad.top.model, lad.top.E, deltas, strict=False)
+        assert len(rebuilt.levels) == len(lad.levels)
+        for got, want in zip(lad.levels, rebuilt.levels):
+            assert got == want
 
 
 def test_audit_small_clean():

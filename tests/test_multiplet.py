@@ -214,9 +214,9 @@ def test_identities_check_matches_the_per_level_rescan():
         assert identities_check(lad) == _identities_per_level(lad)
 
 
-def _with_delta(lad, i, delta):
+def _with_level(lad, i, **fields):
     levels = list(lad.levels)
-    levels[lad.b - i] = dataclasses.replace(lad.level(i), delta=delta)
+    levels[lad.b - i] = dataclasses.replace(lad.level(i), **fields)
     return dataclasses.replace(lad, levels=tuple(levels))
 
 
@@ -233,7 +233,23 @@ def test_identities_check_rejects_a_tampered_subscheme(name, datum, tampered):
     lad = _entry_ladder(5, name)
     assert lad.level(1).delta == Subscheme((datum,))
     assert identities_check(lad) and _identities_per_level(lad)
-    bad = _with_delta(lad, 1, Subscheme((tampered,)))
+    bad = _with_level(lad, 1, delta=Subscheme((tampered,)))
+    assert not identities_check(bad)
+    assert not _identities_per_level(bad)
+
+
+def test_identities_check_rejects_a_moved_adjoint_square():
+    # On level 2 of A5, D = E_2 - E_1 meets K and every component of E in 0,
+    # hence L in 0 too.  L + D keeps L.E, every contact sum and -K.L, so only
+    # the (K+L).L identity sees that (K+L).L moved by D^2 = -2.
+    lad = _entry_ladder(5, "A5")
+    lv = lad.level(2)
+    m = lv.model
+    D = m.exc_class(1) - m.exc_class(0)
+    assert m.intersect(m.canonical_class(), D) == 0
+    assert all(m.intersect(m.curve(c).cls, D) == 0 for c in lv.E.support)
+    assert m.intersect(D, D) == -2
+    bad = _with_level(lad, 2, L=lv.L + D)
     assert not identities_check(bad)
     assert not _identities_per_level(bad)
 
@@ -313,18 +329,6 @@ def test_local_checks_boundary_case():
     deltas = [Subscheme((OnCurveDatum("sigma", 1, 2),)), Subscheme(()), Subscheme(())]
     lad = build_ladder(6, F, E, deltas, strict=False)
     assert any("2i = a+1" in v for v in local_lemma_checks(lad))
-
-
-def test_descend_api():
-    from delpezzo.catalog import top_model
-    from delpezzo.multiplet import FundamentalMultiplet, descend
-
-    entry = entry_by_name(4, "B4")
-    model, eb = top_model(entry)
-    m = FundamentalMultiplet(4, model, eb, entry.configs[0])
-    assert m.b == 2
-    lad = descend(m)
-    assert volume(lad) == Fraction(8)
 
 
 def test_volume_mismatch_raises():
