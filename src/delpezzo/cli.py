@@ -2,7 +2,9 @@
 toric computations, dual-graph export, and audit sweeps.
 
 Exit codes: 0 on success (and catalog match / clean audit / all
-certificates passing), 1 on a verification failure, 2 on flag errors.
+certificates passing), 1 on a verification failure, 2 on flag errors,
+3 on a ``SearchExplosion``, ``InternalConsistencyError`` or
+``CanonicalizationError``; errors 2 and 3 go to stderr, as JSON under --json.
 Volumes are always printed as exact fractions.
 """
 
@@ -13,14 +15,14 @@ import json
 import sys
 
 from .catalog import TYPE_NAMES, build_entry_ladder, entries_for_type
-from .enumerator import audit, canonical_form, classify
+from .enumerator import SearchExplosion, audit, canonical_form, classify
+from .graphs import CanonicalizationError
 from .multiplet import (
+    InternalConsistencyError,
     certificate_index_is_a,
     certify_ladder,
     identities_check,
-    index_of,
     local_lemma_checks,
-    volume,
 )
 from .toric import (
     _FAMILIES,
@@ -64,25 +66,26 @@ def _cmd_verify_type(args) -> int:
         for idx in range(len(entry.configs)):
             ladder = build_entry_ladder(entry, args.a, idx)
             report = certify_ladder(ladder)
-            vol = volume(ladder)
-            pair = ladder.bottom_pair()
-            idx_val = index_of(pair)
+            vol = ladder.volume
+            pair = ladder.bottom_pair
+            idx_val = pair.index
             lemma_violations = local_lemma_checks(ladder)
             idents = identities_check(ladder)
+            index_certificate = certificate_index_is_a(pair)
             ok = (
                 report.passed
                 and idents
                 and not lemma_violations
                 and vol == entry.volume
                 and idx_val == args.a
-                and certificate_index_is_a(pair)
+                and index_certificate
             )
             all_ok = all_ok and ok
             print(f"{entry.name} configuration {idx + 1}/{len(entry.configs)}")
             print(f"  volume {vol}  index {idx_val}")
             print(f"  certificates: {'pass' if report.passed else 'FAIL ' + ','.join(report.failures)}")
             print(f"  identities: {'pass' if idents else 'FAIL'}")
-            print(f"  index certificate: {'pass' if certificate_index_is_a(pair) else 'FAIL'}")
+            print(f"  index certificate: {'pass' if index_certificate else 'FAIL'}")
             if lemma_violations:
                 for v in lemma_violations:
                     print(f"  local check FAIL: {v}")
@@ -130,7 +133,7 @@ def _cmd_dualgraph(args) -> int:
         )
     entry, idx = configs[args.config - 1]
     ladder = build_entry_ladder(entry, args.a, idx)
-    pair = ladder.bottom_pair()
+    pair = ladder.bottom_pair
     graph = pair.model.dual_graph(pair.E0.support, pair.E0.as_dict())
     if args.format == "dot":
         payload = graph.to_dot()
@@ -138,8 +141,8 @@ def _cmd_dualgraph(args) -> int:
         payload = json.dumps(
             {
                 "vertices": [
-                    {"name": v.name, "self_intersection": v.self_intersection, "coeff": v.coeff}
-                    for v in graph.vertices
+                    {"name": name, "self_intersection": s, "coeff": c}
+                    for name, (s, c) in zip(graph.names, graph.weights)
                 ],
                 "edges": [list(e) for e in graph.edges],
             },
@@ -217,12 +220,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "a", 2) < 2:
             raise FlagError("the index must be at least 2")
         return args.func(args)
-    except FlagError as exc:
-        if emit_json:
-            sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        else:
-            sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except (FlagError, SearchExplosion, InternalConsistencyError, CanonicalizationError) as exc:
+        msg = json.dumps({"error": str(exc)}) if emit_json else f"error: {exc}"
+        sys.stderr.write(msg + "\n")
+        return 2 if isinstance(exc, FlagError) else 3
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import _partitions, build_entry_ladder, catalog_entries
@@ -46,12 +45,9 @@ from .multiplet import (
     certificate_index_is_a,
     certify_ladder,
     close_ladder,
-    contracted_graph,
     descend_step,
     identities_check,
-    index_of,
     ladder_json,
-    volume,
 )
 
 # Not called here; perfbench/test_perfbench.py reads enumerator.build_ladder and .eliminate.
@@ -72,11 +68,8 @@ def canonical_form(pair: BasicPair) -> str:
     """Canonical key of a basic pair: contracted-configuration graph plus
     (a, volume, index).  Equal keys mean isomorphic weighted graphs and
     equal numerical invariants."""
-    a = pair.a
-    vol = Fraction(pair.model.intersect(pair.L0, pair.L0), a * a)
-    idx = index_of(pair)
-    gkey = canonical_key(contracted_graph(pair))
-    return f"a={a}|v={vol.numerator}/{vol.denominator}|i={idx}|g={gkey}"
+    vol, gkey = pair.volume, canonical_key(pair.graph)
+    return f"a={pair.a}|v={vol.numerator}/{vol.denominator}|i={pair.index}|g={gkey}"
 
 
 # -- pruning predicates --------------------------------------------------------
@@ -218,8 +211,6 @@ class SearchCell:
     n: int
     h0: int
     h: int
-    b: int
-    origin: tuple[str, ...] = ()
 
 
 def _normalization_active(a: int, n: int, h0: int, h: int) -> bool:
@@ -267,11 +258,7 @@ def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
                 if reason:
                     killed[reason] = killed.get(reason, 0) + stop - start
                     continue
-                for h in range(start, stop):
-                    origin = ["window", "sections_excluded"]
-                    if _normalization_active(a, n, h0, h):
-                        origin.append("top_off_sigma")
-                    cells.append(SearchCell(a, n, h0, h, b, tuple(origin)))
+                cells.extend(SearchCell(a, n, h0, h) for h in range(start, stop))
     return cells, killed
 
 
@@ -414,7 +401,8 @@ def _budgets(model: SurfaceModel, E: Divisor, L: DivisorClass) -> tuple[int, dic
 
 def search_cell(cell: SearchCell) -> CellOutcome:
     """Exhaust the subscheme configurations of one cell."""
-    a, n, h0, h, b = cell.a, cell.n, cell.h0, cell.h, cell.b
+    a, n, h0, h = cell.a, cell.n, cell.h0, cell.h
+    b = p4_length(h0)
     out = CellOutcome(cell)
     c0 = 2 * a - h0
     f = (n + 2) * a - h
@@ -424,7 +412,7 @@ def search_cell(cell: SearchCell) -> CellOutcome:
         out.rejected["top_coefficient_out_of_model"] = 1
         return out
     v_max = _volume_cap(a, n, h0, h)
-    forbid_top_sigma = "top_off_sigma" in cell.origin
+    forbid_top_sigma = _normalization_active(a, n, h0, h)
 
     def reject(reason: str) -> None:
         out.rejected[reason] = out.rejected.get(reason, 0) + 1
@@ -435,12 +423,11 @@ def search_cell(cell: SearchCell) -> CellOutcome:
         if not report.passed:
             reject("certificates:" + ",".join(report.failures))
             return
-        vol = volume(ladder)
-        if vol < 2 * a:
+        if ladder.volume < 2 * a:
             reject("volume")
             return
-        pair = ladder.bottom_pair()
-        if index_of(pair) != a:
+        pair = ladder.bottom_pair
+        if pair.index != a:
             reject("index")
             return
         if not identities_check(ladder):
@@ -456,22 +443,16 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             "index_is_a": True,
             "index_certificate": index_certificate,
         }
+        record = ladder_json(ladder, certificates)
         out.survivors.append({
             "key": canonical_form(pair),
             "type": None,  # tagged against the catalog by the caller
-            "volume": str(vol),
+            "volume": record["volume"],
             "index": a,
             "cell": (a, n, h0, h),
-            "E0": [
-                {
-                    "curve": pair.model.curve(c).name,
-                    "coeff": v,
-                    "self_intersection": pair.model.self_intersection(c),
-                }
-                for c, v in pair.E0.items
-            ],
+            "E0": record["E_0"],
             "dual_graph": pair.model.dual_graph(pair.E0.support, pair.E0.as_dict()).to_dot(),
-            "multiplet": ladder_json(ladder, certificates),
+            "multiplet": record,
             "index_certificate": index_certificate,
         })
 
@@ -573,7 +554,7 @@ def catalog_key_map(a: int) -> dict[str, tuple[str, int]]:
                 raise SearchExplosion(
                     f"catalog entry {entry.name} configuration {idx} fails its own certificates"
                 )
-            key = canonical_form(ladder.bottom_pair())
+            key = canonical_form(ladder.bottom_pair)
             if key in out and out[key][0] != entry.name:
                 raise SearchExplosion(
                     f"catalog key collision between {out[key][0]} and {entry.name}"
@@ -750,10 +731,7 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
                         )
                         continue
                     if reason is None:
-                        origin = ["audit"]
-                        if _normalization_active(a, n, h0v, h):
-                            origin.append("top_off_sigma")
-                        to_search.append(SearchCell(a, n, h0v, h, b, tuple(origin)))
+                        to_search.append(SearchCell(a, n, h0v, h))
                         continue
                 kill(reason)
 

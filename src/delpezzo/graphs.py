@@ -1,4 +1,4 @@
-"""Canonical labeling of small weighted graphs.
+"""Weighted graphs, the engine's one graph type, and their canonical labeling.
 
 The configurations this engine compares are tiny (a handful of weighted
 vertices, forest-shaped in practice), so canonicalization is done by
@@ -6,6 +6,7 @@ refining vertex colours Weisfeiler-Lehman style and then brute-forcing
 permutations inside the remaining colour classes, keeping the
 lexicographically smallest encoding.  Degree-zero vertices never need
 permuting: with equal weights their order cannot change the encoding.
+Vertex names play no part.
 """
 
 from __future__ import annotations
@@ -22,14 +23,18 @@ class CanonicalizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
+    """Vertices 0..order-1 with weights and optional names; edges (i, j) with
+    i < j, sorted."""
+
     weights: tuple[tuple[int, ...], ...]
-    edges: frozenset[frozenset[int]]
+    edges: tuple[tuple[int, int], ...]
+    names: tuple[str, ...] = ()
 
     @staticmethod
     def build(weights, edge_pairs) -> "WeightedGraph":
         return WeightedGraph(
             tuple(tuple(w) for w in weights),
-            frozenset(frozenset(e) for e in edge_pairs),
+            tuple(sorted({tuple(sorted(e)) for e in edge_pairs})),
         )
 
     @property
@@ -40,12 +45,29 @@ class WeightedGraph:
         return sum(1 for e in self.edges if v in e)
 
     def neighbours(self, v: int) -> list[int]:
+        return sorted(j if i == v else i for i, j in self.edges if v in (i, j))
+
+    def components(self) -> list[list[int]]:
+        seen: set[int] = set()
         out = []
-        for e in self.edges:
-            if v in e:
-                (w,) = e - {v}
-                out.append(w)
-        return sorted(out)
+        for start in range(self.order):
+            if start not in seen:
+                seen.add(start)
+                out.append([start])
+                for v in out[-1]:  # the list grows while it is walked
+                    new = [w for w in self.neighbours(v) if w not in seen]
+                    seen.update(new)
+                    out[-1].extend(new)
+        return out
+
+    def to_dot(self) -> str:
+        """DOT text of a named dual graph weighted by (self-intersection, coefficient)."""
+        lines = ["graph dual {"]
+        for i, (name, (s, c)) in enumerate(zip(self.names, self.weights)):
+            lines.append(f'  v{i} [label="{name}\\n(s={s}, c={c})"];')
+        lines.extend(f"  v{i} -- v{j};" for i, j in self.edges)
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
 
 def _stable_colours(g: WeightedGraph) -> list[tuple]:
@@ -102,7 +124,7 @@ def canonical_key(g: WeightedGraph) -> tuple:
             order.extend(grp_fixed if grp_fixed else grp_perm)
         pos = {v: i for i, v in enumerate(order)}
         enc_weights = tuple(g.weights[v] for v in order)
-        enc_edges = tuple(sorted(tuple(sorted((pos[a], pos[b]))) for a, b in map(tuple, g.edges)))
+        enc_edges = tuple(sorted(tuple(sorted((pos[a], pos[b]))) for a, b in g.edges))
         enc = (enc_weights, enc_edges)
         if best is None or enc < best:
             best = enc

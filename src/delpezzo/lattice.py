@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .graphs import WeightedGraph
+
 
 class StructuralError(ValueError):
     """Raised when lattice data from different or incompatible models meet."""
@@ -162,34 +164,6 @@ class Divisor:
         for c, v in self.items:
             cls = cls + v * model.curve(c).cls
         return cls
-
-
-@dataclass(frozen=True)
-class DualVertex:
-    name: str
-    self_intersection: int
-    coeff: int | None = None
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """Dual graph of a curve configuration; vertices in creation order."""
-
-    vertices: tuple[DualVertex, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def to_dot(self) -> str:
-        lines = ["graph dual {"]
-        for i, v in enumerate(self.vertices):
-            if v.coeff is None:
-                label = f"{v.name}\\n(s={v.self_intersection})"
-            else:
-                label = f"{v.name}\\n(s={v.self_intersection}, c={v.coeff})"
-            lines.append(f'  v{i} [label="{label}"];')
-        for i, j in self.edges:
-            lines.append(f"  v{i} -- v{j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -392,17 +366,11 @@ class SurfaceModel:
     # -- dual graphs ---------------------------------------------------------
 
     def dual_graph(
-        self, support: tuple[int, ...] | list[int], coeffs: dict[int, int] | None = None
-    ) -> DualGraph:
+        self, support: tuple[int, ...] | list[int], coeffs: dict[int, int]
+    ) -> WeightedGraph:
+        """Dual graph of the tracked curves in ``support``, in id order, named
+        and weighted by (self-intersection, coefficient in ``coeffs``)."""
         ids = sorted(set(support))
-        vertices = tuple(
-            DualVertex(
-                self.curve(c).name,
-                self.self_intersection(c),
-                None if coeffs is None else coeffs.get(c, 0),
-            )
-            for c in ids
-        )
         edges = []
         for a, b in itertools.combinations(range(len(ids)), 2):
             v = self.intersection(ids[a], ids[b])
@@ -413,4 +381,8 @@ class SurfaceModel:
                 )
             if v == 1:
                 edges.append((a, b))
-        return DualGraph(vertices, tuple(edges))
+        return WeightedGraph(
+            tuple((self.self_intersection(c), coeffs.get(c, 0)) for c in ids),
+            tuple(edges),  # (a, b) with a < b, in order
+            tuple(self.curve(c).name for c in ids),
+        )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .elimination import (
     EliminationResult,
@@ -48,6 +49,21 @@ class BasicPair:
     def build(model: SurfaceModel, E0: Divisor, a: int) -> "BasicPair":
         L0 = -a * model.canonical_class() - E0.class_in(model)
         return BasicPair(model, E0, a, L0)
+
+    # Built once per pair and shared by certificates, keys and JSON records.
+
+    @cached_property
+    def graph(self) -> WeightedGraph:
+        return contracted_graph(self)
+
+    @cached_property
+    def volume(self) -> Fraction:
+        """(L0^2)/a^2, the bottom route of ``volume``."""
+        return Fraction(self.model.intersect(self.L0, self.L0), self.a * self.a)
+
+    @cached_property
+    def index(self) -> int:
+        return index_of(self)
 
 
 @dataclass(frozen=True)
@@ -85,9 +101,16 @@ class Ladder:
             raise StructuralError(f"ladder levels out of order at {i}")
         return lv
 
+    @cached_property
     def bottom_pair(self) -> BasicPair:
+        """The basic pair at level 0; one object per ladder."""
         bot = self.bottom
         return BasicPair(bot.model, bot.E, self.a, bot.L)
+
+    @cached_property
+    def volume(self) -> Fraction:
+        """The module-level ``volume`` of this ladder, computed once."""
+        return volume(self)
 
     def delta_degrees(self) -> dict[int, int]:
         """deg of the subscheme eliminated at each level, keyed by level index."""
@@ -240,7 +263,7 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
             break
 
     if not failures:
-        pair = ladder.bottom_pair()
+        pair = ladder.bottom_pair
         bot = check_basic_pair(pair, nef_evidence=True)
         details["basic_pair"] = bot.details
         failures.extend("bottom_" + f for f in bot.failures)
@@ -304,12 +327,10 @@ def volume(ladder: Ladder) -> Fraction:
     Computed from the top of the ladder and cross-checked against the bottom
     lattice; a mismatch means the engine itself is broken, so it raises.
     """
-    a = ladder.a
     top = ladder.top
     mk = -1 * top.model.canonical_class()
-    primary = Fraction(top.model.intersect(mk, top.L) - ladder.weighted_degree(), a)
-    bot = ladder.bottom
-    cross = Fraction(bot.model.intersect(bot.L, bot.L), a * a)
+    primary = Fraction(top.model.intersect(mk, top.L) - ladder.weighted_degree(), ladder.a)
+    cross = ladder.bottom_pair.volume
     if primary != cross:
         raise InternalConsistencyError(f"volume mismatch: {primary} vs {cross}")
     return primary
@@ -373,17 +394,10 @@ def contracted_graph(pair: BasicPair) -> WeightedGraph:
     """Weighted dual graph of the contracted configuration.
 
     Vertex weights are (self-intersection, coefficient in E); curves with
-    zero discrepancy enter with coefficient 0.
+    zero discrepancy enter with coefficient 0.  ``pair.graph`` keeps the
+    one built for a pair.
     """
-    model = pair.model
-    ids = contracted_support(pair)
-    weights = [(model.self_intersection(c), pair.E0.coeff(c)) for c in ids]
-    edges = []
-    for x in range(len(ids)):
-        for y in range(x + 1, len(ids)):
-            if model.intersection(ids[x], ids[y]) == 1:
-                edges.append((x, y))
-    return WeightedGraph.build(weights, edges)
+    return pair.model.dual_graph(contracted_support(pair), pair.E0.as_dict())
 
 
 def index_of(pair: BasicPair) -> int:
@@ -394,24 +408,10 @@ def index_of(pair: BasicPair) -> int:
     only zero coefficients are canonical points of index one.  The overall
     index is the least common multiple.
     """
-    g = contracted_graph(pair)
-    seen: set[int] = set()
-    result = 1
-    for start in range(g.order):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbours(v):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        result = math.lcm(result, pair.a // math.gcd(pair.a, *(g.weights[v][1] for v in comp)))
-    return result
+    a, g = pair.a, pair.graph
+    return math.lcm(
+        *(a // math.gcd(a, *(g.weights[v][1] for v in comp)) for comp in g.components())
+    )
 
 
 def certificate_index_is_a(pair: BasicPair) -> bool:
@@ -548,8 +548,7 @@ def _datum_json(model: SurfaceModel, datum) -> dict:
 def ladder_json(ladder: Ladder, certificates: dict | None = None) -> dict:
     """JSON form of a descended multiplet: top data, subschemes, invariants."""
     top = ladder.top
-    pair = ladder.bottom_pair()
-    vol = volume(ladder)
+    pair = ladder.bottom_pair
     out = {
         "a": ladder.a,
         "b": ladder.b,
@@ -562,8 +561,8 @@ def ladder_json(ladder: Ladder, certificates: dict | None = None) -> dict:
             for lv in ladder.levels
             if lv.delta is not None
         ],
-        "volume": str(vol),
-        "index": index_of(pair),
+        "volume": str(ladder.volume),
+        "index": pair.index,
         "E_0": [
             {"curve": pair.model.curve(c).name, "coeff": v, "self_intersection": pair.model.self_intersection(c)}
             for c, v in pair.E0.items

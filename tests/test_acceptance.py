@@ -93,7 +93,7 @@ def test_criterion_3_resolution_fidelity():
         assert -a * res.discrepancies[(0, -1)] == a - 1
         for family, entry in (("I", "I"), ("II1", "II_1"), ("II2", "II_2")):
             toric_side = exceptional_graph(family_fan(family, a), a)
-            pair = build_entry_ladder(entry_by_name(a, entry), a, 0).bottom_pair()
+            pair = build_entry_ladder(entry_by_name(a, entry), a, 0).bottom_pair
             assert isomorphic(toric_side, contracted_graph(pair)), (family, a)
     print("ACCEPTANCE 3 resolution fidelity: PASS")
 
@@ -150,13 +150,13 @@ def test_criterion_6_index_suite():
     for a in (4, 5, 6, 7, 8):
         for entry in catalog_entries(a):
             for idx in range(len(entry.configs)):
-                pair = build_entry_ladder(entry, a, idx).bottom_pair()
+                pair = build_entry_ladder(entry, a, idx).bottom_pair
                 assert index_of(pair) == a, (a, entry.name)
                 assert certificate_index_is_a(pair), (a, entry.name)
                 count += 1
     for a in range(2, 11):
         for family, entry in (("O", "O"), ("I", "I"), ("II1", "II_1"), ("II2", "II_2")):
-            pair = build_entry_ladder(entry_by_name(a, entry), a, 0).bottom_pair()
+            pair = build_entry_ladder(entry_by_name(a, entry), a, 0).bottom_pair
             assert index_of(pair) == gorenstein_index(family_fan(family, a))
     print(f"ACCEPTANCE 6 index suite: PASS ({count} pairs)")
 

@@ -1,7 +1,13 @@
 import json
 
+import pytest
+
+import delpezzo.cli as cli
 from delpezzo.catalog import build_entry_ladder
 from delpezzo.cli import main
+from delpezzo.enumerator import SearchExplosion
+from delpezzo.graphs import CanonicalizationError
+from delpezzo.multiplet import InternalConsistencyError
 
 
 def run(capsys, *argv):
@@ -92,6 +98,66 @@ def test_dualgraph_json(capsys, tmp_path):
     assert len(data["edges"]) == 2
 
 
+B4_DOT = """\
+graph dual {
+  v0 [label="sigma\\n(s=-6, c=3)"];
+  v1 [label="Gamma_P1_1\\n(s=-2, c=1)"];
+  v2 [label="Gamma_P1_2\\n(s=-2, c=2)"];
+  v0 -- v2;
+  v1 -- v2;
+}
+"""
+
+C4_JSON = """\
+{
+  "edges": [
+    [
+      0,
+      2
+    ],
+    [
+      2,
+      3
+    ]
+  ],
+  "vertices": [
+    {
+      "coeff": 3,
+      "name": "sigma",
+      "self_intersection": -6
+    },
+    {
+      "coeff": 2,
+      "name": "l_1",
+      "self_intersection": -4
+    },
+    {
+      "coeff": 2,
+      "name": "Gamma_P2_1",
+      "self_intersection": -2
+    },
+    {
+      "coeff": 1,
+      "name": "Gamma_P2_2",
+      "self_intersection": -2
+    }
+  ]
+}
+"""
+
+
+def test_dualgraph_exports_are_byte_stable(capsys, tmp_path):
+    # exact bytes, vertex and edge order included
+    dot, js = tmp_path / "g.dot", tmp_path / "g.json"
+    assert run(capsys, "dualgraph", "--type", "B4", "--a", "4", "--out", str(dot))[0] == 0
+    assert dot.read_text() == B4_DOT
+    code, _, _ = run(
+        capsys, "dualgraph", "--type", "C4", "--a", "4", "--format", "json", "--out", str(js)
+    )
+    assert code == 0
+    assert js.read_text() == C4_JSON
+
+
 def test_dualgraph_config_out_of_range(capsys, tmp_path):
     out_path = tmp_path / "g.dot"
     for type_name, config in (("II", "3"), ("III", "4"), ("O", "0")):
@@ -158,3 +224,20 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-type", "--type", "O", "--a", "4")
     assert code == 1
     assert "FAIL forced" in out
+
+
+@pytest.mark.parametrize("error", [SearchExplosion, InternalConsistencyError, CanonicalizationError])
+@pytest.mark.parametrize("command", ["classify", "audit"])
+def test_engine_errors_exit_three(capsys, monkeypatch, tmp_path, error, command):
+    def failing(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, command, failing)
+    argv = [command, "--a", "4"] + (["--nmax", "8"] if command == "audit" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: forced\n")
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, *argv, "--json", str(out_path))
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "forced"}
+    assert not out_path.exists()

@@ -105,10 +105,7 @@ def _cells_per_h(a):
                 if reason:
                     kill(reason)
                     continue
-                origin = ["window", "sections_excluded"]
-                if _normalization_active(a, n, h0, h):
-                    origin.append("top_off_sigma")
-                cells.append(SearchCell(a, n, h0, h, b, tuple(origin)))
+                cells.append(SearchCell(a, n, h0, h))
     return cells, killed
 
 
@@ -144,14 +141,14 @@ def test_cells_deterministic():
 
 def test_canonical_form_separates_the_double_point_configurations():
     a = 6
-    k1 = canonical_form(build_entry_ladder(entry_by_name(a, "II_1"), a, 0).bottom_pair())
-    k2 = canonical_form(build_entry_ladder(entry_by_name(a, "II_2"), a, 0).bottom_pair())
+    k1 = canonical_form(build_entry_ladder(entry_by_name(a, "II_1"), a, 0).bottom_pair)
+    k2 = canonical_form(build_entry_ladder(entry_by_name(a, "II_2"), a, 0).bottom_pair)
     assert k1 != k2
 
 
 def test_canonical_form_separates_equal_volumes():
-    kb = canonical_form(build_entry_ladder(entry_by_name(4, "B4"), 4, 0).bottom_pair())
-    kc = canonical_form(build_entry_ladder(entry_by_name(4, "C4"), 4, 0).bottom_pair())
+    kb = canonical_form(build_entry_ladder(entry_by_name(4, "B4"), 4, 0).bottom_pair)
+    kc = canonical_form(build_entry_ladder(entry_by_name(4, "C4"), 4, 0).bottom_pair)
     assert kb != kc
 
 
@@ -174,7 +171,7 @@ def test_canonical_form_ignores_fiber_labels():
             Subscheme(()),
         ]
         lad = build_ladder(5, top, E, deltas, strict=False)
-        keys.append(canonical_form(lad.bottom_pair()))
+        keys.append(canonical_form(lad.bottom_pair))
     assert keys[0] == keys[1]
 
 
@@ -226,8 +223,8 @@ def test_classify_reports_are_sound():
 def test_search_cell_rejects_low_index_candidates():
     # the open cells at h0 = a + 2 carry candidates of index 2, which the
     # exact index computation rejects
-    cell = SearchCell(4, 3, 6, 20, 3, ("window", "sections_excluded", "top_off_sigma"))
-    out = search_cell(cell)
+    assert _normalization_active(4, 3, 6, 20)  # the top subscheme is kept off sigma
+    out = search_cell(SearchCell(4, 3, 6, 20))
     assert not out.survivors
     assert out.rejected.get("index", 0) == 1
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from delpezzo.lattice import (
+    CurveRecord,
     Divisor,
     DivisorClass,
     GenericPoint,
@@ -180,10 +181,9 @@ def test_divisor_arithmetic():
 
 def test_dual_graph_single_curve():
     F2 = SurfaceModel.hirzebruch(2)
-    g = F2.dual_graph([0])
-    assert len(g.vertices) == 1
-    assert g.vertices[0].name == "sigma"
-    assert g.vertices[0].self_intersection == -2
+    g = F2.dual_graph([0], {})
+    assert g.names == ("sigma",)
+    assert g.weights == ((-2, 0),)
     assert g.edges == ()
 
 
@@ -195,3 +195,14 @@ def test_dot_output_is_stable():
     assert g1.to_dot() == g2.to_dot()
     assert 'label="sigma\\n(s=-2, c=1)"' in g1.to_dot()
     assert "v0 -- v1;" in g1.to_dot()
+
+
+def test_dual_graph_rejects_curves_meeting_twice():
+    # two tracked curves of class (1,1) on F_0 meet in two points
+    bidegree = DivisorClass((1, 1))
+    F0 = SurfaceModel(
+        "Fn", 0, curves=(CurveRecord(0, "c_1", bidegree), CurveRecord(1, "c_2", bidegree))
+    )
+    assert F0.intersection(0, 1) == 2
+    with pytest.raises(StructuralError, match="meet 2 times"):
+        F0.dual_graph([0, 1], {0: 1, 1: 1})

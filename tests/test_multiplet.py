@@ -47,7 +47,7 @@ def _graph_shape(pair):
 @pytest.mark.parametrize("a", [2, 3, 4, 5, 6, 7, 8])
 def test_principal_series_bottom(a):
     lad = _entry_ladder(a, "O")
-    pair = lad.bottom_pair()
+    pair = lad.bottom_pair
     assert pair.E0.as_dict() == {0: a - 1}
     assert pair.model.self_intersection(0) == -2 * a
     assert volume(lad) == Fraction(2 * a * a + 4 * a + 2, a)
@@ -55,7 +55,7 @@ def test_principal_series_bottom(a):
 
 def test_a5_bottom_and_graph():
     lad = _entry_ladder(5, "A5")
-    pair = lad.bottom_pair()
+    pair = lad.bottom_pair
     names = {pair.model.curve(c).name: v for c, v in pair.E0.items}
     assert names == {"sigma": 4, "l_1": 2}
     verts, edges = _graph_shape(pair)
@@ -66,7 +66,7 @@ def test_a5_bottom_and_graph():
 
 def test_b4_bottom_and_graph():
     lad = _entry_ladder(4, "B4")
-    pair = lad.bottom_pair()
+    pair = lad.bottom_pair
     names = {pair.model.curve(c).name: v for c, v in pair.E0.items}
     assert names == {"sigma": 3, "Gamma_P1_2": 2, "Gamma_P1_1": 1}
     verts, edges = _graph_shape(pair)
@@ -77,7 +77,7 @@ def test_b4_bottom_and_graph():
 
 def test_c4_bottom_and_graph():
     lad = _entry_ladder(4, "C4")
-    pair = lad.bottom_pair()
+    pair = lad.bottom_pair
     names = {pair.model.curve(c).name: v for c, v in pair.E0.items}
     assert names == {"sigma": 3, "Gamma_P2_1": 2, "Gamma_P2_2": 1, "l_1": 2}
     verts, edges = _graph_shape(pair)
@@ -124,7 +124,7 @@ def test_every_catalog_config_passes_certificates():
 def test_basic_pair_positivity_value():
     # adjoint positivity of the length-zero pair behind the principal series
     lad = _entry_ladder(4, "O")
-    pair = lad.bottom_pair()
+    pair = lad.bottom_pair
     report = check_basic_pair(pair, nef_evidence=True)
     assert report.passed
     # (K + L).L = 2 (a-1)(a+1)^2 at a = 4
@@ -262,14 +262,14 @@ def test_volume_cross_check_runs():
 @pytest.mark.parametrize("a", [4, 5, 6, 7, 8])
 def test_index_on_series(a):
     for name in ("O", "I", "II_1", "II_2", "III", "IV"):
-        pair = _entry_ladder(a, name).bottom_pair()
+        pair = _entry_ladder(a, name).bottom_pair
         assert index_of(pair) == a
         assert certificate_index_is_a(pair)
 
 
 def test_index_on_exceptional_types():
     for a, name in ((5, "A5"), (4, "B4"), (4, "C4")):
-        pair = _entry_ladder(a, name).bottom_pair()
+        pair = _entry_ladder(a, name).bottom_pair
         assert index_of(pair) == a
         assert certificate_index_is_a(pair)
 
@@ -287,12 +287,12 @@ def test_index_drops_on_even_coefficient():
 @pytest.mark.parametrize("a", range(2, 11))
 def test_index_matches_toric(a):
     for name, family in (("O", "O"), ("I", "I"), ("II_1", "II1"), ("II_2", "II2")):
-        pair = _entry_ladder(a, name).bottom_pair()
+        pair = _entry_ladder(a, name).bottom_pair
         assert index_of(pair) == gorenstein_index(family_fan(family, a)) == a
 
 
 def test_contracted_support_includes_canonical_chains():
-    pair = _entry_ladder(5, "II_1").bottom_pair()
+    pair = _entry_ladder(5, "II_1").bottom_pair
     ids = contracted_support(pair)
     names = sorted(pair.model.curve(c).name for c in ids)
     # the interior (-2)-curve of the double point's chain is contracted with
@@ -308,7 +308,7 @@ def test_component_bound_on_accepted_pairs():
     for a in (4, 5, 6):
         for entry in catalog_entries(a):
             for idx in range(len(entry.configs)):
-                pair = build_entry_ladder(entry, a, idx).bottom_pair()
+                pair = build_entry_ladder(entry, a, idx).bottom_pair
                 for c, e in pair.E0.items:
                     d = -pair.model.self_intersection(c)
                     assert 2 <= d

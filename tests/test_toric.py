@@ -140,7 +140,7 @@ def test_resolution_minimality():
 def test_exceptional_graphs_match_multiplet_descent(a):
     for family, entry_name in (("I", "I"), ("II1", "II_1"), ("II2", "II_2"), ("O", "O")):
         toric_side = exceptional_graph(family_fan(family, a), a)
-        pair = build_entry_ladder(entry_by_name(a, entry_name), a, 0).bottom_pair()
+        pair = build_entry_ladder(entry_by_name(a, entry_name), a, 0).bottom_pair
         assert isomorphic(toric_side, contracted_graph(pair)), (family, a)
 
 
