@@ -15,7 +15,7 @@ import json
 import sys
 
 from .catalog import TYPE_NAMES, build_entry_ladder, entries_for_type
-from .enumerator import SearchExplosion, audit, canonical_form, classify
+from .enumerator import SearchExplosion, audit, canonical_form, classify, p2_multiple_range
 from .graphs import CanonicalizationError
 from .multiplet import (
     InternalConsistencyError,
@@ -158,6 +158,10 @@ def _cmd_dualgraph(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.nmax < 0:
+        raise FlagError("--nmax must be nonnegative")
+    if args.h0 is not None and not p2_multiple_range(args.a, args.h0):
+        raise FlagError(f"--h0 must lie in 1..{2 * args.a - 1}")
     report = audit(args.a, args.nmax, h0=args.h0)
     sys.stdout.write(report.to_text())
     if args.json:

@@ -161,15 +161,18 @@ def cell_verdict(a: int, n: int, h0: int, h: int) -> str | None:
     return None
 
 
-def _verdict_breakpoints(a: int, n: int, h0: int) -> tuple[int, ...]:
-    """The values of h at which some inequality of ``cell_verdict`` flips.
+def _verdict_pieces(a: int, n: int, h0: int):
+    """Yield (start, stop, verdict) over the window n h0 <= h <= (n + 2) a.
 
-    For fixed (a, n, h0) every inequality there is linear in h, so the
-    verdict is constant between consecutive breakpoints: each entry is the
-    least h on the far side of one threshold, in the order of the rules.
+    Every inequality of ``cell_verdict`` is linear in h; each cut is the least
+    h on the far side of one threshold, in the order of the rules, so the
+    verdict asked at a piece's start holds on all of range(start, stop).
     """
+    lo, hi = n * h0, (n + 2) * a
+    if lo > hi:
+        return
     b = h0 // 2
-    return (
+    cuts = (
         n * h0 // 2 + 1,
         (n + 2) * b + n * (h0 - 2 * b),
         2 * a + n * (h0 - 1) + 1,
@@ -179,6 +182,9 @@ def _verdict_breakpoints(a: int, n: int, h0: int) -> tuple[int, ...]:
         (n + 2) * a - n + 1,
         2 * a * a + n * h0 - 2 * h0,
     )
+    edges = [lo, *sorted({p for p in cuts if lo < p <= hi}), hi + 1]
+    for start, stop in zip(edges, edges[1:]):
+        yield start, stop, cell_verdict(a, n, h0, start)
 
 
 def p5_region_killed(a: int) -> bool:
@@ -224,10 +230,9 @@ def _normalization_active(a: int, n: int, h0: int, h: int) -> bool:
 def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
     """Cells surviving the closed-form predicates, plus kill statistics.
 
-    Kills are counted per constant interval of h: ``_verdict_breakpoints``
-    cuts each (n, h0) window, ``cell_verdict`` (still the only source of the
-    rules) is asked once per piece, and h runs one by one only where it
-    returns None.  Cells and kill counts are those of a per-h sweep.
+    Kills are counted per constant piece of h (``_verdict_pieces``), and h
+    runs one by one only where the verdict is None.  Cells and kill counts
+    are those of a per-h sweep.
     """
     killed: dict[str, int] = {}
     cells = []
@@ -249,12 +254,7 @@ def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
             if p6_large_multiple_kill(a, n, h0):
                 killed["large_multiple_volume"] = killed.get("large_multiple_volume", 0) + 1
                 continue
-            # the n-cap keeps n * h0 <= (n + 2) a, so no piece is empty
-            lo, hi = n * h0, (n + 2) * a
-            cuts = sorted({p for p in _verdict_breakpoints(a, n, h0) if lo < p <= hi})
-            edges = [lo, *cuts, hi + 1]
-            for start, stop in zip(edges, edges[1:]):
-                reason = cell_verdict(a, n, h0, start)
+            for start, stop, reason in _verdict_pieces(a, n, h0):
                 if reason:
                     killed[reason] = killed.get(reason, 0) + stop - start
                     continue
@@ -307,9 +307,9 @@ def _datum_options(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
 
     pairs = []
     ids = [rec.id for rec in model.curves]
-    for c1, c2 in itertools.permutations(ids, 2):
+    for c1, c2 in itertools.combinations(ids, 2):
         if model.intersection(c1, c2) == 1:
-            pairs.append((c1, c2))
+            pairs += [(c1, c2), (c2, c1)]
     for c1, c2 in sorted(pairs):
         if forbid_sigma and (c1 in sigma_ids or c2 in sigma_ids):
             continue
@@ -694,46 +694,39 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     running the full search on whatever they leave open.
 
     Unlike ``classify`` this does not discard the excluded region wholesale:
-    each cell is individually killed by an exact inequality or searched to
-    exhaustion, and every survivor must already be in the catalog.
+    kills are counted per constant piece of h (``_verdict_pieces``), with the
+    counts of a per-h sweep, the cells left open are searched to exhaustion,
+    and every survivor must already be in the catalog.
     """
     if a < 2:
         raise ValueError("audit starts at index 2")
+    if n_max < 0:
+        raise ValueError("the n-cap must be nonnegative")
+    if h0 is not None and not p2_multiple_range(a, h0):
+        raise ValueError(f"h0 must lie in 1..{2 * a - 1}")
     h0_values = tuple(range(1, 2 * a)) if h0 is None else (h0,)
     killed: dict[str, int] = {}
     inconsistencies: list[str] = []
     to_search: list[SearchCell] = []
     swept = 0
 
-    def kill(reason: str) -> None:
-        killed[reason] = killed.get(reason, 0) + 1
-
     for h0v in h0_values:
-        if not p2_multiple_range(a, h0v):
-            continue
         b = p4_length(h0v)
         for n in range(0, n_max + 1):
-            for h in range(n * h0v, (n + 2) * a + 1):
-                swept += 1
+            for start, stop, reason in _verdict_pieces(a, n, h0v):
+                swept += stop - start
                 if b < 1:
-                    kill("length_zero")
+                    reason = "length_zero"
+                elif reason is None and h0v > a:
+                    to_search.extend(SearchCell(a, n, h0v, h) for h in range(start, stop))
                     continue
-                reason = cell_verdict(a, n, h0v, h)
-                if reason in (None, "sigma_budget", "unresolved_sections"):
-                    if h0v <= a:
-                        inconsistencies.append(
-                            f"cell (n={n}, h0={h0v}, h={h}) escapes the small-multiple kills"
-                        )
-                        continue
-                    if reason == "unresolved_sections":
-                        inconsistencies.append(
-                            f"cell (n={n}, h0={h0v}, h={h}) admits unmodelled sections"
-                        )
-                        continue
-                    if reason is None:
-                        to_search.append(SearchCell(a, n, h0v, h))
-                        continue
-                kill(reason)
+                elif reason == "unresolved_sections" or (h0v <= a and reason in (None, "sigma_budget")):
+                    why = "escapes the small-multiple kills" if h0v <= a else "admits unmodelled sections"
+                    inconsistencies.extend(
+                        f"cell (n={n}, h0={h0v}, h={h}) {why}" for h in range(start, stop)
+                    )
+                    continue
+                killed[reason] = killed.get(reason, 0) + stop - start
 
     outcomes = [search_cell(c) for c in to_search]
     rejected: dict[str, int] = {}

@@ -43,8 +43,8 @@ def _volume_formula(a: int, k: int) -> Fraction:
 
 
 def test_criterion_1_theorem_regression():
-    """classify reproduces the full catalog with exact volumes at 4 <= a <= 8."""
-    for a in (4, 5, 6, 7, 8):
+    """classify reproduces the full catalog with exact volumes at 4 <= a <= 64."""
+    for a in range(4, 65):
         report = classify(a)
         assert report.catalog_match, (a, report.unexpected, report.missing)
         got = [(r["type"], r["volume"]) for r in report.rows]

@@ -203,6 +203,25 @@ def test_audit_with_h0(capsys):
     assert "survivors outside the catalog: 0" in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--nmax", "-3"], "--nmax must be nonnegative"),
+        (["--nmax", "3", "--h0", "99"], "--h0 must lie in 1..9"),
+        (["--nmax", "3", "--h0", "0"], "--h0 must lie in 1..9"),
+    ],
+)
+def test_audit_rejects_vacuous_sweeps(capsys, tmp_path, flags, message):
+    # these sweeps would cover no cell and report clean
+    code, out, err = run(capsys, "audit", "--a", "5", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, "audit", "--a", "5", *flags, "--json", str(out_path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": message}
+    assert not out_path.exists()
+
+
 def test_index_too_small(capsys):
     code, _, err = run(capsys, "classify", "--a", "1")
     assert code == 2

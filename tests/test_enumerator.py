@@ -1,12 +1,14 @@
+import json
 import random
 
 import pytest
 
 from delpezzo.catalog import build_entry_ladder, entry_by_name
 from delpezzo.enumerator import (
+    AuditReport,
     SearchCell,
     _normalization_active,
-    _verdict_breakpoints,
+    _verdict_pieces,
     audit,
     canonical_form,
     catalog_key_map,
@@ -14,6 +16,7 @@ from delpezzo.enumerator import (
     classify,
     generate_cells,
     p1_plane_excluded,
+    p2_multiple_range,
     p4_length,
     p5_region_killed,
     p6_large_multiple_kill,
@@ -110,16 +113,18 @@ def _cells_per_h(a):
 
 
 def test_cell_verdict_is_constant_between_breakpoints():
-    # over the wider sweep audit makes (h0 <= a, n beyond the n-cap)
+    # over the wider sweep audit makes (h0 <= a, n beyond the n-cap), the
+    # pieces tile the window and each one's verdict holds at every h in it
     for a in range(2, 9):
         for h0 in range(1, 2 * a):
             for n in range(0, 3 * a + 1):
-                cuts = set(_verdict_breakpoints(a, n, h0))
-                verdict = cell_verdict(a, n, h0, n * h0)
-                for h in range(n * h0 + 1, (n + 2) * a + 1):
-                    nxt = cell_verdict(a, n, h0, h)
-                    assert h in cuts or nxt == verdict, (a, n, h0, h)
-                    verdict = nxt
+                h = n * h0
+                for start, stop, verdict in _verdict_pieces(a, n, h0):
+                    assert start == h < stop, (a, n, h0, start)
+                    for h in range(start, stop):
+                        assert cell_verdict(a, n, h0, h) == verdict, (a, n, h0, h)
+                    h = stop
+                assert h == max(n * h0, (n + 2) * a + 1), (a, n, h0)
 
 
 @pytest.mark.parametrize("a", [*range(2, 65), 256, 512])
@@ -253,3 +258,100 @@ def test_audit_small_clean():
 def test_audit_degenerate_cap():
     rep = audit(4, 0)
     assert rep.clean and rep.searched == 0 and not rep.survivors_outside
+
+
+def test_audit_rejects_vacuous_sweeps():
+    # a negative n-cap or an h0 outside 1..2a-1 would sweep nothing and
+    # report clean
+    with pytest.raises(ValueError):
+        audit(5, -3)
+    for h0 in (0, 10, 99):
+        with pytest.raises(ValueError):
+            audit(5, 3, h0=h0)
+
+
+def _audit_per_h(a, n_max, h0=None):
+    """Reference for audit: one cell_verdict call per cell."""
+    h0_values = tuple(range(1, 2 * a)) if h0 is None else (h0,)
+    killed = {}
+    inconsistencies = []
+    to_search = []
+    swept = 0
+
+    def kill(reason):
+        killed[reason] = killed.get(reason, 0) + 1
+
+    for h0v in h0_values:
+        if not p2_multiple_range(a, h0v):
+            continue
+        b = p4_length(h0v)
+        for n in range(0, n_max + 1):
+            for h in range(n * h0v, (n + 2) * a + 1):
+                swept += 1
+                if b < 1:
+                    kill("length_zero")
+                    continue
+                reason = cell_verdict(a, n, h0v, h)
+                if reason in (None, "sigma_budget", "unresolved_sections"):
+                    if h0v <= a:
+                        inconsistencies.append(
+                            f"cell (n={n}, h0={h0v}, h={h}) escapes the small-multiple kills"
+                        )
+                        continue
+                    if reason == "unresolved_sections":
+                        inconsistencies.append(
+                            f"cell (n={n}, h0={h0v}, h={h}) admits unmodelled sections"
+                        )
+                        continue
+                    if reason is None:
+                        to_search.append(SearchCell(a, n, h0v, h))
+                        continue
+                kill(reason)
+
+    rejected = {}
+    survivors = {}
+    for o in (search_cell(c) for c in to_search):
+        for reason, count in o.rejected.items():
+            rejected[reason] = rejected.get(reason, 0) + count
+        for s in o.survivors:
+            survivors.setdefault(s["key"], s)
+    outside = []
+    in_catalog = 0
+    if a >= 4:
+        key_map = catalog_key_map(a)
+        for key in sorted(survivors):
+            if key in key_map:
+                survivors[key]["type"] = key_map[key][0]
+                in_catalog += 1
+            else:
+                survivors[key]["type"] = "unexpected"
+                outside.append(survivors[key])
+    else:
+        outside = [survivors[k] for k in sorted(survivors)]
+    return AuditReport(
+        a, n_max, h0_values, swept, killed, len(to_search), rejected, in_catalog, outside,
+        inconsistencies,
+    )
+
+
+_AUDIT_CASES = [(a, n_max, None) for a in range(2, 13) for n_max in sorted({0, 1, a, 2 * a, 5 * a})]
+_AUDIT_CASES += [(a, 3 * a, h0) for a in range(2, 9) for h0 in range(1, 2 * a)]
+
+
+def test_audit_matches_the_per_h_sweep():
+    # a missed breakpoint would miscount kills or misplace a reported cell:
+    # compare the report bytes (key order included) against the per-h sweep
+    assert (2, 4, None) in _AUDIT_CASES
+    for a, n_max, h0 in _AUDIT_CASES:
+        rep, ref = audit(a, n_max, h0), _audit_per_h(a, n_max, h0)
+        assert json.dumps(rep.to_json()) == json.dumps(ref.to_json()), (a, n_max, h0)
+        assert rep.to_text() == ref.to_text()
+        assert list(rep.killed) == list(ref.killed)
+        assert rep.inconsistencies == ref.inconsistencies
+    # audit(2, 4) reports both kinds of inconsistency
+    messages = audit(2, 4).inconsistencies
+    assert len(messages) == 5
+    assert {m.split(") ")[1] for m in messages} == {
+        "escapes the small-multiple kills",
+        "admits unmodelled sections",
+    }
