@@ -2,9 +2,10 @@
 toric computations, dual-graph export, and audit sweeps.
 
 Exit codes: 0 on success (and catalog match / clean audit / all
-certificates passing), 1 on a verification failure, 2 on flag errors,
-3 on a ``SearchExplosion``, ``InternalConsistencyError`` or
-``CanonicalizationError``; errors 2 and 3 go to stderr, as JSON under --json.
+certificates passing), 1 on a verification failure, 2 on flag errors and
+on an output file that cannot be written, 3 on a ``SearchExplosion``,
+``InternalConsistencyError`` or ``CanonicalizationError``; errors 2 and 3
+go to stderr, as JSON under --json.
 Volumes are always printed as exact fractions.
 """
 
@@ -37,13 +38,23 @@ class FlagError(Exception):
     pass
 
 
+def _write(path: str, payload: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise FlagError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _cmd_classify(args) -> int:
     report = classify(args.a)
     sys.stdout.write(report.to_text())
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.json, _json_text(report.to_json()))
     if args.a < 4:
         return 0
     return 0 if report.catalog_match else 1
@@ -117,9 +128,7 @@ def _cmd_toric(args) -> int:
     print(f"  volume {vol}")
     print(f"  index {idx}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(res.report_json(args.a), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.json, _json_text(res.report_json(args.a)))
     return 0
 
 
@@ -138,22 +147,19 @@ def _cmd_dualgraph(args) -> int:
     if args.format == "dot":
         payload = graph.to_dot()
     else:
-        payload = json.dumps(
+        payload = _json_text(
             {
                 "vertices": [
                     {"name": name, "self_intersection": s, "coeff": c}
                     for name, (s, c) in zip(graph.names, graph.weights)
                 ],
                 "edges": [list(e) for e in graph.edges],
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+            }
+        )
     if args.out == "-":
         sys.stdout.write(payload)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        _write(args.out, payload)
     return 0
 
 
@@ -165,9 +171,7 @@ def _cmd_audit(args) -> int:
     report = audit(args.a, args.nmax, h0=args.h0)
     sys.stdout.write(report.to_text())
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.json, _json_text(report.to_json()))
     return 0 if report.clean else 1
 
 

@@ -114,22 +114,15 @@ class EliminationResult:
     steps: tuple[EliminationStep, ...]
     base_exc_count: int  # exceptional classes before the elimination
 
-    @property
-    def new_exc_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.base_exc_count, self.model.exc_count))
-
-    def pullback_class(self, cls: DivisorClass) -> DivisorClass:
-        return cls.pad(self.model.exc_count)
-
-    def relative_canonical_class(self) -> DivisorClass:
-        cls = self.model.zero_class()
-        for j in self.new_exc_indices:
-            cls = cls + self.model.exc_class(j)
-        return cls
-
     def transform_class(self, cls: DivisorClass, s: int) -> DivisorClass:
-        """Pull the class back and subtract ``s`` times the relative canonical class."""
-        return self.pullback_class(cls) - s * self.relative_canonical_class()
+        """Pull the class back and subtract ``s`` times the relative canonical
+        class, which is the sum of the new exceptional classes."""
+        if len(cls.base) != 2 or len(cls.exc) != self.base_exc_count:
+            raise StructuralError(
+                f"class of shape ({len(cls.base)},{len(cls.exc)}) does not live below "
+                f"this elimination, of shape (2,{self.base_exc_count})"
+            )
+        return DivisorClass(cls.base, cls.exc + (-s,) * (self.model.exc_count - self.base_exc_count))
 
     def relative_canonical(self) -> Divisor:
         """The relative canonical divisor in terms of strict transforms."""
@@ -228,7 +221,7 @@ def check_psi_nef(result: EliminationResult) -> bool:
     tests can falsify it on hand-built tapes that break the shape.
     """
     model = result.model
-    mk = -1 * model.canonical_class()
+    mk = -model.canonical_class
     for chain in result.chains:
         for cid in chain:
             if model.intersect(mk, model.curve(cid).cls) < 0:

@@ -75,7 +75,9 @@ def canonical_form(pair: BasicPair) -> str:
 # -- pruning predicates --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long-lived process cannot grow it without limit; one cold
+# classify(512) fills about 1,000 entries, so no single run evicts.
+@lru_cache(maxsize=1 << 16)
 def _degrees_feasible(a: int, levels: int, weighted: int, cap: int) -> bool:
     """Does some degree vector (d_1..d_levels) satisfy
     sum j(a-j) d_j = weighted with sum j d_j <= cap?"""
@@ -383,7 +385,7 @@ def _top(a: int, n: int, c0: int, parts) -> tuple[SurfaceModel, Divisor, Divisor
         model, rec = model.add_fiber()
         coeffs[rec.id] = part
     E = Divisor.from_dict(coeffs)
-    return model, E, -a * model.canonical_class() - E.class_in(model)
+    return model, E, model.fundamental_class(a, E)
 
 
 def _budgets(model: SurfaceModel, E: Divisor, L: DivisorClass) -> tuple[int, dict] | None:

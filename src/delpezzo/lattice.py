@@ -1,11 +1,12 @@
-"""Picard lattices of blown-up rational surfaces, with exact integer arithmetic.
+"""Picard lattices of blown-up Hirzebruch surfaces, with exact integer arithmetic.
 
-A ``SurfaceModel`` is a base surface (the projective plane, or a Hirzebruch
-surface F_n) together with an ordered tape of point blow-ups.  Divisor
-classes are integer vectors over the basis ``(h)`` resp. ``(sigma, l)`` plus
-one exceptional class per tape entry; the intersection form is ``h^2 = 1``
-resp. ``sigma^2 = -n, sigma.l = 1, l^2 = 0`` with exceptional classes of
-square -1 orthogonal to everything else.
+A ``SurfaceModel`` is a Hirzebruch surface F_n together with an ordered tape
+of point blow-ups.  Divisor classes are integer vectors over the basis
+``(sigma, l)`` plus one exceptional class per tape entry; the intersection
+form is ``sigma^2 = -n, sigma.l = 1, l^2 = 0`` with exceptional classes of
+square -1 orthogonal to everything else.  Blow-ups of the projective plane
+never occur: the plane is excluded by arithmetic alone
+(``enumerator.p1_plane_excluded``).
 
 Curves are tracked symbolically, by incidence only.  Every tracked curve is
 a smooth rational curve, two tracked curves meet transversally in at most
@@ -18,7 +19,9 @@ so no coordinates are ever needed.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import WeightedGraph
 
@@ -72,9 +75,6 @@ class DivisorClass:
         if exc_len < len(self.exc):
             raise StructuralError("cannot shrink the exceptional part")
         return DivisorClass(self.base, self.exc + (0,) * (exc_len - len(self.exc)))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.base) and all(a == 0 for a in self.exc)
 
 
 # Blow-up centre specifications.  ``GenericPoint`` lies on no tracked curve,
@@ -160,29 +160,21 @@ class Divisor:
         return self + (-1) * other
 
     def class_in(self, model: "SurfaceModel") -> DivisorClass:
-        cls = model.zero_class()
-        for c, v in self.items:
-            cls = cls + v * model.curve(c).cls
-        return cls
+        return model._add_curves(self, 1, [0, 0], [0] * model.exc_count)
 
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """A base surface plus a blow-up tape and the table of tracked curves.
+    """A Hirzebruch surface F_n plus a blow-up tape and the table of tracked curves.
 
     Immutable; ``blow_up`` and ``add_fiber`` return new models.  Curve ids
     are indices into ``curves`` and stay valid in every later model.
     """
 
-    base_kind: str  # "P2" or "Fn"
     n: int
     tape: tuple[BlowUpRecord, ...] = ()
     curves: tuple[CurveRecord, ...] = ()
     next_point_index: int = 1
-
-    @staticmethod
-    def projective_plane() -> "SurfaceModel":
-        return SurfaceModel("P2", 0)
 
     @staticmethod
     def hirzebruch(n: int) -> "SurfaceModel":
@@ -190,34 +182,26 @@ class SurfaceModel:
         if n < 0:
             raise StructuralError("Hirzebruch degree must be nonnegative")
         sigma = CurveRecord(0, "sigma", DivisorClass((1, 0)))
-        return SurfaceModel("Fn", n, curves=(sigma,))
+        return SurfaceModel(n, curves=(sigma,))
 
     # -- basic lattice data ------------------------------------------------
-
-    @property
-    def base_rank(self) -> int:
-        return 1 if self.base_kind == "P2" else 2
 
     @property
     def exc_count(self) -> int:
         return len(self.tape)
 
-    @property
-    def picard_rank(self) -> int:
-        return self.base_rank + self.exc_count
-
     def zero_class(self) -> DivisorClass:
-        return DivisorClass((0,) * self.base_rank, (0,) * self.exc_count)
+        return DivisorClass((0, 0), (0,) * self.exc_count)
 
     def base_class(self, *coords: int) -> DivisorClass:
-        if len(coords) != self.base_rank:
+        if len(coords) != 2:
             raise StructuralError("wrong number of base coordinates")
         return DivisorClass(tuple(coords), (0,) * self.exc_count)
 
     def exc_class(self, j: int) -> DivisorClass:
         exc = [0] * self.exc_count
         exc[j] = 1
-        return DivisorClass((0,) * self.base_rank, tuple(exc))
+        return DivisorClass((0, 0), tuple(exc))
 
     def sigma_class(self) -> DivisorClass:
         return self.base_class(1, 0)
@@ -225,33 +209,48 @@ class SurfaceModel:
     def fiber_class(self) -> DivisorClass:
         return self.base_class(0, 1)
 
-    def line_class(self) -> DivisorClass:
-        return self.base_class(1)
-
-    def _check_class(self, d: DivisorClass) -> None:
-        if len(d.base) != self.base_rank or len(d.exc) != self.exc_count:
-            raise StructuralError(
-                f"class of shape ({len(d.base)},{len(d.exc)}) does not live on this "
-                f"model of shape ({self.base_rank},{self.exc_count})"
-            )
+    def _check_class(self, *classes: DivisorClass) -> None:
+        m = len(self.tape)
+        for d in classes:
+            if len(d.base) != 2 or len(d.exc) != m:
+                raise StructuralError(
+                    f"class of shape ({len(d.base)},{len(d.exc)}) does not live on this "
+                    f"model of shape (2,{m})"
+                )
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> int:
-        self._check_class(d1)
-        self._check_class(d2)
-        if self.base_kind == "P2":
-            val = d1.base[0] * d2.base[0]
-        else:
-            p1, q1 = d1.base
-            p2, q2 = d2.base
-            val = -self.n * p1 * p2 + p1 * q2 + q1 * p2
-        return val - sum(a * b for a, b in zip(d1.exc, d2.exc))
+        m = len(self.tape)
+        if len(d1.exc) != m or len(d2.exc) != m or len(d1.base) != 2 or len(d2.base) != 2:
+            self._check_class(d1, d2)  # raises, naming the operand at fault
+        (p1, q1), (p2, q2) = d1.base, d2.base
+        return -self.n * p1 * p2 + p1 * q2 + q1 * p2 - sum(map(operator.mul, d1.exc, d2.exc))
 
+    @cached_property
     def canonical_class(self) -> DivisorClass:
-        if self.base_kind == "P2":
-            base = (-3,)
-        else:
-            base = (-2, -(self.n + 2))
-        return DivisorClass(base, (1,) * self.exc_count)
+        """K = -2 sigma - (n+2) l + sum of the exceptional classes; one per model."""
+        return DivisorClass((-2, -(self.n + 2)), (1,) * self.exc_count)
+
+    def fundamental_class(self, a: int, E: "Divisor") -> DivisorClass:
+        """The fundamental class -aK - [E], in one pass over E's curves."""
+        return self._add_curves(E, -1, [2 * a, a * (self.n + 2)], [-a] * self.exc_count)
+
+    def _add_curves(
+        self, E: "Divisor", sign: int, base: list[int], exc: list[int]
+    ) -> DivisorClass:
+        """``(base, exc) + sign * [E]``, accumulated in place; each curve class
+        is checked against this model once."""
+        m = len(self.tape)
+        for c, v in E.items:
+            cls = self.curve(c).cls
+            if len(cls.exc) != m or len(cls.base) != 2:
+                self._check_class(cls)  # raises
+            v *= sign
+            base[0] += v * cls.base[0]
+            base[1] += v * cls.base[1]
+            for j, x in enumerate(cls.exc):
+                if x:
+                    exc[j] += v * x
+        return DivisorClass(tuple(base), tuple(exc))
 
     # -- tracked curves ----------------------------------------------------
 
@@ -279,14 +278,12 @@ class SurfaceModel:
 
     def add_fiber(self, name: str | None = None) -> tuple["SurfaceModel", CurveRecord]:
         """Track one more fiber of F_n (all fibers are disjoint, each meets sigma once)."""
-        if self.base_kind != "Fn":
-            raise StructuralError("fibers only exist on Hirzebruch models")
         if name is None:
             k = sum(1 for r in self.curves if r.name.startswith("l_")) + 1
             name = f"l_{k}"
         rec = CurveRecord(len(self.curves), name, self.fiber_class().pad(self.exc_count))
         return (
-            SurfaceModel(self.base_kind, self.n, self.tape, self.curves + (rec,), self.next_point_index),
+            SurfaceModel(self.n, self.tape, self.curves + (rec,), self.next_point_index),
             rec,
         )
 
@@ -327,22 +324,16 @@ class SurfaceModel:
             curves.append(CurveRecord(rec.id, rec.name, cls))
         if name is None:
             name = f"e_{new_exc}"
-        exc_cls = DivisorClass((0,) * self.base_rank, (0,) * j + (1,))
+        exc_cls = DivisorClass((0, 0), (0,) * j + (1,))
         new_rec = CurveRecord(len(curves), name, exc_cls)
         curves.append(new_rec)
         model = SurfaceModel(
-            self.base_kind,
-            self.n,
-            self.tape + (BlowUpRecord(point, incident),),
-            tuple(curves),
-            self.next_point_index,
+            self.n, self.tape + (BlowUpRecord(point, incident),), tuple(curves), self.next_point_index
         )
         return model, new_rec
 
     def bump_point_index(self, count: int = 1) -> "SurfaceModel":
-        return SurfaceModel(
-            self.base_kind, self.n, self.tape, self.curves, self.next_point_index + count
-        )
+        return SurfaceModel(self.n, self.tape, self.curves, self.next_point_index + count)
 
     # -- base-cone tests (valid on the minimal surface only) ----------------
 
@@ -351,17 +342,8 @@ class SurfaceModel:
         self._check_class(d)
         if any(a != 0 for a in d.exc):
             raise StructuralError("nef criterion only applies to pullback-free classes")
-        if self.base_kind == "P2":
-            return d.base[0] >= 0
         p, q = d.base
         return p >= 0 and q >= self.n * p
-
-    def effective_on_base(self, d: DivisorClass) -> bool:
-        """Effectivity on the minimal base: the effective cone is spanned by the basis."""
-        self._check_class(d)
-        if any(a != 0 for a in d.exc):
-            raise StructuralError("effectivity test only applies to pullback-free classes")
-        return all(a >= 0 for a in d.base)
 
     # -- dual graphs ---------------------------------------------------------
 

@@ -47,8 +47,7 @@ class BasicPair:
 
     @staticmethod
     def build(model: SurfaceModel, E0: Divisor, a: int) -> "BasicPair":
-        L0 = -a * model.canonical_class() - E0.class_in(model)
-        return BasicPair(model, E0, a, L0)
+        return BasicPair(model, E0, a, model.fundamental_class(a, E0))
 
     # Built once per pair and shared by certificates, keys and JSON records.
 
@@ -141,7 +140,7 @@ def build_ladder(
         raise StructuralError(f"ladder length {b} incompatible with index candidate {a}")
     model = top_model
     E = E_top
-    L = -a * model.canonical_class() - E.class_in(model)
+    L = model.fundamental_class(a, E)
     levels = []
     for idx, sub in enumerate(deltas):
         i = b - idx
@@ -173,8 +172,7 @@ def close_ladder(
     ladder = Ladder(a, (*levels, LadderLevel(0, model, E, L, None, None)))
     # The divisor-level transform and the class-level transform must agree.
     for lv in ladder.levels:
-        want = -a * lv.model.canonical_class() - lv.E.class_in(lv.model)
-        if want != lv.L:
+        if lv.model.fundamental_class(a, lv.E) != lv.L:
             raise InternalConsistencyError("class of E and fundamental class disagree")
     return ladder
 
@@ -209,12 +207,12 @@ def nef_certificate(model: SurfaceModel, L: DivisorClass, E: Divisor, i: int) ->
 
 def top_nef_ok(model: SurfaceModel, L: DivisorClass, b: int) -> bool:
     """bK + L nef on the minimal top surface, by the closed cone criterion."""
-    cls = b * model.canonical_class() + L
+    cls = b * model.canonical_class + L
     return model.nef_on_base(cls)
 
 
 def top_not_nef_next(model: SurfaceModel, L: DivisorClass, b: int) -> bool:
-    cls = (b + 1) * model.canonical_class() + L
+    cls = (b + 1) * model.canonical_class + L
     return not model.nef_on_base(cls)
 
 
@@ -242,9 +240,9 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
             failures.append("top_nef")
         if require_fundamental and b > 0 and not top_not_nef_next(top.model, top.L, b):
             failures.append("top_fundamental")
-        if top.model.base_kind == "Fn" and top.model.n == 1:
+        if top.model.n == 1:
             # F_1 carries a (-1)-curve, the minimal section itself.
-            cls = (b + 1) * top.model.canonical_class() + top.L
+            cls = (b + 1) * top.model.canonical_class + top.L
             if top.model.intersect(cls, top.model.sigma_class()) < 0:
                 failures.append("top_minus_one_curve")
 
@@ -297,7 +295,7 @@ def check_basic_pair(pair: BasicPair, *, nef_evidence: bool | None = None) -> Ce
     if any(v != 0 for v in orth):
         failures.append("orthogonality")
 
-    kl = model.canonical_class() + L
+    kl = model.canonical_class + L
     positivity = model.intersect(kl, L)
     details["adjoint_positivity"] = positivity
     if positivity <= 0:
@@ -328,7 +326,7 @@ def volume(ladder: Ladder) -> Fraction:
     lattice; a mismatch means the engine itself is broken, so it raises.
     """
     top = ladder.top
-    mk = -1 * top.model.canonical_class()
+    mk = -top.model.canonical_class
     primary = Fraction(top.model.intersect(mk, top.L) - ladder.weighted_degree(), ladder.a)
     cross = ladder.bottom_pair.volume
     if primary != cross:
@@ -347,7 +345,7 @@ def identities_check(ladder: Ladder) -> bool:
     """
     a = ladder.a
     bot = ladder.bottom
-    k0l0 = bot.model.intersect(bot.model.canonical_class() + bot.L, bot.L)
+    k0l0 = bot.model.intersect(bot.model.canonical_class + bot.L, bot.L)
     l0sq = bot.model.intersect(bot.L, bot.L)
 
     weighted = genus = linear = 0  # sums of j(a-j) deg, j(j-1) deg, j deg
@@ -363,8 +361,8 @@ def identities_check(ladder: Ladder) -> bool:
         if lv.model.intersect(lv.L, lv.E.class_in(lv.model)) != weighted:
             return False
 
-        kl = lv.model.intersect(lv.model.canonical_class() + lv.L, lv.L)
-        if kl - k0l0 != genus:
+        k_dot_l = lv.model.intersect(lv.model.canonical_class, lv.L)
+        if k_dot_l + lv.model.intersect(lv.L, lv.L) - k0l0 != genus:
             return False
 
         for cid in lv.E.support:
@@ -372,8 +370,7 @@ def identities_check(ladder: Ladder) -> bool:
             if lv.model.intersect(lv.L, lv.model.curve(cid).cls) != contact:
                 return False
 
-        mk = -1 * lv.model.canonical_class()
-        if Fraction(l0sq, a) != lv.model.intersect(mk, lv.L) - linear:
+        if Fraction(l0sq, a) != -k_dot_l - linear:
             return False
     return True
 

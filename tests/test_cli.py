@@ -222,6 +222,29 @@ def test_audit_rejects_vacuous_sweeps(capsys, tmp_path, flags, message):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["classify", "--a", "4"], "--json"),
+        (["audit", "--a", "4", "--nmax", "8"], "--json"),
+        (["toric", "--family", "I", "--a", "4"], "--json"),
+        (["dualgraph", "--type", "B4", "--a", "4"], "--out"),
+    ],
+)
+@pytest.mark.parametrize(
+    "target, reason", [("missing/r.out", "No such file or directory"), (".", "Is a directory")]
+)
+def test_unwritable_output_exits_two(capsys, tmp_path, argv, flag, target, reason):
+    path = str(tmp_path / target)
+    code, _, err = run(capsys, *argv, flag, path)
+    message = f"cannot write {path}: {reason}"
+    assert code == 2
+    if flag == "--json":
+        assert json.loads(err) == {"error": message}
+    else:
+        assert err == f"error: {message}\n"
+
+
 def test_index_too_small(capsys):
     code, _, err = run(capsys, "classify", "--a", "1")
     assert code == 2

@@ -180,21 +180,21 @@ def _identities_per_level(ladder):
     a = ladder.a
     degs = ladder.delta_degrees()
     bot = ladder.bottom
-    k0l0 = bot.model.intersect(bot.model.canonical_class() + bot.L, bot.L)
+    k0l0 = bot.model.intersect(bot.model.canonical_class + bot.L, bot.L)
     l0sq = bot.model.intersect(bot.L, bot.L)
     for lv in ladder.levels:
         below = [j for j in degs if j <= lv.i]
         lhs = lv.model.intersect(lv.L, lv.E.class_in(lv.model))
         if lhs != sum(j * (a - j) * degs[j] for j in below):
             return False
-        kl = lv.model.intersect(lv.model.canonical_class() + lv.L, lv.L)
+        kl = lv.model.intersect(lv.model.canonical_class + lv.L, lv.L)
         if kl - k0l0 != sum(j * (j - 1) * degs[j] for j in below):
             return False
         for cid in lv.E.support:
             contact = sum(j * ladder.level(j).delta.contact(cid) for j in below)
             if lv.model.intersect(lv.L, lv.model.curve(cid).cls) != contact:
                 return False
-        mk = -1 * lv.model.canonical_class()
+        mk = -1 * lv.model.canonical_class
         rhs = lv.model.intersect(mk, lv.L) - sum(j * degs[j] for j in below)
         if Fraction(l0sq, a) != rhs:
             return False
@@ -246,7 +246,7 @@ def test_identities_check_rejects_a_moved_adjoint_square():
     lv = lad.level(2)
     m = lv.model
     D = m.exc_class(1) - m.exc_class(0)
-    assert m.intersect(m.canonical_class(), D) == 0
+    assert m.intersect(m.canonical_class, D) == 0
     assert all(m.intersect(m.curve(c).cls, D) == 0 for c in lv.E.support)
     assert m.intersect(D, D) == -2
     bad = _with_level(lad, 2, L=lv.L + D)
