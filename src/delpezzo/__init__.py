@@ -1,7 +1,7 @@
 """Exact-arithmetic engine for log del Pezzo surfaces of fixed index.
 
 The package models nonsingular rational surfaces as blow-up tapes over
-P^2 or a Hirzebruch surface, realizes curvilinear zero-dimensional
+a Hirzebruch surface, realizes curvilinear zero-dimensional
 subschemes and their eliminations, descends fundamental multiplets to
 basic pairs, computes exact anticanonical volumes and Gorenstein
 indices, cross-checks everything against toric models, and enumerates

@@ -5,7 +5,9 @@ Exit codes: 0 on success (and catalog match / clean audit / all
 certificates passing), 1 on a verification failure, 2 on flag errors and
 on an output file that cannot be written, 3 on a ``SearchExplosion``,
 ``InternalConsistencyError`` or ``CanonicalizationError``; errors 2 and 3
-go to stderr, as JSON under --json.
+go to stderr, as JSON under --json.  ``audit`` refuses, as a flag error,
+a sweep of more than ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), which
+would take about 10 s or more.
 Volumes are always printed as exact fractions.
 """
 
@@ -16,7 +18,14 @@ import json
 import sys
 
 from .catalog import TYPE_NAMES, build_entry_ladder, entries_for_type
-from .enumerator import SearchExplosion, audit, canonical_form, classify, p2_multiple_range
+from .enumerator import (
+    AUDIT_WINDOW_CAP,
+    SearchExplosion,
+    audit,
+    canonical_form,
+    classify,
+    p2_multiple_range,
+)
 from .graphs import CanonicalizationError
 from .multiplet import (
     InternalConsistencyError,
@@ -168,6 +177,9 @@ def _cmd_audit(args) -> int:
         raise FlagError("--nmax must be nonnegative")
     if args.h0 is not None and not p2_multiple_range(args.a, args.h0):
         raise FlagError(f"--h0 must lie in 1..{2 * args.a - 1}")
+    windows = (2 * args.a - 1 if args.h0 is None else 1) * (args.nmax + 1)
+    if windows > AUDIT_WINDOW_CAP:
+        raise FlagError(f"the sweep has {windows} (n, h0) windows, more than {AUDIT_WINDOW_CAP}")
     report = audit(args.a, args.nmax, h0=args.h0)
     sys.stdout.write(report.to_text())
     if args.json:

@@ -8,9 +8,10 @@ give exact budgets that every admissible stack of subschemes must consume
 precisely.  Cells are cut down by exact integer inequalities: whole ranges
 of h0 and n die by ``length_zero``, ``small_multiple_region``,
 ``large_multiple_volume`` and the n-cap, and each remaining cell gets a
-verdict from ``cell_verdict`` (``window``, ``coefficient_persistence``,
-``volume``, ``section_budget``, ``sigma_budget``, ``unresolved_sections``);
-the cells with no verdict run a depth-first enumeration of subscheme
+verdict from one rule table, ``_rules`` (``window``,
+``coefficient_persistence``, ``volume``, ``section_budget``,
+``sigma_budget``, ``unresolved_sections``), per cell or per constant piece
+of h; the cells with no verdict run a depth-first enumeration of subscheme
 configurations level by level, and every configuration that reaches the
 bottom is certified from scratch: effectivity and nefness down the ladder,
 the basic-pair conditions, exact volume, exact Gorenstein index, and the
@@ -55,6 +56,8 @@ from .elimination import eliminate
 from .multiplet import build_ladder
 
 _CONFIG_CAP = 2_000_000
+# At 2.0-2.6 us per (n, h0) window (a = 4..512), a sweep at the cap takes 8-11 s.
+AUDIT_WINDOW_CAP = 1 << 22
 
 
 class SearchExplosion(RuntimeError):
@@ -126,8 +129,11 @@ def _volume_cap(a: int, n: int, h0: int, h: int) -> int:
     return -n * h0 + 2 * h0 + 2 * h - 2 * a * a
 
 
-def cell_verdict(a: int, n: int, h0: int, h: int) -> str | None:
-    """Name of the first exact inequality that kills the cell, or None.
+def _rules(a: int, n: int, h0: int) -> tuple[tuple[str, int, int], ...]:
+    """The kill rules of the window n h0 <= h <= (n + 2) a, h0 >= 1, in order.
+
+    An entry (name, lo, hi) kills every h of the window with lo <= h < hi;
+    a cell takes the name of the first entry that kills it.
 
     ``window``: L must be nef and big on top, the divisor effective, and
     the adjoint multiple b K + L nef on the base.  For h0 <= a the sigma
@@ -135,58 +141,62 @@ def cell_verdict(a: int, n: int, h0: int, h: int) -> str | None:
     coefficients are capped at a - 1, so the excess must be carried by extra
     sections; each section consumes n fiber units of the divisor class and
     carries an orthogonality budget of at least h
-    (``coefficient_persistence``, ``section_budget``).  The volume allowance
-    ``_volume_cap`` must be nonnegative (``volume``) and must cover the sigma
-    budget (``sigma_budget``).  A cell whose divisor could hold a section
-    other than sigma, with n fiber units and an orthogonality budget of at
-    least h inside the allowance, is outside the search model
-    (``unresolved_sections``).
+    (``coefficient_persistence``, ``section_budget``: the budget h exceeds the
+    allowance).  The volume allowance ``_volume_cap`` must be nonnegative
+    (``volume``) and must cover the sigma budget h - n h0 (``sigma_budget``).
+    A cell whose divisor could hold a section other than sigma, with n fiber
+    units and an orthogonality budget of at least h inside the allowance, is
+    outside the search model (``unresolved_sections``).  The two rules that
+    need h0 <= a get empty intervals otherwise.
     """
+    lo, top = n * h0, (n + 2) * a + 1
     b = h0 // 2
-    if (
-        not n * h0 <= h <= (n + 2) * a
-        or h0 * (2 * h - n * h0) <= 0
-        or h - (n + 2) * b < n * (h0 - 2 * b)
-    ):
-        return "window"
-    if h0 <= a and h > 2 * a + n * (h0 - 1):
-        return "coefficient_persistence"
-    cap = -n * h0 + 2 * h0 + 2 * h - 2 * a * a
-    if cap < 0:
-        return "volume"
-    if h0 <= a and 2 * a * a > (2 - n) * h0 + h:
-        return "section_budget"
-    if h - n * h0 > cap:
-        return "sigma_budget"
-    if (n + 2) * a - h >= n and h <= cap:
-        return "unresolved_sections"
+    c0 = _volume_cap(a, n, h0, 0)  # the allowance at h is c0 + 2h
+    return (
+        ("window", lo, n * h0 // 2 + 1),
+        ("window", lo, (n + 2) * b + n * (h0 - 2 * b)),
+        ("coefficient_persistence", 2 * a + n * (h0 - 1) + 1 if h0 <= a else top, top),
+        ("volume", lo, -(c0 // 2)),
+        ("section_budget", lo, -c0 if h0 <= a else lo),
+        ("sigma_budget", lo, -c0 - n * h0),
+        ("unresolved_sections", -c0, top - n),
+    )
+
+
+def _first_rule(rules, h: int) -> str | None:
+    for name, lo, hi in rules:
+        if lo <= h < hi:
+            return name
     return None
+
+
+def cell_verdict(a: int, n: int, h0: int, h: int) -> str | None:
+    """Name of the first rule of ``_rules`` that kills the cell (h0 >= 1),
+    or ``window`` outside n h0 <= h <= (n + 2) a, or None."""
+    if not n * h0 <= h <= (n + 2) * a:
+        return "window"
+    return _first_rule(_rules(a, n, h0), h)
 
 
 def _verdict_pieces(a: int, n: int, h0: int):
     """Yield (start, stop, verdict) over the window n h0 <= h <= (n + 2) a.
 
-    Every inequality of ``cell_verdict`` is linear in h; each cut is the least
-    h on the far side of one threshold, in the order of the rules, so the
-    verdict asked at a piece's start holds on all of range(start, stop).
+    The window is cut at every bound of ``_rules`` inside it, so the verdict
+    at a piece's start holds on all of range(start, stop).
     """
     lo, hi = n * h0, (n + 2) * a
     if lo > hi:
         return
-    b = h0 // 2
-    cuts = (
-        n * h0 // 2 + 1,
-        (n + 2) * b + n * (h0 - 2 * b),
-        2 * a + n * (h0 - 1) + 1,
-        -((2 * h0 - n * h0 - 2 * a * a) // 2),
-        2 * a * a - (2 - n) * h0,  # equals the last entry
-        2 * a * a - 2 * h0,
-        (n + 2) * a - n + 1,
-        2 * a * a + n * h0 - 2 * h0,
-    )
-    edges = [lo, *sorted({p for p in cuts if lo < p <= hi}), hi + 1]
+    rules = _rules(a, n, h0)
+    cuts = {lo, hi + 1}
+    for _, r_lo, r_hi in rules:
+        if lo < r_lo <= hi:
+            cuts.add(r_lo)
+        if lo < r_hi <= hi:
+            cuts.add(r_hi)
+    edges = sorted(cuts)
     for start, stop in zip(edges, edges[1:]):
-        yield start, stop, cell_verdict(a, n, h0, start)
+        yield start, stop, _first_rule(rules, start)
 
 
 def p5_region_killed(a: int) -> bool:
@@ -565,6 +575,25 @@ def catalog_key_map(a: int) -> dict[str, tuple[str, int]]:
     return out
 
 
+def _search_and_tag(a: int, cells: list[SearchCell]):
+    """Search the cells; return the outcomes, the survivors merged by key (the
+    first found kept) in key order, and the catalog key map.  From index 4 on
+    each survivor's ``type`` is its catalog type or ``unexpected``; below,
+    the map is empty and the type stays None."""
+    outcomes = [search_cell(c) for c in cells]
+    merged: dict[str, dict] = {}
+    for o in outcomes:
+        for s in o.survivors:
+            merged.setdefault(s["key"], s)
+    survivors = [merged[k] for k in sorted(merged)]
+    if a < 4:
+        return outcomes, survivors, {}
+    key_map = catalog_key_map(a)
+    for s in survivors:
+        s["type"] = key_map[s["key"]][0] if s["key"] in key_map else "unexpected"
+    return outcomes, survivors, key_map
+
+
 def classify(a: int) -> ClassificationReport:
     """Enumerate all index-a surfaces of volume at least 2a and compare the
     survivors against the built-in catalog."""
@@ -585,9 +614,7 @@ def classify(a: int) -> ClassificationReport:
             f"{killed['unresolved_sections']} cell(s) admit divisor shapes outside the "
             "section-plus-fibers model and were not searched"
         )
-    outcomes = [search_cell(c) for c in cells]
-
-    survivors: dict[str, dict] = {}
+    outcomes, survivors, key_map = _search_and_tag(a, cells)
     configs = sum(o.configs for o in outcomes)
     candidates = sum(o.candidates for o in outcomes)
     for o in outcomes:
@@ -596,24 +623,12 @@ def classify(a: int) -> ClassificationReport:
                 f"cell (n={o.cell.n}, h0={o.cell.h0}, h={o.cell.h}) needs a divisor "
                 "shape outside the section-plus-fibers model and was not searched"
             )
-        for s in o.survivors:
-            survivors.setdefault(s["key"], s)
 
     rows: list[dict] = []
-    unexpected: list[dict] = []
     missing: list[dict] = []
     if a >= 4:
-        key_map = catalog_key_map(a)
-        per_entry: dict[str, set[str]] = {}
-        for key in survivors:
-            if key in key_map:
-                per_entry.setdefault(key_map[key][0], set()).add(key)
-                survivors[key]["type"] = key_map[key][0]
-            else:
-                survivors[key]["type"] = "unexpected"
-                unexpected.append({"key": key, "volume": survivors[key]["volume"]})
         for entry in catalog_entries(a):
-            found = per_entry.get(entry.name, set())
+            found = {s["key"] for s in survivors if s["type"] == entry.name}
             expected = {k for k, v in key_map.items() if v[0] == entry.name}
             row = {
                 "type": entry.name,
@@ -624,18 +639,17 @@ def classify(a: int) -> ClassificationReport:
             rows.append(row)
             for k in sorted(expected - found):
                 missing.append({"type": entry.name, "volume": row["volume"], "key": k})
-        unexpected.sort(key=lambda s: s["key"])
     else:
-        for key in sorted(survivors):
-            s = survivors[key]
+        for s in survivors:
             s["type"] = "-"
             rows.append(
                 {"type": "-", "volume": s["volume"], "index": s["index"], "configurations": 1}
             )
-
-    ordered = [survivors[k] for k in sorted(survivors)]
+    unexpected = [
+        {"key": s["key"], "volume": s["volume"]} for s in survivors if s["type"] == "unexpected"
+    ]
     return ClassificationReport(
-        a, rows, unexpected, missing, len(cells), configs, candidates, warnings, ordered, killed
+        a, rows, unexpected, missing, len(cells), configs, candidates, warnings, survivors, killed
     )
 
 
@@ -698,7 +712,9 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     Unlike ``classify`` this does not discard the excluded region wholesale:
     kills are counted per constant piece of h (``_verdict_pieces``), with the
     counts of a per-h sweep, the cells left open are searched to exhaustion,
-    and every survivor must already be in the catalog.
+    and every survivor must already be in the catalog.  A sweep of more than
+    ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0) raises ``ValueError`` before
+    it starts.
     """
     if a < 2:
         raise ValueError("audit starts at index 2")
@@ -706,6 +722,9 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
         raise ValueError("the n-cap must be nonnegative")
     if h0 is not None and not p2_multiple_range(a, h0):
         raise ValueError(f"h0 must lie in 1..{2 * a - 1}")
+    windows = (2 * a - 1 if h0 is None else 1) * (n_max + 1)
+    if windows > AUDIT_WINDOW_CAP:
+        raise ValueError(f"the sweep has {windows} (n, h0) windows, more than {AUDIT_WINDOW_CAP}")
     h0_values = tuple(range(1, 2 * a)) if h0 is None else (h0,)
     killed: dict[str, int] = {}
     inconsistencies: list[str] = []
@@ -730,28 +749,12 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
                     continue
                 killed[reason] = killed.get(reason, 0) + stop - start
 
-    outcomes = [search_cell(c) for c in to_search]
+    outcomes, survivors, _ = _search_and_tag(a, to_search)
     rejected: dict[str, int] = {}
-    survivors: dict[str, dict] = {}
     for o in outcomes:
         for reason, count in o.rejected.items():
             rejected[reason] = rejected.get(reason, 0) + count
-        for s in o.survivors:
-            survivors.setdefault(s["key"], s)
-
-    outside = []
-    in_catalog = 0
-    if a >= 4:
-        key_map = catalog_key_map(a)
-        for key in sorted(survivors):
-            if key in key_map:
-                survivors[key]["type"] = key_map[key][0]
-                in_catalog += 1
-            else:
-                survivors[key]["type"] = "unexpected"
-                outside.append(survivors[key])
-    else:
-        outside = [survivors[k] for k in sorted(survivors)]
+    outside = [s for s in survivors if s["type"] in (None, "unexpected")]
 
     return AuditReport(
         a,
@@ -761,7 +764,7 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
         killed,
         len(to_search),
         rejected,
-        in_catalog,
+        len(survivors) - len(outside),
         outside,
         inconsistencies,
     )

@@ -55,13 +55,6 @@ class DivisorClass:
             tuple(a + b for a, b in zip(self.exc, other.exc)),
         )
 
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_compatible(other)
-        return DivisorClass(
-            tuple(a - b for a, b in zip(self.base, other.base)),
-            tuple(a - b for a, b in zip(self.exc, other.exc)),
-        )
-
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(tuple(-a for a in self.base), tuple(-a for a in self.exc))
 
@@ -156,9 +149,6 @@ class Divisor:
 
     __mul__ = __rmul__
 
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-1) * other
-
     def class_in(self, model: "SurfaceModel") -> DivisorClass:
         return model._add_curves(self, 1, [0, 0], [0] * model.exc_count)
 
@@ -190,18 +180,10 @@ class SurfaceModel:
     def exc_count(self) -> int:
         return len(self.tape)
 
-    def zero_class(self) -> DivisorClass:
-        return DivisorClass((0, 0), (0,) * self.exc_count)
-
     def base_class(self, *coords: int) -> DivisorClass:
         if len(coords) != 2:
             raise StructuralError("wrong number of base coordinates")
         return DivisorClass(tuple(coords), (0,) * self.exc_count)
-
-    def exc_class(self, j: int) -> DivisorClass:
-        exc = [0] * self.exc_count
-        exc[j] = 1
-        return DivisorClass((0, 0), tuple(exc))
 
     def sigma_class(self) -> DivisorClass:
         return self.base_class(1, 0)

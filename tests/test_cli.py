@@ -209,10 +209,15 @@ def test_audit_with_h0(capsys):
         (["--nmax", "-3"], "--nmax must be nonnegative"),
         (["--nmax", "3", "--h0", "99"], "--h0 must lie in 1..9"),
         (["--nmax", "3", "--h0", "0"], "--h0 must lie in 1..9"),
+        (["--nmax", "466033"], "the sweep has 4194306 (n, h0) windows, more than 4194304"),
+        (
+            ["--nmax", "4194304", "--h0", "5"],
+            "the sweep has 4194305 (n, h0) windows, more than 4194304",
+        ),
     ],
 )
 def test_audit_rejects_vacuous_sweeps(capsys, tmp_path, flags, message):
-    # these sweeps would cover no cell and report clean
+    # these sweeps would cover no cell and report clean, or run for hours
     code, out, err = run(capsys, "audit", "--a", "5", *flags)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     out_path = tmp_path / "r.json"

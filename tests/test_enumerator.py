@@ -1,10 +1,14 @@
+import hashlib
 import json
 import random
+import re
 
 import pytest
 
+from delpezzo import enumerator
 from delpezzo.catalog import build_entry_ladder, entry_by_name
 from delpezzo.enumerator import (
+    AUDIT_WINDOW_CAP,
     AuditReport,
     SearchCell,
     _normalization_active,
@@ -57,6 +61,38 @@ def test_degree_cap():
     assert p7_degree_cap(4, 5) == 8
     assert p7_degree_cap(4, 6) == 4
     assert p7_degree_cap(8, 9) == 16
+
+
+def _cell_verdict_reference(a, n, h0, h):
+    """The if chain that the rule table replaced, kept as the reference."""
+    b = h0 // 2
+    if (
+        not n * h0 <= h <= (n + 2) * a
+        or h0 * (2 * h - n * h0) <= 0
+        or h - (n + 2) * b < n * (h0 - 2 * b)
+    ):
+        return "window"
+    if h0 <= a and h > 2 * a + n * (h0 - 1):
+        return "coefficient_persistence"
+    cap = -n * h0 + 2 * h0 + 2 * h - 2 * a * a
+    if cap < 0:
+        return "volume"
+    if h0 <= a and 2 * a * a > (2 - n) * h0 + h:
+        return "section_budget"
+    if h - n * h0 > cap:
+        return "sigma_budget"
+    if (n + 2) * a - h >= n and h <= cap:
+        return "unresolved_sections"
+    return None
+
+
+def test_cell_verdict_matches_the_reference_chain():
+    for a in range(2, 11):
+        for h0 in range(1, 2 * a):
+            for n in range(0, 3 * a + 1):
+                for h in range(n * h0 - 2, (n + 2) * a + 3):
+                    want = _cell_verdict_reference(a, n, h0, h)
+                    assert cell_verdict(a, n, h0, h) == want, (a, n, h0, h)
 
 
 def test_sections_excluded_on_generated_cells():
@@ -225,6 +261,29 @@ def test_classify_reports_are_sound():
     assert rep.configs < 2_000_000  # explicit termination counter
 
 
+@pytest.mark.parametrize(
+    "a, text_sha, json_sha",
+    [
+        (
+            2,
+            "89b65cda908dc7856638dc444362f80136bb4888bb64ffd44d1aa3344ebfb346",
+            "797d33277dde7d8a5229fb704bf36c016a3a7210e73778198e85c8157e583051",
+        ),
+        (
+            3,
+            "51e508c09a9f60e0d9cc5b88b97d920442e55aa3ca4c65f6912d2a5655ce2ab5",
+            "7605836423a30f428a151bc093de08b6a686cb868ba074a8f434ca49ce834219",
+        ),
+    ],
+)
+def test_classify_low_index_reports_are_byte_stable(a, text_sha, json_sha):
+    # below index 4 no catalog is compared: every survivor is a "-" row
+    rep = classify(a)
+    assert hashlib.sha256(rep.to_text().encode()).hexdigest() == text_sha
+    payload = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == json_sha
+
+
 def test_search_cell_rejects_low_index_candidates():
     # the open cells at h0 = a + 2 carry candidates of index 2, which the
     # exact index computation rejects
@@ -268,6 +327,25 @@ def test_audit_rejects_vacuous_sweeps():
     for h0 in (0, 10, 99):
         with pytest.raises(ValueError):
             audit(5, 3, h0=h0)
+
+
+def test_audit_rejects_sweeps_over_the_window_cap(monkeypatch):
+    # an unbounded sweep fails before it starts: (2a - 1)(n_max + 1) windows
+    # without h0, n_max + 1 with it, and the index alone can exceed the cap
+    message = f"the sweep has 4194309 (n, h0) windows, more than {AUDIT_WINDOW_CAP}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        audit(4, AUDIT_WINDOW_CAP // 7)
+    with pytest.raises(ValueError, match="windows"):
+        audit(4, AUDIT_WINDOW_CAP, h0=5)
+    with pytest.raises(ValueError, match="windows"):
+        audit(10**9, 0)
+    monkeypatch.setattr(enumerator, "AUDIT_WINDOW_CAP", 14)
+    assert audit(4, 1).cells_swept == 126
+    assert audit(4, 13, h0=5).cells_swept > 0
+    with pytest.raises(ValueError, match="the sweep has 21 "):
+        audit(4, 2)
+    with pytest.raises(ValueError, match="the sweep has 15 "):
+        audit(4, 14, h0=5)
 
 
 def _audit_per_h(a, n_max, h0=None):

@@ -6,7 +6,7 @@ import pytest
 from delpezzo.catalog import build_entry_ladder, catalog_entries, entry_by_name
 from delpezzo.elimination import OnCurveDatum, Subscheme
 from delpezzo.enumerator import random_pseudo_fundamental_ladders
-from delpezzo.lattice import Divisor, SurfaceModel
+from delpezzo.lattice import Divisor, DivisorClass, SurfaceModel
 from delpezzo.multiplet import (
     BasicPair,
     build_ladder,
@@ -245,7 +245,7 @@ def test_identities_check_rejects_a_moved_adjoint_square():
     lad = _entry_ladder(5, "A5")
     lv = lad.level(2)
     m = lv.model
-    D = m.exc_class(1) - m.exc_class(0)
+    D = DivisorClass((0, 0), (-1, 1) + (0,) * (m.exc_count - 2))
     assert m.intersect(m.canonical_class, D) == 0
     assert all(m.intersect(m.curve(c).cls, D) == 0 for c in lv.E.support)
     assert m.intersect(D, D) == -2
