@@ -1,6 +1,6 @@
 """Exact-arithmetic engine for log del Pezzo surfaces of fixed index.
 
-The package models nonsingular rational surfaces as blow-up tapes over
+The package models nonsingular rational surfaces as point blow-ups of
 a Hirzebruch surface, realizes curvilinear zero-dimensional
 subschemes and their eliminations, descends fundamental multiplets to
 basic pairs, computes exact anticanonical volumes and Gorenstein
@@ -14,9 +14,6 @@ from .lattice import (
     SurfaceModel,
     StructuralError,
     InvalidPointError,
-    GenericPoint,
-    OnCurvePoint,
-    NodePoint,
 )
 from .elimination import (
     Subscheme,
@@ -50,9 +47,6 @@ __all__ = [
     "SurfaceModel",
     "StructuralError",
     "InvalidPointError",
-    "GenericPoint",
-    "OnCurvePoint",
-    "NodePoint",
     "Subscheme",
     "OnCurveDatum",
     "NodeDatum",

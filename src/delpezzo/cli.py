@@ -18,14 +18,7 @@ import json
 import sys
 
 from .catalog import TYPE_NAMES, build_entry_ladder, entries_for_type
-from .enumerator import (
-    AUDIT_WINDOW_CAP,
-    SearchExplosion,
-    audit,
-    canonical_form,
-    classify,
-    p2_multiple_range,
-)
+from .enumerator import SearchExplosion, audit, canonical_form, check_audit_sweep, classify
 from .graphs import CanonicalizationError
 from .multiplet import (
     InternalConsistencyError,
@@ -173,13 +166,10 @@ def _cmd_dualgraph(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.nmax < 0:
-        raise FlagError("--nmax must be nonnegative")
-    if args.h0 is not None and not p2_multiple_range(args.a, args.h0):
-        raise FlagError(f"--h0 must lie in 1..{2 * args.a - 1}")
-    windows = (2 * args.a - 1 if args.h0 is None else 1) * (args.nmax + 1)
-    if windows > AUDIT_WINDOW_CAP:
-        raise FlagError(f"the sweep has {windows} (n, h0) windows, more than {AUDIT_WINDOW_CAP}")
+    try:
+        check_audit_sweep(args.a, args.nmax, args.h0)
+    except ValueError as exc:
+        raise FlagError(str(exc)) from None
     report = audit(args.a, args.nmax, h0=args.h0)
     sys.stdout.write(report.to_text())
     if args.json:

@@ -22,15 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import (
-    Divisor,
-    DivisorClass,
-    GenericPoint,
-    NodePoint,
-    OnCurvePoint,
-    StructuralError,
-    SurfaceModel,
-)
+from .lattice import Divisor, DivisorClass, StructuralError, SurfaceModel
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,6 @@ class Subscheme:
 
 @dataclass(frozen=True)
 class EliminationStep:
-    exc_index: int  # index of the new exceptional class in the final lattice
     incident: tuple[int, ...]  # tracked-curve ids through the centre
     new_curve: int  # id of the new exceptional curve record
 
@@ -133,67 +124,49 @@ class EliminationResult:
 
 
 def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
-    """Realize the elimination of a curvilinear subscheme as a blow-up tape.
+    """Realize the elimination of a curvilinear subscheme as a chain of point
+    blow-ups per point.
 
-    Points are processed in order.  For a point of multiplicity ``m`` with
-    contact ``k`` along a host curve the first blow-up sits on the curve and
-    the next ``k-1`` on the node of the last exceptional with the host's
-    strict transform; the remaining ``m-k`` centres are free points of the
-    last exceptional.  Node data start at the node instead, with the same
-    continuation rule along the second branch.
+    Points are processed in order.  Each kind of datum fixes the first
+    centre, a host curve and a contact order k: an on-curve datum starts on
+    its curve and follows it, a node datum starts at the node and follows
+    the second branch, a free datum starts at a general point (k = 1).
+    Blow-ups 2..k sit at the node of the last exceptional curve with the
+    host's strict transform; the remaining ones at general points of the
+    last exceptional curve.
     """
     resolved = []
+    plans = []  # (first centre, host, k, m) per point
     for datum in subscheme.points:
         if isinstance(datum, OnCurveDatum):
-            resolved.append(OnCurveDatum(model.resolve(datum.curve), datum.k, datum.m))
+            c = model.resolve(datum.curve)
+            datum = OnCurveDatum(c, datum.k, datum.m)
+            plans.append(((c,), c, datum.k, datum.m))
         elif isinstance(datum, NodeDatum):
-            resolved.append(
-                NodeDatum(model.resolve(datum.curve1), model.resolve(datum.curve2), datum.k2, datum.m)
-            )
+            c1, c2 = model.resolve(datum.curve1), model.resolve(datum.curve2)
+            datum = NodeDatum(c1, c2, datum.k2, datum.m)
+            plans.append(((c1, c2), c2, datum.k2, datum.m))
         elif isinstance(datum, FreeDatum):
-            resolved.append(datum)
+            plans.append(((), None, 1, datum.m))
         else:
             raise StructuralError(f"unknown local datum {datum!r}")
-    subscheme = Subscheme(tuple(resolved))
+        resolved.append(datum)
 
     base_exc = model.exc_count
     chains: list[tuple[int, ...]] = []
     steps: list[EliminationStep] = []
-
-    for datum in subscheme.points:
+    for first, host, k, m in plans:
         tag = f"P{model.next_point_index}"
         model = model.bump_point_index()
         chain: list[int] = []
-
-        def _blow(point, position):
-            nonlocal model
-            model, rec = model.blow_up(point, name=f"Gamma_{tag}_{position}")
-            steps.append(EliminationStep(model.exc_count - 1, model.tape[-1].incident, rec.id))
+        for j in range(1, m + 1):
+            through = first if j == 1 else (chain[-1], host) if j <= k else (chain[-1],)
+            model, rec = model.blow_up(*through, name=f"Gamma_{tag}_{j}")
+            steps.append(EliminationStep(through, rec.id))
             chain.append(rec.id)
-            return rec.id
-
-        if isinstance(datum, FreeDatum):
-            _blow(GenericPoint(), 1)
-            for j in range(2, datum.m + 1):
-                _blow(OnCurvePoint(chain[-1]), j)
-        elif isinstance(datum, OnCurveDatum):
-            host = datum.curve
-            _blow(OnCurvePoint(host), 1)
-            for j in range(2, datum.k + 1):
-                _blow(NodePoint(chain[-1], host), j)
-            for j in range(datum.k + 1, datum.m + 1):
-                _blow(OnCurvePoint(chain[-1]), j)
-        else:
-            c1, c2 = datum.curve1, datum.curve2
-            _blow(NodePoint(c1, c2), 1)
-            for j in range(2, datum.k2 + 1):
-                _blow(NodePoint(chain[-1], c2), j)
-            for j in range(datum.k2 + 1, datum.m + 1):
-                _blow(OnCurvePoint(chain[-1]), j)
-
         chains.append(tuple(chain))
 
-    return EliminationResult(model, subscheme, tuple(chains), tuple(steps), base_exc)
+    return EliminationResult(model, Subscheme(tuple(resolved)), tuple(chains), tuple(steps), base_exc)
 
 
 def transform(E: Divisor, result: EliminationResult, s: int) -> Divisor:
@@ -218,7 +191,7 @@ def check_psi_nef(result: EliminationResult) -> bool:
     """True iff the anticanonical class meets every chain curve nonnegatively.
 
     Holds for every output of ``eliminate`` by the chain shape; exposed so
-    tests can falsify it on hand-built tapes that break the shape.
+    tests can falsify it on hand-built models that break the shape.
     """
     model = result.model
     mk = -model.canonical_class
@@ -231,7 +204,7 @@ def check_psi_nef(result: EliminationResult) -> bool:
 
 # Closed-form chain coefficients for the transform of a divisor supported on
 # the curves through a single point.  These are the independent cross-check
-# for the tape arithmetic in ``transform`` and double as fast effectivity
+# for the step-by-step arithmetic in ``transform`` and double as fast effectivity
 # filters during enumeration.
 
 

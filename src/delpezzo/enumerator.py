@@ -41,6 +41,7 @@ from .graphs import canonical_key
 from .lattice import Divisor, DivisorClass, SurfaceModel
 from .multiplet import (
     BasicPair,
+    InternalConsistencyError,
     Ladder,
     LadderLevel,
     certificate_index_is_a,
@@ -61,7 +62,7 @@ AUDIT_WINDOW_CAP = 1 << 22
 
 
 class SearchExplosion(RuntimeError):
-    pass
+    """Raised when a cell's search exceeds the configuration cap."""
 
 
 # -- canonical form -----------------------------------------------------------
@@ -83,17 +84,27 @@ def canonical_form(pair: BasicPair) -> str:
 @lru_cache(maxsize=1 << 16)
 def _degrees_feasible(a: int, levels: int, weighted: int, cap: int) -> bool:
     """Does some degree vector (d_1..d_levels) satisfy
-    sum j(a-j) d_j = weighted with sum j d_j <= cap?"""
-    if weighted == 0:
-        return True
-    if levels == 0 or weighted < 0 or cap <= 0:
-        return False
-    unit = levels * (a - levels)
-    for d in range(weighted // unit + 1):
-        if levels * d <= cap and _degrees_feasible(
-            a, levels - 1, weighted - unit * d, cap - levels * d
-        ):
+    sum j(a-j) d_j = weighted with sum j d_j <= cap?
+
+    Walks the states (level, weighted left, cap left) from an explicit
+    stack, so the depth is not bounded by the recursion limit.
+    """
+    stack = [(levels, weighted, cap)]
+    seen = set()
+    while stack:
+        j, w, c = stack.pop()
+        if w == 0:
             return True
+        if w < 0 or c <= 0:
+            continue
+        while j and j * (a - j) > w:
+            j -= 1  # such a level can only take d_j = 0
+        if j == 0 or (j, w, c) in seen:
+            continue
+        seen.add((j, w, c))
+        unit = j * (a - j)
+        for d in range(min(w // unit, c // j) + 1):
+            stack.append((j - 1, w - unit * d, c - j * d))
     return False
 
 
@@ -443,9 +454,9 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             reject("index")
             return
         if not identities_check(ladder):
-            raise SearchExplosion("identity re-verification failed on a survivor")
+            raise InternalConsistencyError("identity re-verification failed on a survivor")
         if any(pair.model.intersect(pair.L0, rec.cls) < 0 for rec in pair.model.curves):
-            raise SearchExplosion("fundamental class negative on a tracked curve")
+            raise InternalConsistencyError("fundamental class negative on a tracked curve")
         index_certificate = certificate_index_is_a(pair)
         certificates = {
             "ladder": True,
@@ -468,35 +479,41 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             "index_certificate": index_certificate,
         })
 
-    def dfs(i: int, model, E, L, spent: int, levels: list[LadderLevel]) -> None:
-        # E is nonzero effective: the top divisor by construction, the
-        # others by the test before each descent.
+    # Depth-first over (i, model, E, L, spent, levels) nodes from an explicit
+    # stack, children pushed in reverse: the preorder of the recursive walk.
+    # E is nonzero effective: the top divisor by construction, the others by
+    # the test before they are pushed.
+    stack = [(b, *_top(a, n, c0, parts), 0, []) for parts in _partitions(f, a - 1)]
+    stack.reverse()
+    while stack:
+        i, model, E, L, spent, levels = stack.pop()
         out.configs += 1
         if out.configs > _CONFIG_CAP:
             raise SearchExplosion(f"configuration cap exceeded in cell {cell}")
         found = _budgets(model, E, L)
         if found is None:
-            return
+            continue
         be, budgets = found
         v_left = v_max - spent
         if v_left < 0 or not _degrees_feasible(a, i, be, v_left):
-            return
+            continue
         if any(r > v_left for r in budgets.values()):
-            return
+            continue
         if i == 0:
             if be == 0 and all(r == 0 for r in budgets.values()):
                 finish(close_ladder(a, levels, model, E, L))
-            return
+            continue
         forbid = forbid_top_sigma and i == b
+        children = []
         for sub in _subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid):
             if i == 1 and sub.degree * (a - 1) != be:
                 continue
             level, E2, L2 = descend_step(a, i, model, E, L, sub)
             if E2.is_effective() and not E2.is_zero():
-                dfs(i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level])
-
-    for parts in _partitions(f, a - 1):
-        dfs(b, *_top(a, n, c0, parts), 0, [])
+                children.append(
+                    (i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level])
+                )
+        stack.extend(reversed(children))
     return out
 
 
@@ -563,12 +580,12 @@ def catalog_key_map(a: int) -> dict[str, tuple[str, int]]:
         for idx in range(len(entry.configs)):
             ladder = build_entry_ladder(entry, a, idx)
             if not certify_ladder(ladder).passed:
-                raise SearchExplosion(
+                raise InternalConsistencyError(
                     f"catalog entry {entry.name} configuration {idx} fails its own certificates"
                 )
             key = canonical_form(ladder.bottom_pair)
             if key in out and out[key][0] != entry.name:
-                raise SearchExplosion(
+                raise InternalConsistencyError(
                     f"catalog key collision between {out[key][0]} and {entry.name}"
                 )
             out.setdefault(key, (entry.name, idx))
@@ -606,7 +623,7 @@ def classify(a: int) -> ClassificationReport:
         )
         warnings.append("candidates over the projective plane are not searched")
     elif not p1_plane_excluded(a):
-        raise SearchExplosion("plane branch unexpectedly open")
+        raise InternalConsistencyError("plane branch unexpectedly open")
 
     cells, killed = generate_cells(a)
     if killed.get("unresolved_sections"):
@@ -705,6 +722,21 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
+def check_audit_sweep(a: int, n_max: int, h0: int | None = None) -> None:
+    """Raise ``ValueError`` for an audit sweep that would cover no cell or
+    more than ``AUDIT_WINDOW_CAP`` windows (n, h0): (2a - 1)(n_max + 1)
+    windows, or n_max + 1 with ``h0``."""
+    if a < 2:
+        raise ValueError("audit starts at index 2")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if h0 is not None and not p2_multiple_range(a, h0):
+        raise ValueError(f"h0 must lie in 1..{2 * a - 1}")
+    windows = (2 * a - 1 if h0 is None else 1) * (n_max + 1)
+    if windows > AUDIT_WINDOW_CAP:
+        raise ValueError(f"the sweep has {windows} (n, h0) windows, more than {AUDIT_WINDOW_CAP}")
+
+
 def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     """Sweep every cell up to the caps, re-deriving the closed-form kills and
     running the full search on whatever they leave open.
@@ -712,19 +744,12 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     Unlike ``classify`` this does not discard the excluded region wholesale:
     kills are counted per constant piece of h (``_verdict_pieces``), with the
     counts of a per-h sweep, the cells left open are searched to exhaustion,
-    and every survivor must already be in the catalog.  A sweep of more than
-    ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0) raises ``ValueError`` before
-    it starts.
+    and every survivor must already be in the catalog.  A sweep that
+    ``check_audit_sweep`` refuses, such as one of more than
+    ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), raises ``ValueError``
+    before it starts.
     """
-    if a < 2:
-        raise ValueError("audit starts at index 2")
-    if n_max < 0:
-        raise ValueError("the n-cap must be nonnegative")
-    if h0 is not None and not p2_multiple_range(a, h0):
-        raise ValueError(f"h0 must lie in 1..{2 * a - 1}")
-    windows = (2 * a - 1 if h0 is None else 1) * (n_max + 1)
-    if windows > AUDIT_WINDOW_CAP:
-        raise ValueError(f"the sweep has {windows} (n, h0) windows, more than {AUDIT_WINDOW_CAP}")
+    check_audit_sweep(a, n_max, h0)
     h0_values = tuple(range(1, 2 * a)) if h0 is None else (h0,)
     killed: dict[str, int] = {}
     inconsistencies: list[str] = []

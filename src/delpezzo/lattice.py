@@ -1,19 +1,19 @@
 """Picard lattices of blown-up Hirzebruch surfaces, with exact integer arithmetic.
 
-A ``SurfaceModel`` is a Hirzebruch surface F_n together with an ordered tape
-of point blow-ups.  Divisor classes are integer vectors over the basis
-``(sigma, l)`` plus one exceptional class per tape entry; the intersection
-form is ``sigma^2 = -n, sigma.l = 1, l^2 = 0`` with exceptional classes of
-square -1 orthogonal to everything else.  Blow-ups of the projective plane
+A ``SurfaceModel`` is a Hirzebruch surface F_n blown up in a sequence of
+points.  Divisor classes are integer vectors over the basis ``(sigma, l)``
+plus one exceptional class per blow-up, in order; the intersection form is
+``sigma^2 = -n, sigma.l = 1, l^2 = 0`` with exceptional classes of square
+-1 orthogonal to everything else.  Blow-ups of the projective plane
 never occur: the plane is excluded by arithmetic alone
 (``enumerator.p1_plane_excluded``).
 
 Curves are tracked symbolically, by incidence only.  Every tracked curve is
 a smooth rational curve, two tracked curves meet transversally in at most
-one point, and a blow-up centre is described by which tracked curves pass
-through it (none, one, or a node of two).  Under these conventions the
-divisor class of a strict transform determines all intersection numbers,
-so no coordinates are ever needed.
+one point, and a blow-up centre is the tuple of tracked curves through it:
+none (a general point), one (a general point of that curve) or two (their
+node).  Under these conventions the divisor class of a strict transform
+determines all intersection numbers, so no coordinates are ever needed.
 """
 
 from __future__ import annotations
@@ -70,30 +70,6 @@ class DivisorClass:
         return DivisorClass(self.base, self.exc + (0,) * (exc_len - len(self.exc)))
 
 
-# Blow-up centre specifications.  ``GenericPoint`` lies on no tracked curve,
-# ``OnCurvePoint`` on exactly one (at a generic point of it), ``NodePoint``
-# at the unique intersection point of two tracked curves.
-
-
-@dataclass(frozen=True)
-class GenericPoint:
-    pass
-
-
-@dataclass(frozen=True)
-class OnCurvePoint:
-    curve: int
-
-
-@dataclass(frozen=True)
-class NodePoint:
-    curve1: int
-    curve2: int
-
-
-BlowUpPoint = GenericPoint | OnCurvePoint | NodePoint
-
-
 @dataclass(frozen=True)
 class CurveRecord:
     """A tracked curve: opaque id, printable name, current strict-transform class."""
@@ -101,12 +77,6 @@ class CurveRecord:
     id: int
     name: str
     cls: DivisorClass
-
-
-@dataclass(frozen=True)
-class BlowUpRecord:
-    point: BlowUpPoint
-    incident: tuple[int, ...]  # ids of tracked curves through the centre
 
 
 @dataclass(frozen=True)
@@ -155,14 +125,15 @@ class Divisor:
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """A Hirzebruch surface F_n plus a blow-up tape and the table of tracked curves.
+    """A Hirzebruch surface F_n blown up ``exc_count`` times, plus the table of
+    tracked curves.
 
     Immutable; ``blow_up`` and ``add_fiber`` return new models.  Curve ids
     are indices into ``curves`` and stay valid in every later model.
     """
 
     n: int
-    tape: tuple[BlowUpRecord, ...] = ()
+    exc_count: int = 0
     curves: tuple[CurveRecord, ...] = ()
     next_point_index: int = 1
 
@@ -176,10 +147,6 @@ class SurfaceModel:
 
     # -- basic lattice data ------------------------------------------------
 
-    @property
-    def exc_count(self) -> int:
-        return len(self.tape)
-
     def base_class(self, *coords: int) -> DivisorClass:
         if len(coords) != 2:
             raise StructuralError("wrong number of base coordinates")
@@ -192,7 +159,7 @@ class SurfaceModel:
         return self.base_class(0, 1)
 
     def _check_class(self, *classes: DivisorClass) -> None:
-        m = len(self.tape)
+        m = self.exc_count
         for d in classes:
             if len(d.base) != 2 or len(d.exc) != m:
                 raise StructuralError(
@@ -201,7 +168,7 @@ class SurfaceModel:
                 )
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> int:
-        m = len(self.tape)
+        m = self.exc_count
         if len(d1.exc) != m or len(d2.exc) != m or len(d1.base) != 2 or len(d2.base) != 2:
             self._check_class(d1, d2)  # raises, naming the operand at fault
         (p1, q1), (p2, q2) = d1.base, d2.base
@@ -221,7 +188,7 @@ class SurfaceModel:
     ) -> DivisorClass:
         """``(base, exc) + sign * [E]``, accumulated in place; each curve class
         is checked against this model once."""
-        m = len(self.tape)
+        m = self.exc_count
         for c, v in E.items:
             cls = self.curve(c).cls
             if len(cls.exc) != m or len(cls.base) != 2:
@@ -265,37 +232,34 @@ class SurfaceModel:
             name = f"l_{k}"
         rec = CurveRecord(len(self.curves), name, self.fiber_class().pad(self.exc_count))
         return (
-            SurfaceModel(self.n, self.tape, self.curves + (rec,), self.next_point_index),
+            SurfaceModel(self.n, self.exc_count, self.curves + (rec,), self.next_point_index),
             rec,
         )
 
-    def blow_up(
-        self, point: BlowUpPoint, name: str | None = None
-    ) -> tuple["SurfaceModel", CurveRecord]:
-        """Blow up one point; returns the new model and the new exceptional curve.
+    def blow_up(self, *through: int, name: str | None = None) -> tuple["SurfaceModel", CurveRecord]:
+        """Blow up the point through the tracked curves ``through``; returns the
+        new model and the new exceptional curve.
 
-        Strict transforms of the tracked curves through the centre drop by the
-        new exceptional class.  A ``NodePoint`` requires the two curves to meet
-        (intersection number exactly one); blowing it up separates them.
+        No curve means a general point, one a general point of that curve, two
+        their node, which requires intersection number exactly one; blowing it
+        up separates them.  Strict transforms of the curves through the centre
+        drop by the new exceptional class.
         """
-        if isinstance(point, GenericPoint):
-            incident: tuple[int, ...] = ()
-        elif isinstance(point, OnCurvePoint):
-            incident = (self.curve(point.curve).id,)
-        elif isinstance(point, NodePoint):
-            r1, r2 = self.curve(point.curve1), self.curve(point.curve2)
+        recs = [self.curve(c) for c in through]
+        if len(recs) > 2:
+            raise InvalidPointError("a centre lies on at most two tracked curves")
+        if len(recs) == 2:
+            r1, r2 = recs
             if r1.id == r2.id:
                 raise InvalidPointError("a node needs two distinct curves")
             if self.intersection(r1.id, r2.id) != 1:
                 raise InvalidPointError(
                     f"curves {r1.name} and {r2.name} do not meet in a single node"
                 )
-            incident = (r1.id, r2.id)
-        else:
-            raise InvalidPointError(f"unknown point specification {point!r}")
+        incident = {r.id for r in recs}
 
         j = self.exc_count
-        new_exc = len(self.tape) + 1
+        new_exc = j + 1
         curves = []
         for rec in self.curves:
             cls = rec.cls.pad(new_exc)
@@ -309,18 +273,15 @@ class SurfaceModel:
         exc_cls = DivisorClass((0, 0), (0,) * j + (1,))
         new_rec = CurveRecord(len(curves), name, exc_cls)
         curves.append(new_rec)
-        model = SurfaceModel(
-            self.n, self.tape + (BlowUpRecord(point, incident),), tuple(curves), self.next_point_index
-        )
-        return model, new_rec
+        return SurfaceModel(self.n, new_exc, tuple(curves), self.next_point_index), new_rec
 
     def bump_point_index(self, count: int = 1) -> "SurfaceModel":
-        return SurfaceModel(self.n, self.tape, self.curves, self.next_point_index + count)
+        return SurfaceModel(self.n, self.exc_count, self.curves, self.next_point_index + count)
 
     # -- base-cone tests (valid on the minimal surface only) ----------------
 
     def nef_on_base(self, d: DivisorClass) -> bool:
-        """Closed nef criterion on the minimal base; requires an empty tape."""
+        """Closed nef criterion on the minimal base; requires no blow-ups."""
         self._check_class(d)
         if any(a != 0 for a in d.exc):
             raise StructuralError("nef criterion only applies to pullback-free classes")

@@ -273,7 +273,7 @@ def check_basic_pair(pair: BasicPair, *, nef_evidence: bool | None = None) -> Ce
     """Evaluate the basic-pair conditions; failures are data, not errors.
 
     The simple-normal-crossing requirement holds for every configuration the
-    blow-up tape can produce, so it is reported as passed by construction.
+    point blow-ups can produce, so it is reported as passed by construction.
     Nefness of K+L is taken from ``nef_evidence`` when the pair arrived
     through a certified ladder; for a pair on a minimal surface the closed
     criterion decides it directly.

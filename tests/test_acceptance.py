@@ -3,6 +3,8 @@
 Everything here is exact; there are no tolerances anywhere.
 """
 
+import sys
+import time
 from fractions import Fraction
 
 from delpezzo.catalog import build_entry_ladder, catalog_entries, entry_by_name
@@ -68,6 +70,22 @@ def test_criterion_1_theorem_regression():
         assert got == want, (a, got)
         assert all(r["configurations"] >= 1 for r in report.rows)
     print("ACCEPTANCE 1 theorem regression: PASS")
+
+
+def test_classify_matches_the_catalog_at_large_index():
+    """The search runs from explicit stacks: its depth, h0 // 2 levels (about
+    a / 2), is not bounded by the recursion limit.  Each index takes about
+    0.4-1 s on one core; 30 s is the bound."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        for a in (1000, 1024, 2048):
+            start = time.perf_counter()
+            report = classify(a)
+            assert report.catalog_match, (a, report.unexpected, report.missing)
+            assert time.perf_counter() - start < 30, a
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_criterion_2_toric_agreement():

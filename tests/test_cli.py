@@ -206,9 +206,9 @@ def test_audit_with_h0(capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--nmax", "-3"], "--nmax must be nonnegative"),
-        (["--nmax", "3", "--h0", "99"], "--h0 must lie in 1..9"),
-        (["--nmax", "3", "--h0", "0"], "--h0 must lie in 1..9"),
+        (["--nmax", "-3"], "n_max must be nonnegative"),
+        (["--nmax", "3", "--h0", "99"], "h0 must lie in 1..9"),
+        (["--nmax", "3", "--h0", "0"], "h0 must lie in 1..9"),
         (["--nmax", "466033"], "the sweep has 4194306 (n, h0) windows, more than 4194304"),
         (
             ["--nmax", "4194304", "--h0", "5"],

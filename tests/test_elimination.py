@@ -11,7 +11,7 @@ from delpezzo.elimination import (
     on_curve_coefficients,
     transform,
 )
-from delpezzo.lattice import Divisor, OnCurvePoint, StructuralError, SurfaceModel
+from delpezzo.lattice import Divisor, StructuralError, SurfaceModel
 
 
 def test_chain_shape_on_curve():
@@ -130,7 +130,7 @@ def test_check_psi_nef_false_on_interior_blow_up():
     F4 = SurfaceModel.hirzebruch(4)
     res = eliminate(F4, Subscheme((OnCurveDatum("sigma", 2, 2),)))
     # blowing up a free point of the interior (-2)-curve breaks the shape
-    worse, _ = res.model.blow_up(OnCurvePoint(res.chains[0][0]))
+    worse, _ = res.model.blow_up(res.chains[0][0])
     doctored = dataclasses.replace(res, model=worse)
     assert not check_psi_nef(doctored)
 
@@ -158,3 +158,64 @@ def test_closed_form_guards():
         on_curve_coefficients(1, 1, 2, 3)
     with pytest.raises(StructuralError):
         node_coefficients(1, 1, 1, 2, 0)
+
+
+def _eliminate_reference(model, subscheme):
+    """One branch per datum kind: the chain construction before ``eliminate``
+    walked one loop for all three."""
+    chains, steps = [], []
+    for datum in subscheme.points:
+        tag = f"P{model.next_point_index}"
+        model = model.bump_point_index()
+        chain = []
+
+        def blow(position, *through):
+            nonlocal model
+            model, rec = model.blow_up(*through, name=f"Gamma_{tag}_{position}")
+            steps.append((through, rec.id))
+            chain.append(rec.id)
+
+        if isinstance(datum, FreeDatum):
+            blow(1)
+            for j in range(2, datum.m + 1):
+                blow(j, chain[-1])
+        elif isinstance(datum, OnCurveDatum):
+            host = model.resolve(datum.curve)
+            blow(1, host)
+            for j in range(2, datum.k + 1):
+                blow(j, chain[-1], host)
+            for j in range(datum.k + 1, datum.m + 1):
+                blow(j, chain[-1])
+        else:
+            c1, c2 = model.resolve(datum.curve1), model.resolve(datum.curve2)
+            blow(1, c1, c2)
+            for j in range(2, datum.k2 + 1):
+                blow(j, chain[-1], c2)
+            for j in range(datum.k2 + 1, datum.m + 1):
+                blow(j, chain[-1])
+        chains.append(tuple(chain))
+    return model, tuple(chains), tuple(steps)
+
+
+def _reference_cases():
+    for m in range(1, 5):
+        yield (FreeDatum(m),)
+        for k in range(1, m + 1):
+            yield (OnCurveDatum("sigma", k, m),)
+            yield (OnCurveDatum("l_1", k, m),)
+            yield (NodeDatum("sigma", "l_1", k, m),)
+            yield (NodeDatum("l_1", "sigma", k, m),)
+    yield (NodeDatum("l_1", "sigma", 2, 3), OnCurveDatum("sigma", 2, 4))
+
+
+def test_eliminate_matches_the_per_kind_reference():
+    F3, _ = SurfaceModel.hirzebruch(3).add_fiber()
+    F3 = F3.bump_point_index(2)
+    for points in _reference_cases():
+        sub = Subscheme(points)
+        res = eliminate(F3, sub)
+        model, chains, steps = _eliminate_reference(F3, sub)
+        assert res.model.curves == model.curves, points
+        assert res.model == model, points
+        assert res.chains == chains, points
+        assert [(s.incident, s.new_curve) for s in res.steps] == list(steps), points

@@ -29,7 +29,7 @@ from delpezzo.enumerator import (
     search_cell,
 )
 from delpezzo.graphs import WeightedGraph, canonical_key
-from delpezzo.multiplet import build_ladder
+from delpezzo.multiplet import InternalConsistencyError, build_ladder
 
 
 @pytest.mark.parametrize("a", [4, 5, 6, 7, 8])
@@ -197,7 +197,7 @@ def test_canonical_form_ignores_fiber_labels():
     # build the same surface with fibers introduced in both orders
     from delpezzo.elimination import OnCurveDatum, Subscheme
     from delpezzo.lattice import Divisor, SurfaceModel
-    from delpezzo.multiplet import build_ladder
+    from delpezzo.multiplet import InternalConsistencyError, build_ladder
 
     keys = []
     for flip in (False, True):
@@ -282,6 +282,14 @@ def test_classify_low_index_reports_are_byte_stable(a, text_sha, json_sha):
     assert hashlib.sha256(rep.to_text().encode()).hexdigest() == text_sha
     payload = json.dumps(rep.to_json(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == json_sha
+
+
+def test_failed_identity_reverification_is_a_consistency_error(monkeypatch):
+    # a survivor whose identities do not re-verify is an engine fault, not a
+    # search explosion
+    monkeypatch.setattr(enumerator, "identities_check", lambda ladder: False)
+    with pytest.raises(InternalConsistencyError, match="identity re-verification failed"):
+        classify(4)
 
 
 def test_search_cell_rejects_low_index_candidates():

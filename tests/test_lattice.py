@@ -10,10 +10,7 @@ from delpezzo.lattice import (
     CurveRecord,
     Divisor,
     DivisorClass,
-    GenericPoint,
     InvalidPointError,
-    NodePoint,
-    OnCurvePoint,
     StructuralError,
     SurfaceModel,
 )
@@ -41,14 +38,14 @@ def test_canonical_classes():
     assert F10.canonical_class == F10.base_class(-2, -12)
 
     F5 = SurfaceModel.hirzebruch(5)
-    F5b, _ = F5.blow_up(GenericPoint())
+    F5b, _ = F5.blow_up()
     K = F5b.canonical_class
     assert F5b.intersect(K, K) == 7
 
 
 def test_blow_up_on_curve():
     F4 = SurfaceModel.hirzebruch(4)
-    model, e1 = F4.blow_up(OnCurvePoint(0))
+    model, e1 = F4.blow_up(0)
     assert model.self_intersection(0) == -5
     assert model.self_intersection(e1.id) == -1
     assert model.intersection(0, e1.id) == 1
@@ -58,7 +55,7 @@ def test_blow_up_node_separates():
     F5 = SurfaceModel.hirzebruch(5)
     F5, l1 = F5.add_fiber()
     assert F5.intersection(0, l1.id) == 1
-    model, e1 = F5.blow_up(NodePoint(0, l1.id))
+    model, e1 = F5.blow_up(0, l1.id)
     assert model.intersection(0, l1.id) == 0
     assert model.intersection(0, e1.id) == 1
     assert model.intersection(l1.id, e1.id) == 1
@@ -67,7 +64,7 @@ def test_blow_up_node_separates():
 @pytest.mark.parametrize("a", [2, 3, 4, 5, 6])
 def test_blow_up_on_minimal_section(a):
     model = SurfaceModel.hirzebruch(2 * a - 1)
-    model, _ = model.blow_up(OnCurvePoint(0))
+    model, _ = model.blow_up(0)
     assert model.self_intersection(0) == -2 * a
 
 
@@ -76,16 +73,27 @@ def test_node_requires_intersection():
     F2, l1 = F2.add_fiber()
     F2, l2 = F2.add_fiber()
     with pytest.raises(InvalidPointError):
-        F2.blow_up(NodePoint(l1.id, l2.id))
+        F2.blow_up(l1.id, l2.id)
     with pytest.raises(InvalidPointError):
-        F2.blow_up(NodePoint(0, 0))
+        F2.blow_up(0, 0)
+
+
+def test_blow_up_rejects_three_curves_and_unknown_ids():
+    F2 = SurfaceModel.hirzebruch(2)
+    F2, l1 = F2.add_fiber()
+    F2, e1 = F2.blow_up(0, l1.id)
+    with pytest.raises(InvalidPointError, match="at most two"):
+        F2.blow_up(0, l1.id, e1.id)
+    for through in ((7,), (0, 7), (7, 0)):
+        with pytest.raises(StructuralError, match="no tracked curve with id 7"):
+            F2.blow_up(*through)
 
 
 def test_basis_mismatch_is_structural():
     # F_2 with one blow-up and with two: their classes live in different
     # lattices; ``bad`` has a base part of the wrong rank
-    short, _ = SurfaceModel.hirzebruch(2).blow_up(OnCurvePoint(0))
-    long, _ = short.blow_up(GenericPoint())
+    short, _ = SurfaceModel.hirzebruch(2).blow_up(0)
+    long, _ = short.blow_up()
     s, bad = short.sigma_class(), DivisorClass((1,), (0,))
     for x in (long.sigma_class(), bad):
         for d1, d2 in ((s, x), (x, s)):
@@ -93,7 +101,7 @@ def test_basis_mismatch_is_structural():
                 short.intersect(d1, d2)
             with pytest.raises(StructuralError):
                 d1 + d2
-    # a curve table that does not belong to the tape
+    # a curve table that does not belong to the model
     E = Divisor.from_dict({0: 2})
     for tape, curves in ((short, long.curves), (long, short.curves), (short, (CurveRecord(0, "x", bad),))):
         mixed = dataclasses.replace(tape, curves=curves)
@@ -111,7 +119,7 @@ def test_intersection_symmetric_bilinear():
     rng = random.Random(20240817)
     model = SurfaceModel.hirzebruch(3)
     for _ in range(3):
-        model, _ = model.blow_up(GenericPoint())
+        model, _ = model.blow_up()
     for _ in range(200):
         def rand_cls():
             return DivisorClass(
@@ -134,8 +142,8 @@ def test_canonical_square_drops_by_one_per_blow_up():
     for step in range(6):
         K = model.canonical_class
         assert model.intersect(K, K) == expect
-        choices = [GenericPoint(), OnCurvePoint(0), OnCurvePoint(l1.id)]
-        model, rec = model.blow_up(rng.choice(choices))
+        choices = [(), (0,), (l1.id,)]
+        model, rec = model.blow_up(*rng.choice(choices))
         assert model.self_intersection(rec.id) == -1
         expect -= 1
 
@@ -146,11 +154,11 @@ def test_strict_transform_bookkeeping():
     model, l1 = model.add_fiber()
     hits = 0
     for k in range(4):
-        model, _ = model.blow_up(OnCurvePoint(0))
+        model, _ = model.blow_up(0)
         hits += 1
         assert model.self_intersection(0) == -3 - hits
     assert model.self_intersection(l1.id) == 0
-    model, _ = model.blow_up(NodePoint(0, l1.id))
+    model, _ = model.blow_up(0, l1.id)
     assert model.self_intersection(0) == -3 - 5
     assert model.self_intersection(l1.id) == -1
 
