@@ -479,18 +479,22 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             "index_certificate": index_certificate,
         })
 
-    # Depth-first over (i, model, E, L, spent, levels) nodes from an explicit
-    # stack, children pushed in reverse: the preorder of the recursive walk.
-    # E is nonzero effective: the top divisor by construction, the others by
-    # the test before they are pushed.
-    stack = [(b, *_top(a, n, c0, parts), 0, []) for parts in _partitions(f, a - 1)]
+    # Depth-first over (i, model, E, L, spent, levels, found) nodes from an
+    # explicit stack, children pushed in reverse: the preorder of the
+    # recursive walk.  E is nonzero effective: the top divisor by
+    # construction, the others by the test before they are pushed.  A child
+    # reached by an empty subscheme holds its parent's model, E and L, so it
+    # carries the parent's ``_budgets`` result as ``found``; None means
+    # compute it.
+    stack = [(b, *_top(a, n, c0, parts), 0, [], None) for parts in _partitions(f, a - 1)]
     stack.reverse()
     while stack:
-        i, model, E, L, spent, levels = stack.pop()
+        i, model, E, L, spent, levels, found = stack.pop()
         out.configs += 1
         if out.configs > _CONFIG_CAP:
             raise SearchExplosion(f"configuration cap exceeded in cell {cell}")
-        found = _budgets(model, E, L)
+        if found is None:
+            found = _budgets(model, E, L)
         if found is None:
             continue
         be, budgets = found
@@ -510,9 +514,11 @@ def search_cell(cell: SearchCell) -> CellOutcome:
                 continue
             level, E2, L2 = descend_step(a, i, model, E, L, sub)
             if E2.is_effective() and not E2.is_zero():
-                children.append(
-                    (i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level])
-                )
+                same = level.elim.model is model and E2 is E and L2 is L
+                children.append((
+                    i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level],
+                    found if same else None,
+                ))
         stack.extend(reversed(children))
     return out
 

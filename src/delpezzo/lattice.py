@@ -204,10 +204,9 @@ class SurfaceModel:
     # -- tracked curves ----------------------------------------------------
 
     def curve(self, curve_id: int) -> CurveRecord:
-        try:
+        if 0 <= curve_id < len(self.curves):
             return self.curves[curve_id]
-        except IndexError:
-            raise StructuralError(f"no tracked curve with id {curve_id}") from None
+        raise StructuralError(f"no tracked curve with id {curve_id}")
 
     def curve_by_name(self, name: str) -> CurveRecord:
         for rec in self.curves:

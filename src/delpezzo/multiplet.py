@@ -159,7 +159,16 @@ def descend_step(
 ) -> tuple[LadderLevel, Divisor, DivisorClass]:
     """Eliminate ``sub`` at level i: the level-i record, then E and L one level
     down (E_{i-1} = transform(E_i, a-i), L_{i-1} = L_i - i.K_rel) on the model
-    ``level.elim.model``.  The one place a ladder is descended."""
+    ``level.elim.model``.  The one place a ladder is descended.
+
+    An empty subscheme blows nothing up, so the step is the identity: the
+    result holds the very ``model``, ``E`` and ``L`` objects it was given
+    (equal in value to what ``eliminate``, ``transform`` and
+    ``transform_class`` return), which lets the checks that read only those
+    three skip such a level."""
+    if sub.is_empty():
+        elim = EliminationResult(model, sub, (), (), model.exc_count)
+        return LadderLevel(i, model, E, L, sub, elim), E, L
     elim = eliminate(model, sub)
     level = LadderLevel(i, model, E, L, elim.subscheme, elim)
     return level, transform(E, elim, a - i), elim.transform_class(L, i)
@@ -168,13 +177,26 @@ def descend_step(
 def close_ladder(
     a: int, levels: list[LadderLevel], model: SurfaceModel, E: Divisor, L: DivisorClass
 ) -> Ladder:
-    """Append level 0 to the descended levels and check the two transforms agree."""
+    """Append level 0 to the descended levels and check the two transforms agree.
+
+    The check reads only (model, E, L), so a level holding the very objects
+    of the level checked before it (an empty elimination) is not checked
+    again; a level with equal but distinct objects is."""
     ladder = Ladder(a, (*levels, LadderLevel(0, model, E, L, None, None)))
     # The divisor-level transform and the class-level transform must agree.
+    prev = None
     for lv in ladder.levels:
+        if _same_state(lv, prev):
+            continue
         if lv.model.fundamental_class(a, lv.E) != lv.L:
             raise InternalConsistencyError("class of E and fundamental class disagree")
+        prev = lv
     return ladder
+
+
+def _same_state(lv: LadderLevel, prev: LadderLevel | None) -> bool:
+    """True iff ``lv`` holds the very model, E and L objects of ``prev``."""
+    return prev is not None and lv.model is prev.model and lv.E is prev.E and lv.L is prev.L
 
 
 # -- certificates ----------------------------------------------------------
@@ -199,6 +221,8 @@ def nef_certificate(model: SurfaceModel, L: DivisorClass, E: Divisor, i: int) ->
     Given that ``i K + L`` was nef one level up, nefness of every ``j K + L``
     for 0 <= j <= i follows once E is effective and L meets every component
     of E nonnegatively.  This is the only nefness test the engine ever needs.
+    The certificate depends only on (model, L, E); ``i`` names the level and
+    is not read.
     """
     if not E.is_effective():
         return False
@@ -226,6 +250,10 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
     nonnegatively on its components, which certifies nefness all the way
     down.  Bottom: coefficients in 1..a-1, (L.C) = 0 on every component, and
     (K+L.L) > 0.
+
+    The level checks read only (model, E, L), so a level holding the very
+    objects of the level checked before it (an empty elimination) is not
+    checked again.
     """
     a = ladder.a
     b = ladder.b
@@ -249,7 +277,11 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
     if top.E.is_zero() or not top.E.is_effective():
         failures.append("top_divisor_not_effective")
 
+    prev = None
     for lv in ladder.levels[1:]:
+        if _same_state(lv, prev):
+            continue
+        prev = lv
         if not lv.E.is_effective():
             failures.append(f"effectivity_level_{lv.i}")
             break
@@ -341,7 +373,9 @@ def identities_check(ladder: Ladder) -> bool:
     the subscheme degrees and contact orders on the other, independently of
     the bookkeeping used to build the ladder.  One bottom-up pass keeps
     running totals of the degree side over the subschemes at and below
-    each level; the lattice side is computed afresh at every level.
+    each level.  The lattice side is computed at every level except one
+    whose subscheme is empty and which holds the very model, E and L objects
+    of the level checked below it: there neither side has changed.
     """
     a = ladder.a
     bot = ladder.bottom
@@ -350,6 +384,7 @@ def identities_check(ladder: Ladder) -> bool:
 
     weighted = genus = linear = 0  # sums of j(a-j) deg, j(j-1) deg, j deg
     below: list[tuple[int, Subscheme]] = []  # nonempty subschemes so far
+    prev = None
     for lv in reversed(ladder.levels):
         if lv.delta is not None and not lv.delta.is_empty():
             j, d = lv.i, lv.delta.degree
@@ -357,6 +392,9 @@ def identities_check(ladder: Ladder) -> bool:
             genus += j * (j - 1) * d
             linear += j * d
             below.append((j, lv.delta))
+        elif _same_state(lv, prev):
+            continue
+        prev = lv
 
         if lv.model.intersect(lv.L, lv.E.class_in(lv.model)) != weighted:
             return False

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import delpezzo.cli as cli
-from delpezzo.catalog import build_entry_ladder
+from delpezzo.catalog import TYPE_NAMES, build_entry_ladder
 from delpezzo.cli import main
 from delpezzo.enumerator import SearchExplosion
 from delpezzo.graphs import CanonicalizationError
@@ -288,3 +288,45 @@ def test_engine_errors_exit_three(capsys, monkeypatch, tmp_path, error, command)
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "forced"}
     assert not out_path.exists()
+
+
+def _argument_grid(out):
+    """Every subcommand over a in -3..12, with bad values of each flag that
+    takes one, with and without an output file."""
+    indices = [str(a) for a in range(-3, 13)]
+    types = [*TYPE_NAMES, "Z9", ""]
+    families = [*cli._FAMILIES, "X"]
+    outputs = [[], ["--json", out]]
+    yield from ([], ["--help"], ["bogus"], ["classify", "--help"])
+    for command in ("classify", "verify-type", "toric", "dualgraph", "audit"):
+        yield [command]
+    for a in [*indices, "x"]:
+        for extra in outputs:
+            yield ["classify", "--a", a, *extra]
+        for t in types:
+            yield ["verify-type", "--type", t, "--a", a]
+        for family in families:
+            for extra in outputs:
+                yield ["toric", "--family", family, "--a", a, *extra]
+        yield ["dualgraph", "--type", "O", "--a", a, "--format", "svg", "--out", "-"]
+        for t in types:
+            for config, fmt, target in (
+                ("1", "dot", "-"), ("1", "json", out), ("2", "dot", "-"), ("0", "json", out), ("x", "dot", "-")
+            ):
+                yield ["dualgraph", "--type", t, "--a", a, "--format", fmt,
+                       "--config", config, "--out", target]
+        for nmax in ("1", "-1", "x"):
+            for h0 in ([], ["--h0", "1"], ["--h0", "0"], ["--h0", "99"], ["--h0", "x"]):
+                for extra in outputs:
+                    yield ["audit", "--a", a, "--nmax", nmax, *h0, *extra]
+
+
+def test_argument_grid_ends_in_an_exit_code(capsys, tmp_path):
+    out = str(tmp_path / "r.out")
+    codes = {}
+    for argv in _argument_grid(out):
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        codes[code] = codes.get(code, 0) + 1
+    assert codes[0] > 100 and codes[2] > 1000

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from delpezzo.catalog import build_entry_ladder, catalog_entries
-from delpezzo.elimination import FreeDatum, Subscheme, eliminate
+from delpezzo.elimination import FreeDatum, OnCurveDatum, Subscheme, eliminate
 from delpezzo.enumerator import random_pseudo_fundamental_ladders
 from delpezzo.lattice import (
     CurveRecord,
@@ -87,6 +87,19 @@ def test_blow_up_rejects_three_curves_and_unknown_ids():
     for through in ((7,), (0, 7), (7, 0)):
         with pytest.raises(StructuralError, match="no tracked curve with id 7"):
             F2.blow_up(*through)
+
+
+def test_negative_curve_ids_are_unknown():
+    # a negative id must not index the curve table from its end
+    F2, _ = SurfaceModel.hirzebruch(2).add_fiber()
+    with pytest.raises(StructuralError, match="no tracked curve with id -1"):
+        F2.curve(-1)
+    with pytest.raises(StructuralError, match="no tracked curve with id -2"):
+        F2.resolve(-2)
+    with pytest.raises(StructuralError, match="no tracked curve with id -1"):
+        F2.blow_up(-1)
+    with pytest.raises(StructuralError, match="no tracked curve with id -2"):
+        eliminate(F2, Subscheme((OnCurveDatum(-2, 1, 1),)))
 
 
 def test_basis_mismatch_is_structural():

@@ -4,17 +4,21 @@ from fractions import Fraction
 import pytest
 
 from delpezzo.catalog import build_entry_ladder, catalog_entries, entry_by_name
-from delpezzo.elimination import OnCurveDatum, Subscheme
+from delpezzo.elimination import OnCurveDatum, Subscheme, eliminate, transform
 from delpezzo.enumerator import random_pseudo_fundamental_ladders
 from delpezzo.lattice import Divisor, DivisorClass, SurfaceModel
 from delpezzo.multiplet import (
     BasicPair,
+    InternalConsistencyError,
+    LadderLevel,
     build_ladder,
     certificate_index_is_a,
     certify_ladder,
     check_basic_pair,
+    close_ladder,
     contracted_graph,
     contracted_support,
+    descend_step,
     identities_check,
     index_of,
     ladder_json,
@@ -252,6 +256,112 @@ def test_identities_check_rejects_a_moved_adjoint_square():
     bad = _with_level(lad, 2, L=lv.L + D)
     assert not identities_check(bad)
     assert not _identities_per_level(bad)
+
+
+def _catalog_ladders(indices):
+    return [
+        build_entry_ladder(entry, a, idx)
+        for a in indices
+        for entry in catalog_entries(a)
+        for idx in range(len(entry.configs))
+    ]
+
+
+def test_empty_descent_step_is_the_identity():
+    ladders = _catalog_ladders(range(4, 13)) + random_pseudo_fundamental_ladders(0, 100)
+    empty = 0
+    for lad in ladders:
+        for lv in lad.levels[:-1]:
+            if not lv.delta.is_empty():
+                continue
+            empty += 1
+            level, E, L = descend_step(lad.a, lv.i, lv.model, lv.E, lv.L, lv.delta)
+            elim = eliminate(lv.model, lv.delta)
+            assert level == LadderLevel(lv.i, lv.model, lv.E, lv.L, elim.subscheme, elim)
+            assert E == transform(lv.E, elim, lad.a - lv.i)
+            assert L == elim.transform_class(lv.L, lv.i)
+            assert E is lv.E and L is lv.L and level.elim.model is lv.model
+    assert empty > 200
+
+
+def _closes(lad):
+    bot = lad.bottom
+    try:
+        close_ladder(lad.a, list(lad.levels[:-1]), bot.model, bot.E, bot.L)
+    except InternalConsistencyError:
+        return False
+    return True
+
+
+def _closes_per_level(lad):
+    """Reference for close_ladder's check: every level, none skipped."""
+    return all(lv.model.fundamental_class(lad.a, lv.E) == lv.L for lv in lad.levels)
+
+
+def _level_failures(lad):
+    """The failures certify_ladder's level loop reports."""
+    return [f for f in certify_ladder(lad).failures if not f.startswith(("top_", "bottom_"))]
+
+
+def _level_failures_per_level(lad):
+    """Reference for certify_ladder's level loop: every level, none skipped."""
+    for lv in lad.levels[1:]:
+        if not lv.E.is_effective():
+            return [f"effectivity_level_{lv.i}"]
+        if lv.E.is_zero():
+            return [f"nonzero_level_{lv.i}"]
+        if not nef_certificate(lv.model, lv.L, lv.E, lv.i + 1):
+            return [f"nef_level_{lv.i}"]
+    return []
+
+
+def _checks_match_the_references(lad):
+    assert _closes(lad) == _closes_per_level(lad)
+    assert _level_failures(lad) == _level_failures_per_level(lad)
+    # the identities reference rescans the levels below each level: quadratic in b
+    if lad.a <= 24:
+        assert identities_check(lad) == _identities_per_level(lad)
+
+
+def test_shared_checks_match_the_per_level_references():
+    ladders = _catalog_ladders([*range(4, 65), 256, 512])
+    ladders += [lad for seed in range(3) for lad in random_pseudo_fundamental_ladders(seed, 100)]
+    tampered = 0
+    for lad in ladders:
+        _checks_match_the_references(lad)
+        # the same ladder with L moved on its lowest empty level above 0
+        empty = [lv for lv in lad.levels[1:-1] if lv.delta.is_empty()]
+        if empty:
+            lv = empty[-1]
+            bad = _with_level(lad, lv.i, L=lv.L + lv.model.fiber_class())
+            _checks_match_the_references(bad)
+            assert not _closes(bad)
+            tampered += 1
+    assert tampered > 700
+
+
+def test_shared_checks_see_a_moved_class_inside_a_run_of_empty_levels():
+    lad = _entry_ladder(64, "IV")
+    i = lad.b // 2
+    lv = lad.level(i)
+    above, below = lad.level(i + 1), lad.level(i - 1)
+    assert above.delta.is_empty() and lv.delta.is_empty()
+    assert above.L is lv.L is below.L and above.E is lv.E is below.E
+    assert above.model is lv.model is below.model
+    f = lv.model.fiber_class()
+    # L.sigma = 4 here: L + f still meets E nonnegatively, L - 5f does not
+    assert lv.model.intersect(lv.L, lv.model.curve(0).cls) == 4
+    for L, closes, levels_pass, identities in (
+        (lv.L + f, False, True, False),
+        (lv.L + (-5) * f, False, False, False),
+        (DivisorClass(lv.L.base, lv.L.exc), True, True, True),
+    ):
+        bad = _with_level(lad, i, L=L)
+        _checks_match_the_references(bad)
+        assert _closes(bad) == closes
+        assert (not _level_failures(bad)) == levels_pass
+        assert certify_ladder(bad).passed == levels_pass
+        assert identities_check(bad) == _identities_per_level(bad) == identities
 
 
 def test_volume_cross_check_runs():
