@@ -1,7 +1,7 @@
 """The built-in catalog of large-volume types.
 
 Each entry names a family of fundamental multiplets: a top Hirzebruch
-surface, a divisor on it, and the admissible subscheme data per level.  A
+surface, a divisor on it, and the subschemes its levels eliminate.  A
 single entry can cover several point configurations (splitting a subscheme
 of given degree on a curve into points of various multiplicities); the
 configurations descend to basic pairs that may or may not be isomorphic,
@@ -49,7 +49,7 @@ class CatalogEntry:
     name: str
     base_n: int
     eb: tuple[tuple[str, int], ...]  # (curve name, coefficient); fibers are tracked
-    configs: tuple[tuple[Subscheme, ...], ...]  # per config: deltas, top level first
+    configs: tuple[dict[int, Subscheme], ...]  # per config: level -> nonempty subscheme
     volume: Fraction
 
 
@@ -58,19 +58,13 @@ def _length(a: int) -> int:
 
 
 def _sigma_series(a: int, name: str, degree: int) -> CatalogEntry:
-    """The five principal families: all data of degree d sit on the section."""
-    b = _length(a)
-    configs = []
-    for parts in _partitions(degree):
-        deltas = [Subscheme(()) for _ in range(b - 1)] + [_on_sigma(parts)]
-        configs.append(tuple(deltas))
-    if degree == 0:
-        configs = [tuple(Subscheme(()) for _ in range(b))]
+    """The five principal families: all data of degree d sit on the section,
+    at level 1."""
     return CatalogEntry(
         name,
         2 * a - degree,
         (("sigma", a - 1),),
-        tuple(configs),
+        tuple({1: _on_sigma(parts)} if parts else {} for parts in _partitions(degree)),
         Fraction(2 * a * a + (4 - degree) * a + 2, a),
     )
 
@@ -79,7 +73,6 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
     """All catalog entries applicable at the given index."""
     if a < 2:
         raise ValueError("catalog starts at index 2")
-    b = _length(a)
     entries = [
         _sigma_series(a, "O", 0),
         _sigma_series(a, "I", 1),
@@ -87,14 +80,14 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
             "II_1",
             2 * a - 2,
             (("sigma", a - 1),),
-            (tuple([Subscheme(()) for _ in range(b - 1)] + [_on_sigma((2,))]),),
+            ({1: _on_sigma((2,))},),
             Fraction(2 * a * a + 2 * a + 2, a),
         ),
         CatalogEntry(
             "II_2",
             2 * a - 2,
             (("sigma", a - 1),),
-            (tuple([Subscheme(()) for _ in range(b - 1)] + [_on_sigma((1, 1))]),),
+            ({1: _on_sigma((1, 1))},),
             Fraction(2 * a * a + 2 * a + 2, a),
         ),
         _sigma_series(a, "III", 3),
@@ -106,10 +99,7 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
                 "A5",
                 8,
                 (("sigma", 4), ("l_1", 2)),
-                tuple(
-                    tuple([_on_fiber(parts), Subscheme(()), Subscheme(())])
-                    for parts in _partitions(2)
-                ),
+                tuple({3: _on_fiber(parts)} for parts in _partitions(2)),
                 Fraction(54, 5),
             )
         )
@@ -119,7 +109,7 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
                 "B4",
                 4,
                 (("sigma", 3),),
-                ((Subscheme((OnCurveDatum("sigma", 2, 3),)), Subscheme(())),),
+                ({2: Subscheme((OnCurveDatum("sigma", 2, 3),))},),
                 Fraction(8),
             )
         )
@@ -129,10 +119,10 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
                 5,
                 (("sigma", 3), ("l_1", 2)),
                 (
-                    (
-                        Subscheme((OnCurveDatum("l_1", 1, 1),)),
-                        Subscheme((NodeDatum("sigma", "l_1", 3, 3),)),
-                    ),
+                    {
+                        2: Subscheme((OnCurveDatum("l_1", 1, 1),)),
+                        1: Subscheme((NodeDatum("sigma", "l_1", 3, 3),)),
+                    },
                 ),
                 Fraction(8),
             )
@@ -152,7 +142,7 @@ def top_model(entry: CatalogEntry) -> tuple[SurfaceModel, Divisor]:
 
 def build_entry_ladder(entry: CatalogEntry, a: int, config: int = 0) -> Ladder:
     model, eb = top_model(entry)
-    return build_ladder(a, model, eb, list(entry.configs[config]))
+    return build_ladder(a, model, eb, _length(a), entry.configs[config])
 
 
 def entry_by_name(a: int, name: str) -> CatalogEntry:

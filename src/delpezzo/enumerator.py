@@ -481,11 +481,15 @@ def search_cell(cell: SearchCell) -> CellOutcome:
 
     # Depth-first over (i, model, E, L, spent, levels, found) nodes from an
     # explicit stack, children pushed in reverse: the preorder of the
-    # recursive walk.  E is nonzero effective: the top divisor by
-    # construction, the others by the test before they are pushed.  A child
-    # reached by an empty subscheme holds its parent's model, E and L, so it
-    # carries the parent's ``_budgets`` result as ``found``; None means
-    # compute it.
+    # recursive walk.  ``levels`` holds the nonempty steps taken so far.  E
+    # is nonzero effective: the top divisor by construction, the others by
+    # the test before they are pushed.  The empty subscheme keeps model, E
+    # and L, so its child carries the parent's ``_budgets`` result as
+    # ``found``; None means compute it.  A point fits at level j only if
+    # v_left >= j and be >= j(a-j); both stay fixed down a run of empty
+    # steps, and so does every test, so a node where none fits goes straight
+    # to the highest lower level where one does, or to 0, counting the
+    # levels in between as configurations.
     stack = [(b, *_top(a, n, c0, parts), 0, [], None) for parts in _partitions(f, a - 1)]
     stack.reverse()
     while stack:
@@ -505,19 +509,27 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             continue
         if i == 0:
             if be == 0 and all(r == 0 for r in budgets.values()):
-                finish(close_ladder(a, levels, model, E, L))
+                finish(close_ladder(a, b, levels, model, E, L))
+            continue
+        if v_left < i or be < i * (a - i):
+            j = min(i - 1, v_left)
+            while j and be < j * (a - j):
+                j -= 1
+            out.configs += i - 1 - j
+            stack.append((j, model, E, L, spent, levels, found))
             continue
         forbid = forbid_top_sigma and i == b
         children = []
         for sub in _subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid):
             if i == 1 and sub.degree * (a - 1) != be:
                 continue
+            if sub.is_empty():
+                children.append((i - 1, model, E, L, spent, levels, found))
+                continue
             level, E2, L2 = descend_step(a, i, model, E, L, sub)
             if E2.is_effective() and not E2.is_zero():
-                same = level.elim.model is model and E2 is E and L2 is L
                 children.append((
-                    i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level],
-                    found if same else None,
+                    i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level], None
                 ))
         stack.extend(reversed(children))
     return out
@@ -856,6 +868,8 @@ def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int =
             if not cands:
                 break
             sub = rng.choice(cands)
+            if sub.is_empty():
+                continue  # nothing to eliminate: the state holds at level i-1
             level, E, L = descend_step(a, i, model, E, L, sub)
             if not E.is_effective() or E.is_zero():
                 break
@@ -863,7 +877,7 @@ def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int =
             spent += i * sub.degree
             levels.append(level)
         else:
-            ladder = close_ladder(a, levels, model, E, L)
+            ladder = close_ladder(a, b, levels, model, E, L)
             if certify_ladder(ladder, require_fundamental=False).passed:
                 out.append(ladder)
     return out

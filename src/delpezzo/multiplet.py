@@ -8,16 +8,21 @@ Contracting everything orthogonal to L produces a log del Pezzo surface
 whose anticanonical pullback is L; its volume is (L^2)/a^2.
 
 A fundamental multiplet stores a top surface F_n, a divisor E_b on it, and
-one curvilinear subscheme per level; repeated elimination descends it to a
-basic pair through E_{i-1} = transform(E_i, a-i) and L_{i-1} = L_i - i.K_rel.
-The machinery here descends ladders, certifies every defining condition
-with exact integer arithmetic, evaluates the intersection-number identities
-that tie the levels together, and computes volumes and Gorenstein indices.
+one curvilinear subscheme per level b..1; repeated elimination descends it
+to a basic pair through E_{i-1} = transform(E_i, a-i) and
+L_{i-1} = L_i - i.K_rel.  An empty subscheme blows nothing up and leaves
+(model, E, L) as they were, so a ladder stores only its nonempty
+eliminations: a level without one holds the state of the nearest stored
+level below it.  The machinery here descends ladders, certifies every
+defining condition with exact integer arithmetic, evaluates the
+intersection-number identities that tie the levels together, and computes
+volumes and Gorenstein indices.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -71,20 +76,20 @@ class LadderLevel:
     model: SurfaceModel
     E: Divisor
     L: DivisorClass
-    delta: Subscheme | None  # subscheme eliminated to reach level i-1
+    delta: Subscheme | None  # nonempty subscheme eliminated at level i; None at level 0
     elim: EliminationResult | None
 
 
 @dataclass(frozen=True)
 class Ladder:
-    """Full descent of a multiplet: levels b, b-1, ..., 1, 0 in order."""
+    """Descent of a multiplet of length b: its nonempty eliminations, top
+    level first, then level 0.  The state at level b is that of
+    ``levels[0]``, whatever its ``i``; a level with no step holds the state
+    of the nearest stored level below it."""
 
     a: int
+    b: int
     levels: tuple[LadderLevel, ...]
-
-    @property
-    def b(self) -> int:
-        return self.levels[0].i
 
     @property
     def top(self) -> LadderLevel:
@@ -93,12 +98,6 @@ class Ladder:
     @property
     def bottom(self) -> LadderLevel:
         return self.levels[-1]
-
-    def level(self, i: int) -> LadderLevel:
-        lv = self.levels[self.b - i]
-        if lv.i != i:
-            raise StructuralError(f"ladder levels out of order at {i}")
-        return lv
 
     @cached_property
     def bottom_pair(self) -> BasicPair:
@@ -111,47 +110,44 @@ class Ladder:
         """The module-level ``volume`` of this ladder, computed once."""
         return volume(self)
 
-    def delta_degrees(self) -> dict[int, int]:
-        """deg of the subscheme eliminated at each level, keyed by level index."""
-        return {lv.i: lv.delta.degree for lv in self.levels if lv.delta is not None}
-
     def weighted_degree(self) -> int:
-        return sum(i * d for i, d in self.delta_degrees().items())
+        """The sum of i deg over the steps."""
+        return sum(lv.i * lv.delta.degree for lv in self.levels[:-1])
 
 
 def build_ladder(
     a: int,
     top_model: SurfaceModel,
     E_top: Divisor,
-    deltas: list[Subscheme] | tuple[Subscheme, ...],
+    b: int,
+    steps: Mapping[int, Subscheme],
     *,
     strict: bool = True,
 ) -> Ladder:
-    """Descend a multiplet given as (top surface, divisor, subschemes).
+    """Descend a multiplet of length b given as (top surface, divisor, steps).
 
-    ``deltas`` runs from the top level b = len(deltas) down to level 1; each
-    subscheme may reference curves by id or by name against the model of its
-    own level.  With ``strict`` the intermediate divisors must stay effective
-    and nonzero; disable it to build intentionally broken ladders for the
+    ``steps`` maps a level in b..1 to the nonempty subscheme eliminated
+    there; every other level eliminates nothing.  Each subscheme may
+    reference curves by id or by name against the model of its own level.
+    With ``strict`` the intermediate divisors must stay effective and
+    nonzero; disable it to build intentionally broken ladders for the
     diagnostic checkers.
     """
-    b = len(deltas)
     if not (0 <= b <= a - 1):
         raise StructuralError(f"ladder length {b} incompatible with index candidate {a}")
     model = top_model
     E = E_top
     L = model.fundamental_class(a, E)
     levels = []
-    for idx, sub in enumerate(deltas):
-        i = b - idx
-        level, E, L = descend_step(a, i, model, E, L, sub)
+    for i in sorted(steps, reverse=True):
+        level, E, L = descend_step(a, i, model, E, L, steps[i])
         levels.append(level)
         model = level.elim.model
         if strict and not E.is_effective():
             raise StructuralError(f"divisor not effective below level {i}")
         if strict and E.is_zero():
             raise StructuralError(f"divisor vanished below level {i}")
-    return close_ladder(a, levels, model, E, L)
+    return close_ladder(a, b, levels, model, E, L)
 
 
 def descend_step(
@@ -159,44 +155,34 @@ def descend_step(
 ) -> tuple[LadderLevel, Divisor, DivisorClass]:
     """Eliminate ``sub`` at level i: the level-i record, then E and L one level
     down (E_{i-1} = transform(E_i, a-i), L_{i-1} = L_i - i.K_rel) on the model
-    ``level.elim.model``.  The one place a ladder is descended.
-
-    An empty subscheme blows nothing up, so the step is the identity: the
-    result holds the very ``model``, ``E`` and ``L`` objects it was given
-    (equal in value to what ``eliminate``, ``transform`` and
-    ``transform_class`` return), which lets the checks that read only those
-    three skip such a level."""
-    if sub.is_empty():
-        elim = EliminationResult(model, sub, (), (), model.exc_count)
-        return LadderLevel(i, model, E, L, sub, elim), E, L
+    ``level.elim.model``.  The one place a ladder is descended."""
     elim = eliminate(model, sub)
     level = LadderLevel(i, model, E, L, elim.subscheme, elim)
     return level, transform(E, elim, a - i), elim.transform_class(L, i)
 
 
 def close_ladder(
-    a: int, levels: list[LadderLevel], model: SurfaceModel, E: Divisor, L: DivisorClass
+    a: int, b: int, levels: list[LadderLevel], model: SurfaceModel, E: Divisor, L: DivisorClass
 ) -> Ladder:
-    """Append level 0 to the descended levels and check the two transforms agree.
+    """Append level 0 to the descended steps of a length-b ladder.
 
-    The check reads only (model, E, L), so a level holding the very objects
-    of the level checked before it (an empty elimination) is not checked
-    again; a level with equal but distinct objects is."""
-    ladder = Ladder(a, (*levels, LadderLevel(0, model, E, L, None, None)))
-    # The divisor-level transform and the class-level transform must agree.
-    prev = None
+    Raises ``StructuralError`` unless the steps are nonempty and their
+    levels strictly decrease inside b..1, and ``InternalConsistencyError``
+    unless the divisor-level and class-level transforms agree on every
+    stored state.
+    """
+    above = b + 1
+    for lv in levels:
+        if not 0 < lv.i < above:
+            raise StructuralError(f"step at level {lv.i} is not inside {above - 1}..1")
+        if lv.delta.is_empty():
+            raise StructuralError(f"empty subscheme stored at level {lv.i}")
+        above = lv.i
+    ladder = Ladder(a, b, (*levels, LadderLevel(0, model, E, L, None, None)))
     for lv in ladder.levels:
-        if _same_state(lv, prev):
-            continue
         if lv.model.fundamental_class(a, lv.E) != lv.L:
             raise InternalConsistencyError("class of E and fundamental class disagree")
-        prev = lv
     return ladder
-
-
-def _same_state(lv: LadderLevel, prev: LadderLevel | None) -> bool:
-    """True iff ``lv`` holds the very model, E and L objects of ``prev``."""
-    return prev is not None and lv.model is prev.model and lv.E is prev.E and lv.L is prev.L
 
 
 # -- certificates ----------------------------------------------------------
@@ -215,14 +201,12 @@ class CertificateReport:
         return {"passed": self.passed, "failures": list(self.failures), "details": self.details}
 
 
-def nef_certificate(model: SurfaceModel, L: DivisorClass, E: Divisor, i: int) -> bool:
-    """Sufficient nefness certificate below an elimination step.
+def nef_certificate(model: SurfaceModel, L: DivisorClass, E: Divisor) -> bool:
+    """Sufficient nefness certificate below an elimination step at level i.
 
     Given that ``i K + L`` was nef one level up, nefness of every ``j K + L``
     for 0 <= j <= i follows once E is effective and L meets every component
     of E nonnegatively.  This is the only nefness test the engine ever needs.
-    The certificate depends only on (model, L, E); ``i`` names the level and
-    is not read.
     """
     if not E.is_effective():
         return False
@@ -251,9 +235,9 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
     down.  Bottom: coefficients in 1..a-1, (L.C) = 0 on every component, and
     (K+L.L) > 0.
 
-    The level checks read only (model, E, L), so a level holding the very
-    objects of the level checked before it (an empty elimination) is not
-    checked again.
+    The level checks run once per state below the top, named by the first
+    level that holds it: b-1 for the top state when level b eliminates
+    nothing, and i-1 for the state below a step at level i.
     """
     a = ladder.a
     b = ladder.b
@@ -277,19 +261,18 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
     if top.E.is_zero() or not top.E.is_effective():
         failures.append("top_divisor_not_effective")
 
-    prev = None
-    for lv in ladder.levels[1:]:
-        if _same_state(lv, prev):
-            continue
-        prev = lv
+    states = [(lv.i - 1, below) for lv, below in zip(ladder.levels, ladder.levels[1:])]
+    if top.i < b:
+        states.insert(0, (b - 1, top))
+    for i, lv in states:
         if not lv.E.is_effective():
-            failures.append(f"effectivity_level_{lv.i}")
+            failures.append(f"effectivity_level_{i}")
             break
         if lv.E.is_zero():
-            failures.append(f"nonzero_level_{lv.i}")
+            failures.append(f"nonzero_level_{i}")
             break
-        if not nef_certificate(lv.model, lv.L, lv.E, lv.i + 1):
-            failures.append(f"nef_level_{lv.i}")
+        if not nef_certificate(lv.model, lv.L, lv.E):
+            failures.append(f"nef_level_{i}")
             break
 
     if not failures:
@@ -367,15 +350,15 @@ def volume(ladder: Ladder) -> Fraction:
 
 
 def identities_check(ladder: Ladder) -> bool:
-    """Re-verify the four intersection-number identities at every level.
+    """Re-verify the four intersection-number identities at every stored level.
 
     These are computed from raw lattice intersections on one side and from
     the subscheme degrees and contact orders on the other, independently of
     the bookkeeping used to build the ladder.  One bottom-up pass keeps
     running totals of the degree side over the subschemes at and below
-    each level.  The lattice side is computed at every level except one
-    whose subscheme is empty and which holds the very model, E and L objects
-    of the level checked below it: there neither side has changed.
+    each level.  A level with no step holds the state of the stored level
+    below it and adds nothing to the degree side, so it needs no check of
+    its own.
     """
     a = ladder.a
     bot = ladder.bottom
@@ -383,18 +366,14 @@ def identities_check(ladder: Ladder) -> bool:
     l0sq = bot.model.intersect(bot.L, bot.L)
 
     weighted = genus = linear = 0  # sums of j(a-j) deg, j(j-1) deg, j deg
-    below: list[tuple[int, Subscheme]] = []  # nonempty subschemes so far
-    prev = None
+    below: list[tuple[int, Subscheme]] = []  # subschemes so far
     for lv in reversed(ladder.levels):
-        if lv.delta is not None and not lv.delta.is_empty():
+        if lv.delta is not None:
             j, d = lv.i, lv.delta.degree
             weighted += j * (a - j) * d
             genus += j * (j - 1) * d
             linear += j * d
             below.append((j, lv.delta))
-        elif _same_state(lv, prev):
-            continue
-        prev = lv
 
         if lv.model.intersect(lv.L, lv.E.class_in(lv.model)) != weighted:
             return False
@@ -486,26 +465,21 @@ def local_lemma_checks(ladder: Ladder) -> list[str]:
     (for the (-1)-end) or 0 (for the (-2)-curves).  The conditional ones fire
     only when their hypotheses hold and then require the stated conclusions.
     Returns a list of human-readable violations, empty for valid ladders.
+    Each step reads the state below it from the next stored level.
     """
     a = ladder.a
     violations = []
-    for lv in ladder.levels:
-        if lv.delta is None:
-            continue
+    for lv, below in zip(ladder.levels, ladder.levels[1:]):
         i = lv.i
-        below_empty = all(
-            ladder.level(j).delta.is_empty() for j in range(1, i) if ladder.level(j).delta
-        )
-        next_model = ladder.level(i - 1).model
-        next_L = ladder.level(i - 1).L
+        below_empty = below.delta is None  # no step at levels i-1..1
 
         for chain in lv.elim.chains:
             for cid in chain:
-                got = next_model.intersect(next_L, next_model.curve(cid).cls)
-                want = i if next_model.self_intersection(cid) == -1 else 0
+                got = below.model.intersect(below.L, below.model.curve(cid).cls)
+                want = i if below.model.self_intersection(cid) == -1 else 0
                 if got != want:
                     violations.append(
-                        f"level {i}: chain curve {next_model.curve(cid).name} meets L in {got}, expected {want}"
+                        f"level {i}: chain curve {below.model.curve(cid).name} meets L in {got}, expected {want}"
                     )
 
         for datum in lv.delta.points:
@@ -584,6 +558,7 @@ def ladder_json(ladder: Ladder, certificates: dict | None = None) -> dict:
     """JSON form of a descended multiplet: top data, subschemes, invariants."""
     top = ladder.top
     pair = ladder.bottom_pair
+    steps = {lv.i: lv for lv in ladder.levels[:-1]}
     out = {
         "a": ladder.a,
         "b": ladder.b,
@@ -592,9 +567,8 @@ def ladder_json(ladder: Ladder, certificates: dict | None = None) -> dict:
             {"curve": top.model.curve(c).name, "coeff": v} for c, v in top.E.items
         ],
         "deltas": [
-            [_datum_json(lv.model, p) for p in lv.delta.points]
-            for lv in ladder.levels
-            if lv.delta is not None
+            [_datum_json(steps[i].model, p) for p in steps[i].delta.points] if i in steps else []
+            for i in range(ladder.b, 0, -1)
         ],
         "volume": str(ladder.volume),
         "index": pair.index,

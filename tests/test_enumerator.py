@@ -6,11 +6,12 @@ import re
 import pytest
 
 from delpezzo import enumerator
-from delpezzo.catalog import build_entry_ladder, entry_by_name
+from delpezzo.catalog import _partitions, build_entry_ladder, entry_by_name
 from delpezzo.enumerator import (
     AUDIT_WINDOW_CAP,
     AuditReport,
     SearchCell,
+    SearchExplosion,
     _normalization_active,
     _verdict_pieces,
     audit,
@@ -29,7 +30,16 @@ from delpezzo.enumerator import (
     search_cell,
 )
 from delpezzo.graphs import WeightedGraph, canonical_key
-from delpezzo.multiplet import InternalConsistencyError, build_ladder
+from delpezzo.multiplet import (
+    InternalConsistencyError,
+    build_ladder,
+    certificate_index_is_a,
+    certify_ladder,
+    close_ladder,
+    descend_step,
+    identities_check,
+    ladder_json,
+)
 
 
 @pytest.mark.parametrize("a", [4, 5, 6, 7, 8])
@@ -206,12 +216,8 @@ def test_canonical_form_ignores_fiber_labels():
         top, lb = top.add_fiber()
         first, second = (lb, la) if flip else (la, lb)
         E = Divisor.from_dict({0: 4, first.id: 2, second.id: 2})
-        deltas = [
-            Subscheme((OnCurveDatum(first.id, 2, 2), OnCurveDatum(second.id, 2, 2))),
-            Subscheme(()),
-            Subscheme(()),
-        ]
-        lad = build_ladder(5, top, E, deltas, strict=False)
+        steps = {3: Subscheme((OnCurveDatum(first.id, 2, 2), OnCurveDatum(second.id, 2, 2)))}
+        lad = build_ladder(5, top, E, 3, steps, strict=False)
         keys.append(canonical_form(lad.bottom_pair))
     assert keys[0] == keys[1]
 
@@ -301,14 +307,153 @@ def test_search_cell_rejects_low_index_candidates():
     assert out.rejected.get("index", 0) == 1
 
 
+def _search_cell_per_level(cell):
+    """Reference for search_cell: the walk with one node per level, which
+    pushes the empty subscheme's child at every level, where no point fits
+    too."""
+    a, n, h0, h = cell.a, cell.n, cell.h0, cell.h
+    b = p4_length(h0)
+    out = enumerator.CellOutcome(cell)
+    c0 = 2 * a - h0
+    f = (n + 2) * a - h
+    if not (1 <= c0 <= a - 1):
+        out.rejected["top_coefficient_out_of_model"] = 1
+        return out
+    v_max = enumerator._volume_cap(a, n, h0, h)
+    forbid_top_sigma = _normalization_active(a, n, h0, h)
+
+    def reject(reason):
+        out.rejected[reason] = out.rejected.get(reason, 0) + 1
+
+    def finish(ladder):
+        out.candidates += 1
+        report = certify_ladder(ladder)
+        if not report.passed:
+            reject("certificates:" + ",".join(report.failures))
+            return
+        if ladder.volume < 2 * a:
+            reject("volume")
+            return
+        pair = ladder.bottom_pair
+        if pair.index != a:
+            reject("index")
+            return
+        assert identities_check(ladder)
+        index_certificate = certificate_index_is_a(pair)
+        certificates = {
+            "ladder": True,
+            "basic_pair": True,
+            "identities": True,
+            "volume_at_least_2a": True,
+            "index_is_a": True,
+            "index_certificate": index_certificate,
+        }
+        record = ladder_json(ladder, certificates)
+        out.survivors.append({
+            "key": canonical_form(pair),
+            "type": None,
+            "volume": record["volume"],
+            "index": a,
+            "cell": (a, n, h0, h),
+            "E0": record["E_0"],
+            "dual_graph": pair.model.dual_graph(pair.E0.support, pair.E0.as_dict()).to_dot(),
+            "multiplet": record,
+            "index_certificate": index_certificate,
+        })
+
+    top = enumerator._top
+    stack = [(b, *top(a, n, c0, parts), 0, [], None) for parts in _partitions(f, a - 1)]
+    stack.reverse()
+    while stack:
+        i, model, E, L, spent, levels, found = stack.pop()
+        out.configs += 1
+        if out.configs > enumerator._CONFIG_CAP:
+            raise SearchExplosion(f"configuration cap exceeded in cell {cell}")
+        if found is None:
+            found = enumerator._budgets(model, E, L)
+        if found is None:
+            continue
+        be, budgets = found
+        v_left = v_max - spent
+        if v_left < 0 or not enumerator._degrees_feasible(a, i, be, v_left):
+            continue
+        if any(r > v_left for r in budgets.values()):
+            continue
+        if i == 0:
+            if be == 0 and all(r == 0 for r in budgets.values()):
+                finish(close_ladder(a, b, levels, model, E, L))
+            continue
+        forbid = forbid_top_sigma and i == b
+        children = []
+        for sub in enumerator._subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid):
+            if i == 1 and sub.degree * (a - 1) != be:
+                continue
+            if sub.is_empty():
+                children.append((i - 1, model, E, L, spent, levels, found))
+                continue
+            level, E2, L2 = descend_step(a, i, model, E, L, sub)
+            if E2.is_effective() and not E2.is_zero():
+                children.append((i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level], None))
+        stack.extend(reversed(children))
+    return out
+
+
+def _outcome(out):
+    return out.configs, out.candidates, out.rejected, out.survivors
+
+
+def test_search_cell_matches_the_per_level_walk():
+    cells = [cell for a in [*range(4, 41), 64, 128] for cell in generate_cells(a)[0]]
+    assert len(cells) > 400
+    for cell in cells:
+        assert _outcome(search_cell(cell)) == _outcome(_search_cell_per_level(cell)), cell
+
+
+def test_search_cell_counts_the_levels_it_steps_over_against_the_cap(monkeypatch):
+    trials = 0
+    for a in (6, 9, 12, 20):
+        for cell in generate_cells(a)[0]:
+            configs = search_cell(cell).configs
+            for cap, raises in ((configs - 1, True), (configs, False)):
+                monkeypatch.setattr(enumerator, "_CONFIG_CAP", cap)
+                for search in (search_cell, _search_cell_per_level):
+                    if raises:
+                        with pytest.raises(SearchExplosion):
+                            search(cell)
+                    else:
+                        search(cell)
+                trials += 1
+            monkeypatch.undo()
+    assert trials > 100
+
+
+def test_search_cost_does_not_depend_on_the_index(monkeypatch):
+    # the walk steps over the levels where no point fits, so classify(a)
+    # makes the same search calls at every large index
+    counts = {}
+    for name in ("_budgets", "_degrees_feasible", "_subscheme_candidates"):
+        def counted(*args, _call=getattr(enumerator, name), _name=name):
+            counts[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(enumerator, name, counted)
+    seen = []
+    for a in (64, 512, 4096):
+        counts.update(dict.fromkeys(("_budgets", "_degrees_feasible", "_subscheme_candidates"), 0))
+        assert classify(a).catalog_match
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == seen[2]
+    assert all(seen[0].values())
+
+
 def test_fuzzer_ladders_equal_their_rebuilds():
-    # the fuzzer keeps the levels it descended; rebuilding them from the top
+    # the fuzzer keeps the steps it descended; rebuilding them from the top
     # data and the chosen subschemes must give the same ladder, level by level
     ladders = random_pseudo_fundamental_ladders(0, 100)
     assert len(ladders) == 100
     for lad in ladders:
-        deltas = [lv.delta for lv in lad.levels[:-1]]
-        rebuilt = build_ladder(lad.a, lad.top.model, lad.top.E, deltas, strict=False)
+        steps = {lv.i: lv.delta for lv in lad.levels[:-1]}
+        rebuilt = build_ladder(lad.a, lad.top.model, lad.top.E, lad.b, steps, strict=False)
+        assert rebuilt.b == lad.b
         assert len(rebuilt.levels) == len(lad.levels)
         for got, want in zip(lad.levels, rebuilt.levels):
             assert got == want

@@ -1,12 +1,13 @@
+import collections
 import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from delpezzo.catalog import build_entry_ladder, catalog_entries, entry_by_name
-from delpezzo.elimination import OnCurveDatum, Subscheme, eliminate, transform
+from delpezzo.elimination import NodeDatum, OnCurveDatum, Subscheme, eliminate, transform
 from delpezzo.enumerator import random_pseudo_fundamental_ladders
-from delpezzo.lattice import Divisor, DivisorClass, SurfaceModel
+from delpezzo.lattice import Divisor, DivisorClass, StructuralError, SurfaceModel
 from delpezzo.multiplet import (
     BasicPair,
     InternalConsistencyError,
@@ -18,7 +19,6 @@ from delpezzo.multiplet import (
     close_ladder,
     contracted_graph,
     contracted_support,
-    descend_step,
     identities_check,
     index_of,
     ladder_json,
@@ -150,16 +150,16 @@ def test_basic_pair_failures():
 def test_nef_certificate():
     lad = _entry_ladder(5, "O")
     top = lad.top
-    assert nef_certificate(top.model, top.L, top.E, lad.b)
+    assert nef_certificate(top.model, top.L, top.E)
     bot = lad.bottom
-    assert nef_certificate(bot.model, bot.L, bot.E, 1)
+    assert nef_certificate(bot.model, bot.L, bot.E)
     # a component meeting L negatively disqualifies
     F4 = SurfaceModel.hirzebruch(4)
     L = F4.base_class(1, 3)  # (L.sigma) = -1
-    assert not nef_certificate(F4, L, Divisor.from_dict({0: 1}), 1)
+    assert not nef_certificate(F4, L, Divisor.from_dict({0: 1}))
     # a zero divisor is vacuously fine here; its rejection is the separate
     # nonzero condition
-    assert nef_certificate(F4, L, Divisor.from_dict({}), 1)
+    assert nef_certificate(F4, L, Divisor.from_dict({}))
     report = check_basic_pair(BasicPair.build(F4, Divisor.from_dict({}), 4))
     assert "nonzero" in report.failures
 
@@ -179,14 +179,17 @@ def test_identities_all_levels_empty_multiplet():
     assert identities_check(lad)
 
 
-def _identities_per_level(ladder):
-    """Reference for identities_check: every level rescans the levels below."""
-    a = ladder.a
-    degs = ladder.delta_degrees()
-    bot = ladder.bottom
+def _identities_per_level(a, levels):
+    """Reference for identities_check: every level rescans the levels below.
+
+    ``levels`` runs top down to level 0: a sparse ladder's stored levels, or
+    the dense reference's one record per level."""
+    steps = {lv.i: lv.delta for lv in levels if lv.delta is not None and not lv.delta.is_empty()}
+    degs = {j: sub.degree for j, sub in steps.items()}
+    bot = levels[-1]
     k0l0 = bot.model.intersect(bot.model.canonical_class + bot.L, bot.L)
     l0sq = bot.model.intersect(bot.L, bot.L)
-    for lv in ladder.levels:
+    for lv in levels:
         below = [j for j in degs if j <= lv.i]
         lhs = lv.model.intersect(lv.L, lv.E.class_in(lv.model))
         if lhs != sum(j * (a - j) * degs[j] for j in below):
@@ -195,7 +198,7 @@ def _identities_per_level(ladder):
         if kl - k0l0 != sum(j * (j - 1) * degs[j] for j in below):
             return False
         for cid in lv.E.support:
-            contact = sum(j * ladder.level(j).delta.contact(cid) for j in below)
+            contact = sum(j * steps[j].contact(cid) for j in below)
             if lv.model.intersect(lv.L, lv.model.curve(cid).cls) != contact:
                 return False
         mk = -1 * lv.model.canonical_class
@@ -215,12 +218,14 @@ def test_identities_check_matches_the_per_level_rescan():
     ladders += random_pseudo_fundamental_ladders(0, 100)
     assert len(ladders) > 100
     for lad in ladders:
-        assert identities_check(lad) == _identities_per_level(lad)
+        assert identities_check(lad) == _identities_per_level(lad.a, lad.levels)
 
 
-def _with_level(lad, i, **fields):
+def _with_level(lad, k, **fields):
+    """``lad`` with the fields of its stored level ``k`` (an index into
+    ``levels``) replaced."""
     levels = list(lad.levels)
-    levels[lad.b - i] = dataclasses.replace(lad.level(i), **fields)
+    levels[k] = dataclasses.replace(levels[k], **fields)
     return dataclasses.replace(lad, levels=tuple(levels))
 
 
@@ -235,27 +240,33 @@ def _with_level(lad, i, **fields):
 )
 def test_identities_check_rejects_a_tampered_subscheme(name, datum, tampered):
     lad = _entry_ladder(5, name)
-    assert lad.level(1).delta == Subscheme((datum,))
-    assert identities_check(lad) and _identities_per_level(lad)
-    bad = _with_level(lad, 1, delta=Subscheme((tampered,)))
+    assert lad.levels[0].i == 1 and lad.levels[0].delta == Subscheme((datum,))
+    assert identities_check(lad) and _identities_per_level(lad.a, lad.levels)
+    bad = _with_level(lad, 0, delta=Subscheme((tampered,)))
     assert not identities_check(bad)
-    assert not _identities_per_level(bad)
+    assert not _identities_per_level(bad.a, bad.levels)
 
 
 def test_identities_check_rejects_a_moved_adjoint_square():
-    # On level 2 of A5, D = E_2 - E_1 meets K and every component of E in 0,
-    # hence L in 0 too.  L + D keeps L.E, every contact sum and -K.L, so only
-    # the (K+L).L identity sees that (K+L).L moved by D^2 = -2.
-    lad = _entry_ladder(5, "A5")
-    lv = lad.level(2)
+    # A5's first step on F_7, then one point of sigma at level 1.  On the
+    # state that levels 2 and 1 hold, D = E_2 - E_1 meets K and every
+    # component of E in 0, hence L in 0 too.  L + D keeps L.E, every contact
+    # sum and -K.L, so only the (K+L).L identity sees that (K+L).L moved by
+    # D^2 = -2.
+    top, fiber = SurfaceModel.hirzebruch(7).add_fiber()
+    steps = {3: Subscheme((OnCurveDatum("l_1", 2, 2),)), 1: Subscheme((OnCurveDatum("sigma", 1, 1),))}
+    lad = build_ladder(5, top, Divisor.from_dict({0: 4, fiber.id: 2}), 3, steps)
+    assert identities_check(lad)
+    lv = lad.levels[1]
+    assert lv.i == 1
     m = lv.model
     D = DivisorClass((0, 0), (-1, 1) + (0,) * (m.exc_count - 2))
     assert m.intersect(m.canonical_class, D) == 0
     assert all(m.intersect(m.curve(c).cls, D) == 0 for c in lv.E.support)
     assert m.intersect(D, D) == -2
-    bad = _with_level(lad, 2, L=lv.L + D)
+    bad = _with_level(lad, 1, L=lv.L + D)
     assert not identities_check(bad)
-    assert not _identities_per_level(bad)
+    assert not _identities_per_level(bad.a, bad.levels)
 
 
 def _catalog_ladders(indices):
@@ -267,35 +278,13 @@ def _catalog_ladders(indices):
     ]
 
 
-def test_empty_descent_step_is_the_identity():
-    ladders = _catalog_ladders(range(4, 13)) + random_pseudo_fundamental_ladders(0, 100)
-    empty = 0
-    for lad in ladders:
-        for lv in lad.levels[:-1]:
-            if not lv.delta.is_empty():
-                continue
-            empty += 1
-            level, E, L = descend_step(lad.a, lv.i, lv.model, lv.E, lv.L, lv.delta)
-            elim = eliminate(lv.model, lv.delta)
-            assert level == LadderLevel(lv.i, lv.model, lv.E, lv.L, elim.subscheme, elim)
-            assert E == transform(lv.E, elim, lad.a - lv.i)
-            assert L == elim.transform_class(lv.L, lv.i)
-            assert E is lv.E and L is lv.L and level.elim.model is lv.model
-    assert empty > 200
-
-
 def _closes(lad):
     bot = lad.bottom
     try:
-        close_ladder(lad.a, list(lad.levels[:-1]), bot.model, bot.E, bot.L)
+        close_ladder(lad.a, lad.b, list(lad.levels[:-1]), bot.model, bot.E, bot.L)
     except InternalConsistencyError:
         return False
     return True
-
-
-def _closes_per_level(lad):
-    """Reference for close_ladder's check: every level, none skipped."""
-    return all(lv.model.fundamental_class(lad.a, lv.E) == lv.L for lv in lad.levels)
 
 
 def _level_failures(lad):
@@ -303,65 +292,210 @@ def _level_failures(lad):
     return [f for f in certify_ladder(lad).failures if not f.startswith(("top_", "bottom_"))]
 
 
-def _level_failures_per_level(lad):
-    """Reference for certify_ladder's level loop: every level, none skipped."""
-    for lv in lad.levels[1:]:
+def _dense_levels(lad):
+    """Reference descent: one record per level b..0, re-descended from the
+    top data with eliminate, transform and transform_class, empty levels
+    included."""
+    a, steps = lad.a, {lv.i: lv.delta for lv in lad.levels[:-1]}
+    model, E, L = lad.top.model, lad.top.E, lad.top.L
+    dense = []
+    for i in range(lad.b, 0, -1):
+        elim = eliminate(model, steps.get(i, Subscheme(())))
+        dense.append(LadderLevel(i, model, E, L, elim.subscheme, elim))
+        model, E, L = elim.model, transform(E, elim, a - i), elim.transform_class(L, i)
+    dense.append(LadderLevel(0, model, E, L, None, None))
+    return dense
+
+
+def _holder(lad, i):
+    """Index in ``lad.levels`` of the stored level that holds the state of level i."""
+    return next(k for k, lv in enumerate(lad.levels) if lv.i <= i)
+
+
+def _closes_per_level(a, dense):
+    """Reference for close_ladder's check: every level."""
+    return all(lv.model.fundamental_class(a, lv.E) == lv.L for lv in dense)
+
+
+def _level_failures_per_level(dense):
+    """Reference for certify_ladder's level loop: every level below the top."""
+    for lv in dense[1:]:
         if not lv.E.is_effective():
             return [f"effectivity_level_{lv.i}"]
         if lv.E.is_zero():
             return [f"nonzero_level_{lv.i}"]
-        if not nef_certificate(lv.model, lv.L, lv.E, lv.i + 1):
+        if not nef_certificate(lv.model, lv.L, lv.E):
             return [f"nef_level_{lv.i}"]
     return []
 
 
-def _checks_match_the_references(lad):
-    assert _closes(lad) == _closes_per_level(lad)
-    assert _level_failures(lad) == _level_failures_per_level(lad)
+def _local_checks_per_level(a, dense):
+    """Reference for local_lemma_checks: every level, the state below read
+    from level i-1 and "no step below" from levels i-1..1."""
+    by_level = {lv.i: lv for lv in dense}
+    violations = []
+    for lv in dense[:-1]:
+        i = lv.i
+        below_empty = all(by_level[j].delta.is_empty() for j in range(1, i))
+        next_model = by_level[i - 1].model
+        next_L = by_level[i - 1].L
+
+        for chain in lv.elim.chains:
+            for cid in chain:
+                got = next_model.intersect(next_L, next_model.curve(cid).cls)
+                want = i if next_model.self_intersection(cid) == -1 else 0
+                if got != want:
+                    violations.append(
+                        f"level {i}: chain curve {next_model.curve(cid).name} meets L in {got}, expected {want}"
+                    )
+
+        for datum in lv.delta.points:
+            comps = [(c, lv.E.coeff(c)) for c in _datum_curves(datum) if lv.E.coeff(c) > 0]
+            mult = sum(v for _, v in comps)
+            if mult < a - i:
+                violations.append(
+                    f"level {i}: point multiplicity {mult} of the divisor is below {a - i}"
+                )
+            if isinstance(datum, OnCurveDatum) and len(comps) == 1:
+                e = comps[0][1]
+                if e <= a - i and not (e == a - i and datum.k == datum.m):
+                    violations.append(
+                        f"level {i}: coefficient {e} forces full contact at coefficient {a - i}"
+                    )
+                if (
+                    e == a - 1
+                    and 2 * i <= a + 1
+                    and datum.k == 1
+                    and datum.m >= 2
+                    and not (2 * i == a + 1 and datum.m == 2)
+                ):
+                    violations.append(
+                        f"level {i}: transverse double point on a coefficient-{a - 1} curve "
+                        f"needs 2i = a+1 and multiplicity 2, got m={datum.m}"
+                    )
+                if (
+                    i >= 2
+                    and below_empty
+                    and e == a - i + 1
+                    and datum.m < 2 * (a - i + 1)
+                    and not (datum.m == a - i + 1 and datum.k == a - i)
+                ):
+                    violations.append(
+                        f"level {i}: on a coefficient-{e} curve the point must have "
+                        f"(m, k) = ({a - i + 1}, {a - i}), got ({datum.m}, {datum.k})"
+                    )
+            if isinstance(datum, NodeDatum) and i == 1 and a >= 4 and len(comps) == 2:
+                coeffs = {datum.curve1: lv.E.coeff(datum.curve1), datum.curve2: lv.E.coeff(datum.curve2)}
+                big = [c for c, v in coeffs.items() if v == a - 1]
+                small = [c for c, v in coeffs.items() if 1 <= v <= 2]
+                if big and small and big[0] != small[0]:
+                    e = coeffs[small[0]]
+                    contact_small = datum.k2 if datum.curve2 == small[0] else 1
+                    ok = (
+                        e == 2
+                        and contact_small == datum.m
+                        and (a, datum.m) in ((5, 2), (4, 3))
+                    )
+                    if not ok:
+                        violations.append(
+                            f"level 1: node on coefficient ({a - 1}, {e}) branches admits only "
+                            f"(a, m) in {{(5, 2), (4, 3)}} with full contact on the small branch"
+                        )
+    return violations
+
+
+def _datum_curves(datum):
+    if isinstance(datum, OnCurveDatum):
+        return [datum.curve]
+    if isinstance(datum, NodeDatum):
+        return [datum.curve1, datum.curve2]
+    return []
+
+
+def _checks_match_the_dense_reference(lad, dense):
+    """Assert that the shared checks agree with their references on ``dense``;
+    return which of them failed."""
+    closes = _closes(lad)
+    assert closes == _closes_per_level(lad.a, dense)
+    failures = _level_failures(lad)
+    assert failures == _level_failures_per_level(dense)
+    violations = local_lemma_checks(lad)
+    assert violations == _local_checks_per_level(lad.a, dense)
+    identities = identities_check(lad)
     # the identities reference rescans the levels below each level: quadratic in b
     if lad.a <= 24:
-        assert identities_check(lad) == _identities_per_level(lad)
+        assert identities == _identities_per_level(lad.a, dense)
+    return {"close": not closes, "levels": bool(failures), "local": bool(violations),
+            "identities": not identities}
 
 
 def test_shared_checks_match_the_per_level_references():
     ladders = _catalog_ladders([*range(4, 65), 256, 512])
     ladders += [lad for seed in range(3) for lad in random_pseudo_fundamental_ladders(seed, 100)]
-    tampered = 0
+    failed = collections.Counter()
     for lad in ladders:
-        _checks_match_the_references(lad)
-        # the same ladder with L moved on its lowest empty level above 0
-        empty = [lv for lv in lad.levels[1:-1] if lv.delta.is_empty()]
-        if empty:
-            lv = empty[-1]
-            bad = _with_level(lad, lv.i, L=lv.L + lv.model.fiber_class())
-            _checks_match_the_references(bad)
-            assert not _closes(bad)
-            tampered += 1
-    assert tampered > 700
+        dense = _dense_levels(lad)
+        # an empty elimination changes nothing: every level's state is the
+        # one its stored level holds, and each step is stored where it is taken
+        for lv in dense:
+            held = lad.levels[_holder(lad, lv.i)]
+            assert (lv.model, lv.E, lv.L) == (held.model, held.E, held.L)
+            assert lv.delta == (held.delta if held.i == lv.i else Subscheme(()) if lv.i else None)
+        assert not any(_checks_match_the_dense_reference(lad, dense).values())
+        # the same ladder with one stored level moved, hence every level that
+        # holds its state: L by a fiber, by enough fibers to meet sigma
+        # negatively, or by the last exceptional class; or every point of
+        # the step made transverse to its curve
+        for k, held in enumerate(lad.levels):
+            m = held.model
+            fiber = m.fiber_class()
+            moves = [fiber, (-m.intersect(held.L, m.curve_by_name("sigma").cls) - 1) * fiber]
+            if m.exc_count:
+                moves.append(DivisorClass((0, 0), (0,) * (m.exc_count - 1) + (1,)))
+            for D in moves:
+                bad = _with_level(lad, k, L=held.L + D)
+                bad_dense = [
+                    dataclasses.replace(lv, L=lv.L + D) if _holder(lad, lv.i) == k else lv
+                    for lv in dense
+                ]
+                failed.update(name for name, f in _checks_match_the_dense_reference(bad, bad_dense).items() if f)
+            if held.delta is not None:
+                sub = Subscheme(tuple(
+                    dataclasses.replace(p, k=1) if isinstance(p, OnCurveDatum) else p
+                    for p in held.delta.points
+                ))
+                bad = _with_level(lad, k, delta=sub)
+                bad_dense = [dataclasses.replace(lv, delta=sub) if lv.i == held.i else lv for lv in dense]
+                failed.update(name for name, f in _checks_match_the_dense_reference(bad, bad_dense).items() if f)
+    assert min(failed[name] for name in ("close", "levels", "local", "identities")) > 500, failed
 
 
-def test_shared_checks_see_a_moved_class_inside_a_run_of_empty_levels():
-    lad = _entry_ladder(64, "IV")
-    i = lad.b // 2
-    lv = lad.level(i)
-    above, below = lad.level(i + 1), lad.level(i - 1)
-    assert above.delta.is_empty() and lv.delta.is_empty()
-    assert above.L is lv.L is below.L and above.E is lv.E is below.E
-    assert above.model is lv.model is below.model
-    f = lv.model.fiber_class()
-    # L.sigma = 4 here: L + f still meets E nonnegatively, L - 5f does not
-    assert lv.model.intersect(lv.L, lv.model.curve(0).cls) == 4
-    for L, closes, levels_pass, identities in (
-        (lv.L + f, False, True, False),
-        (lv.L + (-5) * f, False, False, False),
-        (DivisorClass(lv.L.base, lv.L.exc), True, True, True),
+def test_close_ladder_rejects_malformed_steps():
+    lad = _entry_ladder(4, "C4")  # steps at levels 2 and 1
+    step2, step1, bot = lad.levels
+
+    def close(b, *levels):
+        return close_ladder(lad.a, b, list(levels), bot.model, bot.E, bot.L)
+
+    assert close(2, step2, step1) == lad
+    for b, levels in (
+        (2, (step1, step2)),  # not decreasing
+        (2, (step2, step2)),  # repeated
+        (1, (step2, step1)),  # above b
+        (2, (step2, dataclasses.replace(step1, i=0))),  # at level 0
     ):
-        bad = _with_level(lad, i, L=L)
-        _checks_match_the_references(bad)
-        assert _closes(bad) == closes
-        assert (not _level_failures(bad)) == levels_pass
-        assert certify_ladder(bad).passed == levels_pass
-        assert identities_check(bad) == _identities_per_level(bad) == identities
+        with pytest.raises(StructuralError, match="is not inside"):
+            close(b, *levels)
+    with pytest.raises(StructuralError, match="empty subscheme stored at level 1"):
+        close(2, step2, dataclasses.replace(step1, delta=Subscheme(())))
+
+
+@pytest.mark.parametrize("level", [0, 4])
+def test_build_ladder_rejects_a_step_outside_the_ladder(level):
+    # type I at index 5 has length 3 and one step, at level 1
+    top = _entry_ladder(5, "I").top
+    with pytest.raises(StructuralError, match=f"step at level {level} is not inside 3..1"):
+        build_ladder(5, top.model, top.E, 3, {level: Subscheme((OnCurveDatum("sigma", 1, 1),))}, strict=False)
 
 
 def test_volume_cross_check_runs():
@@ -430,14 +564,12 @@ def test_local_checks_boundary_case():
     # admissible exactly when 2i = a + 1
     F = SurfaceModel.hirzebruch(9)
     E = Divisor.from_dict({0: 4})
-    deltas = [Subscheme((OnCurveDatum("sigma", 1, 2),)), Subscheme(()), Subscheme(())]
-    lad = build_ladder(5, F, E, deltas, strict=False)
+    lad = build_ladder(5, F, E, 3, {3: Subscheme((OnCurveDatum("sigma", 1, 2),))}, strict=False)
     assert local_lemma_checks(lad) == []
 
     F = SurfaceModel.hirzebruch(11)
     E = Divisor.from_dict({0: 5})
-    deltas = [Subscheme((OnCurveDatum("sigma", 1, 2),)), Subscheme(()), Subscheme(())]
-    lad = build_ladder(6, F, E, deltas, strict=False)
+    lad = build_ladder(6, F, E, 3, {3: Subscheme((OnCurveDatum("sigma", 1, 2),))}, strict=False)
     assert any("2i = a+1" in v for v in local_lemma_checks(lad))
 
 
