@@ -24,7 +24,13 @@ from .multiplet import Ladder, build_ladder
 
 
 def _partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
-    """Partitions of n into nonincreasing positive parts, each at most cap."""
+    """Partitions of n into nonincreasing positive parts, each at most cap.
+
+    Recursive, with depth at most n: each call takes a part of at least 1.
+    Every caller passes n <= 4: catalog degrees are at most 4, the fuzz
+    generator draws f <= 4, and the fiber multiplicity f of every cell
+    searched by classify(2..64) and seven audits is at most 4.
+    """
     if cap is None:
         cap = n
     if n == 0:

@@ -11,9 +11,12 @@ of h0 and n die by ``length_zero``, ``small_multiple_region``,
 verdict from one rule table, ``_rules`` (``window``,
 ``coefficient_persistence``, ``volume``, ``section_budget``,
 ``sigma_budget``, ``unresolved_sections``), per cell or per constant piece
-of h; the cells with no verdict run a depth-first enumeration of subscheme
-configurations level by level, and every configuration that reaches the
-bottom is certified from scratch: effectivity and nefness down the ladder,
+of h.  The cells with no verdict run a depth-first search over ladder
+states, one per prefix of nonempty eliminations: the empty subscheme
+changes nothing, so a state walks its own levels down in place and pushes
+a child state for each nonempty subscheme of each level, drawn against one
+degree allowance.  Every configuration that reaches the bottom is
+certified from scratch: effectivity and nefness down the ladder,
 the basic-pair conditions, exact volume, exact Gorenstein index, and the
 intersection identities on an independent code path.
 
@@ -80,7 +83,7 @@ def canonical_form(pair: BasicPair) -> str:
 
 
 # Bounded so a long-lived process cannot grow it without limit; one cold
-# classify(512) fills about 1,000 entries, so no single run evicts.
+# classify(512) fills 26 entries (10 hits), so no single run evicts.
 @lru_cache(maxsize=1 << 16)
 def _degrees_feasible(a: int, levels: int, weighted: int, cap: int) -> bool:
     """Does some degree vector (d_1..d_levels) satisfy
@@ -297,36 +300,29 @@ class CellOutcome:
     rejected: dict = field(default_factory=dict)
 
 
-def _datum_options(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
-    """All admissible single-point data at this level, canonically ordered.
+def _datum_options(model, E, i, a, m_cap, caps, forbid_sigma):
+    """All admissible single-point data at this level, canonically ordered,
+    each as (datum, node pair or None, spend).
 
     Effectivity of the transformed divisor and the coefficient cap a-1
     (coefficients persist to the bottom) are enforced through the closed
-    chain-coefficient formulas; budget caps keep contacts within the exact
-    orthogonality allowance of each divisor component.  Points away from
-    every tracked curve are never admissible: their leading chain
-    coefficient would be negative.
+    chain-coefficient formulas.  ``spend`` lists the contacts the datum
+    takes from each divisor component, ((curve, contact), ...); component C
+    takes at most ``caps[C]`` contacts in all, its exact orthogonality
+    allowance L.C divided by i.  Points away from every tracked curve are
+    never admissible: their leading chain coefficient would be negative.
     """
     s = a - i
     coeff = dict(E.items)
-    m_cap_global = min(v_cap // i, be_cap // (i * (a - i)))
-    if m_cap_global < 1:
-        return []
+    sigma = model.curve_by_name("sigma").id if forbid_sigma else None
     options = []
-    sigma_ids = {rec.id for rec in model.curves if rec.name == "sigma"}
-
     for cid, e in sorted(coeff.items()):
-        if e < s:
+        if e < s or cid == sigma:
             continue
-        if forbid_sigma and cid in sigma_ids:
-            continue
-        k_cap = budgets[cid] // i if cid in budgets else m_cap_global
-        for m in range(1, m_cap_global + 1):
-            for k in range(1, min(m, k_cap) + 1):
-                cs = on_curve_coefficients(e, s, m, k)
-                if any(c < 0 for c in cs) or any(c > a - 1 for c in cs):
-                    continue
-                options.append(OnCurveDatum(cid, k, m))
+        for m in range(1, m_cap + 1):
+            for k in range(1, min(m, caps[cid]) + 1):
+                if all(0 <= c < a for c in on_curve_coefficients(e, s, m, k)):
+                    options.append((OnCurveDatum(cid, k, m), None, ((cid, k),)))
 
     pairs = []
     ids = [rec.id for rec in model.curves]
@@ -334,67 +330,54 @@ def _datum_options(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
         if model.intersection(c1, c2) == 1:
             pairs += [(c1, c2), (c2, c1)]
     for c1, c2 in sorted(pairs):
-        if forbid_sigma and (c1 in sigma_ids or c2 in sigma_ids):
+        if sigma in (c1, c2) or caps.get(c1, 1) < 1:  # c1 takes one contact
             continue
         e1, e2 = coeff.get(c1, 0), coeff.get(c2, 0)
-        if c1 in budgets and budgets[c1] < i:
-            continue
-        k2_cap = budgets[c2] // i if c2 in budgets else m_cap_global
-        for m in range(1, m_cap_global + 1):
-            for k2 in range(1, min(m, k2_cap) + 1):
+        pair = frozenset((c1, c2))
+        for m in range(1, m_cap + 1):
+            for k2 in range(1, min(m, caps.get(c2, m)) + 1):
                 if k2 == 1 and c1 > c2:
                     continue  # the two orientations agree at transverse contact
-                cs = node_coefficients(e1, e2, s, m, k2)
-                if any(c < 0 for c in cs) or any(c > a - 1 for c in cs):
-                    continue
-                options.append(NodeDatum(c1, c2, k2, m))
+                if all(0 <= c < a for c in node_coefficients(e1, e2, s, m, k2)):
+                    spend = tuple((c, k) for c, k in ((c1, 1), (c2, k2)) if c in caps)
+                    options.append((NodeDatum(c1, c2, k2, m), pair, spend))
     return options
 
 
 def _subscheme_candidates(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
-    """All admissible subschemes at this level: multisets of point data.
+    """All admissible subschemes at this level: multisets of point data, the
+    empty one first, from an explicit stack in the preorder of option order.
 
     On-curve data may repeat (distinct points of the same curve); a node is
     a single point, so each unordered pair of curves is used at most once.
+    Degree m takes i m from ``v_cap`` and i(a-i) m from ``be_cap``, so both
+    allowances are one: a total degree of at most
+    min(v_cap // i, be_cap // (i(a-i))).
     """
-    options = _datum_options(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma)
+    m_cap = min(v_cap // i, be_cap // (i * (a - i)))
+    if m_cap < 1:
+        return [Subscheme(())]
+    caps = {c: r // i for c, r in budgets.items()}  # the keys are E.support
+    options = _datum_options(model, E, i, a, m_cap, caps, forbid_sigma)
     results = []
-
-    def extend(start, chosen, used_nodes, v_left, be_left, bud_left):
-        results.append(Subscheme(tuple(chosen)))
+    stack = [(0, (), frozenset(), m_cap, caps)]
+    while stack:
+        start, chosen, used, m_left, left = stack.pop()
+        results.append(Subscheme(chosen))
+        children = []
         for idx in range(start, len(options)):
-            d = options[idx]
-            if i * d.m > v_left or i * (a - i) * d.m > be_left:
+            d, pair, spend = options[idx]
+            if d.m > m_left or pair in used:
                 continue
-            bud2 = dict(bud_left)
-            ok = True
-            if isinstance(d, OnCurveDatum):
-                if d.curve in bud2:
-                    bud2[d.curve] -= i * d.k
-                    ok = bud2[d.curve] >= 0
-                pair = None
+            left2 = dict(left)
+            for c, k in spend:
+                left2[c] -= k
+                if left2[c] < 0:
+                    break
             else:
-                pair = frozenset((d.curve1, d.curve2))
-                if pair in used_nodes:
-                    continue
-                if d.curve1 in bud2:
-                    bud2[d.curve1] -= i
-                    ok = bud2[d.curve1] >= 0
-                if ok and d.curve2 in bud2:
-                    bud2[d.curve2] -= i * d.k2
-                    ok = bud2[d.curve2] >= 0
-            if not ok:
-                continue
-            extend(
-                idx if isinstance(d, OnCurveDatum) else idx + 1,
-                chosen + [d],
-                used_nodes | {pair} if pair else used_nodes,
-                v_left - i * d.m,
-                be_left - i * (a - i) * d.m,
-                bud2,
-            )
-
-    extend(0, [], frozenset(), v_cap, be_cap, dict(budgets))
+                nxt, used2 = (idx, used) if pair is None else (idx + 1, used | {pair})
+                children.append((nxt, chosen + (d,), used2, m_left - d.m, left2))
+        stack.extend(reversed(children))
     return results
 
 
@@ -479,59 +462,52 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             "index_certificate": index_certificate,
         })
 
-    # Depth-first over (i, model, E, L, spent, levels, found) nodes from an
-    # explicit stack, children pushed in reverse: the preorder of the
-    # recursive walk.  ``levels`` holds the nonempty steps taken so far.  E
-    # is nonzero effective: the top divisor by construction, the others by
+    # Depth-first over ladder states (i, model, E, L, spent, levels), one per
+    # prefix of nonempty eliminations (``levels``), from an explicit stack.
+    # E is nonzero effective: the top divisor by construction, the others by
     # the test before they are pushed.  The empty subscheme keeps model, E
-    # and L, so its child carries the parent's ``_budgets`` result as
-    # ``found``; None means compute it.  A point fits at level j only if
-    # v_left >= j and be >= j(a-j); both stay fixed down a run of empty
-    # steps, and so does every test, so a node where none fits goes straight
-    # to the highest lower level where one does, or to 0, counting the
-    # levels in between as configurations.
-    stack = [(b, *_top(a, n, c0, parts), 0, [], None) for parts in _partitions(f, a - 1)]
+    # and L, so a state walks its levels down in place: the state tests run
+    # once, the degree test per level until it fails.  Where no point fits
+    # (v_left < i or be < i(a-i)) its answer holds down to the highest level
+    # where one does, or 0, so the walk goes there untested.  At level 1 the
+    # empty subscheme passes only when be == 0.  Children pushed per level pop
+    # lowest level first: the preorder of one node per level, empty child
+    # first.  Each level walked is a configuration; ``_CONFIG_CAP`` is
+    # checked once per state, after its walk.
+    stack = [(b, *_top(a, n, c0, parts), 0, []) for parts in _partitions(f, a - 1)]
     stack.reverse()
     while stack:
-        i, model, E, L, spent, levels, found = stack.pop()
-        out.configs += 1
+        entry, model, E, L, spent, levels = stack.pop()
+        i = entry
+        found = _budgets(model, E, L)
+        v_left = v_max - spent
+        if found is not None and v_left >= 0 and all(r <= v_left for r in found[1].values()):
+            be, budgets = found
+            while _degrees_feasible(a, i, be, v_left):
+                i = min(i, v_left)
+                while i and be < i * (a - i):
+                    i -= 1
+                if i == 0:
+                    if be == 0 and all(r == 0 for r in budgets.values()):
+                        finish(close_ladder(a, b, levels, model, E, L))
+                    break
+                forbid = forbid_top_sigma and i == b
+                children = []
+                for sub in _subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid)[1:]:
+                    if i == 1 and sub.degree * (a - 1) != be:
+                        continue
+                    level, E2, L2 = descend_step(a, i, model, E, L, sub)
+                    if E2.is_effective() and not E2.is_zero():
+                        children.append((
+                            i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level]
+                        ))
+                stack.extend(reversed(children))
+                if i == 1 and be:
+                    break
+                i -= 1
+        out.configs += entry - i + 1
         if out.configs > _CONFIG_CAP:
             raise SearchExplosion(f"configuration cap exceeded in cell {cell}")
-        if found is None:
-            found = _budgets(model, E, L)
-        if found is None:
-            continue
-        be, budgets = found
-        v_left = v_max - spent
-        if v_left < 0 or not _degrees_feasible(a, i, be, v_left):
-            continue
-        if any(r > v_left for r in budgets.values()):
-            continue
-        if i == 0:
-            if be == 0 and all(r == 0 for r in budgets.values()):
-                finish(close_ladder(a, b, levels, model, E, L))
-            continue
-        if v_left < i or be < i * (a - i):
-            j = min(i - 1, v_left)
-            while j and be < j * (a - j):
-                j -= 1
-            out.configs += i - 1 - j
-            stack.append((j, model, E, L, spent, levels, found))
-            continue
-        forbid = forbid_top_sigma and i == b
-        children = []
-        for sub in _subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid):
-            if i == 1 and sub.degree * (a - 1) != be:
-                continue
-            if sub.is_empty():
-                children.append((i - 1, model, E, L, spent, levels, found))
-                continue
-            level, E2, L2 = descend_step(a, i, model, E, L, sub)
-            if E2.is_effective() and not E2.is_zero():
-                children.append((
-                    i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level], None
-                ))
-        stack.extend(reversed(children))
     return out
 
 

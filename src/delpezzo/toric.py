@@ -107,6 +107,11 @@ def _resolve_cone(v: tuple[int, int], w: tuple[int, int]) -> list[tuple[int, int
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x a + y b.
+
+    Recursive, with depth the number of Euclid steps on (a, b), which is
+    O(log max(|a|, |b|)) for the coordinates of a ray.
+    """
     if b == 0:
         return (abs(a), 1 if a >= 0 else -1, 0)
     g, x, y = _ext_gcd(b, a % b)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -7,6 +8,13 @@ import pytest
 
 from delpezzo import enumerator
 from delpezzo.catalog import _partitions, build_entry_ladder, entry_by_name
+from delpezzo.elimination import (
+    NodeDatum,
+    OnCurveDatum,
+    Subscheme,
+    node_coefficients,
+    on_curve_coefficients,
+)
 from delpezzo.enumerator import (
     AUDIT_WINDOW_CAP,
     AuditReport,
@@ -428,8 +436,9 @@ def test_search_cell_counts_the_levels_it_steps_over_against_the_cap(monkeypatch
 
 
 def test_search_cost_does_not_depend_on_the_index(monkeypatch):
-    # the walk steps over the levels where no point fits, so classify(a)
-    # makes the same search calls at every large index
+    # a state walks its own levels and steps over those where no point
+    # fits, so classify(a) makes the same search calls at every large index:
+    # one _budgets call per state, no degree test where a step lands
     counts = {}
     for name in ("_budgets", "_degrees_feasible", "_subscheme_candidates"):
         def counted(*args, _call=getattr(enumerator, name), _name=name):
@@ -441,8 +450,129 @@ def test_search_cost_does_not_depend_on_the_index(monkeypatch):
         counts.update(dict.fromkeys(("_budgets", "_degrees_feasible", "_subscheme_candidates"), 0))
         assert classify(a).catalog_match
         seen.append(dict(counts))
-    assert seen[0] == seen[1] == seen[2]
-    assert all(seen[0].values())
+    assert seen == [{"_budgets": 37, "_degrees_feasible": 36, "_subscheme_candidates": 10}] * 3
+
+
+def _datum_options_reference(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
+    """Reference for the options: the two allowances tested separately."""
+    s = a - i
+    coeff = dict(E.items)
+    m_cap_global = min(v_cap // i, be_cap // (i * (a - i)))
+    if m_cap_global < 1:
+        return []
+    options = []
+    sigma_ids = {rec.id for rec in model.curves if rec.name == "sigma"}
+    for cid, e in sorted(coeff.items()):
+        if e < s:
+            continue
+        if forbid_sigma and cid in sigma_ids:
+            continue
+        k_cap = budgets[cid] // i if cid in budgets else m_cap_global
+        for m in range(1, m_cap_global + 1):
+            for k in range(1, min(m, k_cap) + 1):
+                cs = on_curve_coefficients(e, s, m, k)
+                if any(c < 0 for c in cs) or any(c > a - 1 for c in cs):
+                    continue
+                options.append(OnCurveDatum(cid, k, m))
+    pairs = []
+    ids = [rec.id for rec in model.curves]
+    for c1, c2 in itertools.combinations(ids, 2):
+        if model.intersection(c1, c2) == 1:
+            pairs += [(c1, c2), (c2, c1)]
+    for c1, c2 in sorted(pairs):
+        if forbid_sigma and (c1 in sigma_ids or c2 in sigma_ids):
+            continue
+        e1, e2 = coeff.get(c1, 0), coeff.get(c2, 0)
+        if c1 in budgets and budgets[c1] < i:
+            continue
+        k2_cap = budgets[c2] // i if c2 in budgets else m_cap_global
+        for m in range(1, m_cap_global + 1):
+            for k2 in range(1, min(m, k2_cap) + 1):
+                if k2 == 1 and c1 > c2:
+                    continue
+                cs = node_coefficients(e1, e2, s, m, k2)
+                if any(c < 0 for c in cs) or any(c > a - 1 for c in cs):
+                    continue
+                options.append(NodeDatum(c1, c2, k2, m))
+    return options
+
+
+def _subscheme_candidates_reference(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
+    """Reference for the flat generator: the recursive walk that tracks the
+    volume allowance, L.E and every component budget separately."""
+    options = _datum_options_reference(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma)
+    results = []
+
+    def extend(start, chosen, used_nodes, v_left, be_left, bud_left):
+        results.append(Subscheme(tuple(chosen)))
+        for idx in range(start, len(options)):
+            d = options[idx]
+            if i * d.m > v_left or i * (a - i) * d.m > be_left:
+                continue
+            bud2 = dict(bud_left)
+            ok = True
+            if isinstance(d, OnCurveDatum):
+                if d.curve in bud2:
+                    bud2[d.curve] -= i * d.k
+                    ok = bud2[d.curve] >= 0
+                pair = None
+            else:
+                pair = frozenset((d.curve1, d.curve2))
+                if pair in used_nodes:
+                    continue
+                if d.curve1 in bud2:
+                    bud2[d.curve1] -= i
+                    ok = bud2[d.curve1] >= 0
+                if ok and d.curve2 in bud2:
+                    bud2[d.curve2] -= i * d.k2
+                    ok = bud2[d.curve2] >= 0
+            if not ok:
+                continue
+            extend(
+                idx if isinstance(d, OnCurveDatum) else idx + 1,
+                chosen + [d],
+                used_nodes | {pair} if pair else used_nodes,
+                v_left - i * d.m,
+                be_left - i * (a - i) * d.m,
+                bud2,
+            )
+
+    extend(0, [], frozenset(), v_cap, be_cap, dict(budgets))
+    return results
+
+
+def test_subscheme_candidates_match_the_recursive_reference(monkeypatch):
+    # every call the search and the fuzz generator make, on both generators
+    calls = []
+    flat = enumerator._subscheme_candidates
+
+    def recorded(*args):
+        result = flat(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(enumerator, "_subscheme_candidates", recorded)
+    for a in [*range(4, 41), 64, 128]:
+        classify(a)
+    audit(28, 112)
+    for seed in range(3):
+        random_pseudo_fundamental_ladders(seed, 100)
+    assert len(calls) > 1000
+    assert sum(len(result) > 1 for _, result in calls) > 500
+    for args, result in calls:
+        assert result == _subscheme_candidates_reference(*args), args[2:]
+    # the recorded allowances seldom bind, so tighten each by one unit: the
+    # volume allowance by i, L.E by i(a-i), and both generators must agree
+    changed = [0, 0]
+    for (model, E, i, a, v_cap, be_cap, budgets, forbid), result in calls:
+        if len(result) == 1:
+            continue
+        for which, caps in enumerate(((v_cap - i, be_cap), (v_cap, be_cap - i * (a - i)))):
+            args = (model, E, i, a, *caps, budgets, forbid)
+            got = flat(*args)
+            assert got == _subscheme_candidates_reference(*args), args[2:]
+            changed[which] += got != result
+    assert all(changed)  # each allowance binds somewhere
 
 
 def test_fuzzer_ladders_equal_their_rebuilds():
