@@ -27,19 +27,12 @@ surfaces have isomorphic minimal resolutions, hence equal keys.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .catalog import _partitions, build_entry_ladder, catalog_entries
-from .elimination import (
-    NodeDatum,
-    OnCurveDatum,
-    Subscheme,
-    node_coefficients,
-    on_curve_coefficients,
-)
+from .elimination import NodeDatum, OnCurveDatum, Subscheme
 from .graphs import canonical_key
 from .lattice import Divisor, DivisorClass, SurfaceModel
 from .multiplet import (
@@ -300,53 +293,107 @@ class CellOutcome:
     rejected: dict = field(default_factory=dict)
 
 
+def _on_curve_shapes(a: int, s: int, e: int, m_cap: int, k_cap: int):
+    """Yield the (m, k), k <= min(m, k_cap) and m <= m_cap, for which every
+    coefficient of ``on_curve_coefficients(e, s, m, k)`` lies in 0..a-1, in
+    (m, k) order.
+
+    With s >= 1 the coefficients climb by e - s up to the k-th, k(e - s),
+    then fall by s to the last, e k - s m; so e >= s, k(e - s) <= a - 1 and
+    e k >= s m say it all.
+    """
+    if e < s:
+        return
+    k_top = min(k_cap, (a - 1) // (e - s)) if e > s else k_cap
+    for m in range(1, m_cap + 1):
+        for k in range(-(-s * m // e), min(m, k_top) + 1):
+            yield m, k
+
+
+def _node_shapes(a: int, s: int, e1: int, e2: int, m_cap: int, k_cap: int):
+    """Yield the (m, k2), k2 <= min(m, k_cap) and m <= m_cap, for which every
+    coefficient of ``node_coefficients(e1, e2, s, m, k2)`` lies in 0..a-1,
+    in (m, k2) order.
+
+    With s >= 1 the coefficients move by e2 - s from the first,
+    e1 + e2 - s, to the k2-th, e1 + k2(e2 - s), then fall by s to the last,
+    e1 + k2 e2 - s m; so the first and the k2-th lie in 0..a-1 and the last
+    is nonnegative.  The last bounds the k2-th from below, as m >= k2.
+    """
+    if not 0 <= e1 + e2 - s < a:
+        return
+    if e2 > s:
+        k_cap = min(k_cap, (a - 1 - e1) // (e2 - s))
+    for m in range(1, m_cap + 1):
+        need = s * m - e1  # the last coefficient is k2 e2 - need
+        if need <= 0:
+            k_lo = 1
+        elif e2:
+            k_lo = -(-need // e2)
+        else:
+            return  # need only grows with m
+        for k2 in range(k_lo, min(m, k_cap) + 1):
+            yield m, k2
+
+
+def _node_pairs(model, coeff: dict[int, int], a: int, s: int) -> list[tuple[int, int]]:
+    """The ordered pairs (C1, C2) of tracked curves that meet in a node whose
+    first chain coefficient e1 + e2 - s lies in 0..a-1, sorted; ``coeff``
+    holds E's nonzero coefficients.
+
+    With s >= 1 that needs a curve of E's support, so the scan starts there
+    and computes each intersection number at most once.
+    """
+    pairs = []
+    for c1, e1 in coeff.items():
+        for rec in model.curves:
+            e2 = coeff.get(rec.id, 0)
+            if (c1 < rec.id or not e2) and 0 <= e1 + e2 - s < a:
+                if model.intersection(c1, rec.id) == 1:
+                    pairs += [(c1, rec.id), (rec.id, c1)]
+    return sorted(pairs)
+
+
 def _datum_options(model, E, i, a, m_cap, caps, forbid_sigma):
     """All admissible single-point data at this level, canonically ordered,
     each as (datum, node pair or None, spend).
 
     Effectivity of the transformed divisor and the coefficient cap a-1
     (coefficients persist to the bottom) are enforced through the closed
-    chain-coefficient formulas.  ``spend`` lists the contacts the datum
-    takes from each divisor component, ((curve, contact), ...); component C
-    takes at most ``caps[C]`` contacts in all, its exact orthogonality
-    allowance L.C divided by i.  Points away from every tracked curve are
-    never admissible: their leading chain coefficient would be negative.
+    chain-coefficient bounds of ``_on_curve_shapes`` and ``_node_shapes``.
+    ``spend`` lists the contacts the datum takes from each divisor
+    component, ((curve, contact), ...); component C takes at most
+    ``caps[C]`` contacts in all, its exact orthogonality allowance L.C
+    divided by i.  Points away from every tracked curve are never
+    admissible: their leading chain coefficient would be negative.
     """
     s = a - i
     coeff = dict(E.items)
     sigma = model.curve_by_name("sigma").id if forbid_sigma else None
     options = []
-    for cid, e in sorted(coeff.items()):
-        if e < s or cid == sigma:
-            continue
-        for m in range(1, m_cap + 1):
-            for k in range(1, min(m, caps[cid]) + 1):
-                if all(0 <= c < a for c in on_curve_coefficients(e, s, m, k)):
-                    options.append((OnCurveDatum(cid, k, m), None, ((cid, k),)))
+    for cid, e in E.items:
+        if cid != sigma:
+            for m, k in _on_curve_shapes(a, s, e, m_cap, caps[cid]):
+                options.append((OnCurveDatum(cid, k, m), None, ((cid, k),)))
 
-    pairs = []
-    ids = [rec.id for rec in model.curves]
-    for c1, c2 in itertools.combinations(ids, 2):
-        if model.intersection(c1, c2) == 1:
-            pairs += [(c1, c2), (c2, c1)]
-    for c1, c2 in sorted(pairs):
+    for c1, c2 in _node_pairs(model, coeff, a, s):
         if sigma in (c1, c2) or caps.get(c1, 1) < 1:  # c1 takes one contact
             continue
-        e1, e2 = coeff.get(c1, 0), coeff.get(c2, 0)
         pair = frozenset((c1, c2))
-        for m in range(1, m_cap + 1):
-            for k2 in range(1, min(m, caps.get(c2, m)) + 1):
-                if k2 == 1 and c1 > c2:
-                    continue  # the two orientations agree at transverse contact
-                if all(0 <= c < a for c in node_coefficients(e1, e2, s, m, k2)):
-                    spend = tuple((c, k) for c, k in ((c1, 1), (c2, k2)) if c in caps)
-                    options.append((NodeDatum(c1, c2, k2, m), pair, spend))
+        shapes = _node_shapes(a, s, coeff.get(c1, 0), coeff.get(c2, 0), m_cap, caps.get(c2, m_cap))
+        for m, k2 in shapes:
+            if k2 == 1 and c1 > c2:
+                continue  # the two orientations agree at transverse contact
+            spend = tuple((c, k) for c, k in ((c1, 1), (c2, k2)) if c in caps)
+            options.append((NodeDatum(c1, c2, k2, m), pair, spend))
     return options
 
 
 def _subscheme_candidates(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
-    """All admissible subschemes at this level: multisets of point data, the
-    empty one first, from an explicit stack in the preorder of option order.
+    """All admissible subschemes at this level as (degree, points) pairs:
+    multisets of point data, the empty one first, from an explicit stack in
+    the preorder of option order.  The caller wraps the points it keeps in a
+    ``Subscheme``.
 
     On-curve data may repeat (distinct points of the same curve); a node is
     a single point, so each unordered pair of curves is used at most once.
@@ -356,16 +403,16 @@ def _subscheme_candidates(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
     """
     m_cap = min(v_cap // i, be_cap // (i * (a - i)))
     if m_cap < 1:
-        return [Subscheme(())]
+        return [(0, ())]
     caps = {c: r // i for c, r in budgets.items()}  # the keys are E.support
     options = _datum_options(model, E, i, a, m_cap, caps, forbid_sigma)
     results = []
     stack = [(0, (), frozenset(), m_cap, caps)]
     while stack:
         start, chosen, used, m_left, left = stack.pop()
-        results.append(Subscheme(chosen))
-        children = []
-        for idx in range(start, len(options)):
+        results.append((m_cap - m_left, chosen))
+        # children are pushed from the last option down, so the first pops first
+        for idx in range(len(options) - 1, start - 1, -1):
             d, pair, spend = options[idx]
             if d.m > m_left or pair in used:
                 continue
@@ -375,9 +422,8 @@ def _subscheme_candidates(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
                 if left2[c] < 0:
                     break
             else:
-                nxt, used2 = (idx, used) if pair is None else (idx + 1, used | {pair})
-                children.append((nxt, chosen + (d,), used2, m_left - d.m, left2))
-        stack.extend(reversed(children))
+                used2 = used if pair is None else used | {pair}
+                stack.append((idx, chosen + (d,), used2, m_left - d.m, left2))
     return results
 
 
@@ -493,13 +539,14 @@ def search_cell(cell: SearchCell) -> CellOutcome:
                     break
                 forbid = forbid_top_sigma and i == b
                 children = []
-                for sub in _subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid)[1:]:
-                    if i == 1 and sub.degree * (a - 1) != be:
+                cands = _subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid)
+                for d, points in cands[1:]:
+                    if i == 1 and d * (a - 1) != be:
                         continue
-                    level, E2, L2 = descend_step(a, i, model, E, L, sub)
+                    level, E2, L2 = descend_step(a, i, model, E, L, Subscheme(points))
                     if E2.is_effective() and not E2.is_zero():
                         children.append((
-                            i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level]
+                            i - 1, level.elim.model, E2, L2, spent + i * d, levels + [level]
                         ))
                 stack.extend(reversed(children))
                 if i == 1 and be:
@@ -797,8 +844,10 @@ def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int =
 
     Draws random cells (with no volume requirement and any admissible
     length), walks random paths through the same candidate generator the
-    classifier uses, and keeps the ladders whose certificates pass.  Used by
-    the identity test suite.
+    classifier uses, and keeps the ladders whose certificates pass.  Each
+    level draws uniformly among the candidates whose degree leaves the lower
+    levels feasible, and builds a ``Subscheme`` for the drawn one only.
+    Used by the identity test suite.
     """
     rng = random.Random(seed)
     out = []
@@ -829,28 +878,29 @@ def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int =
         spent = 0
         for i in range(b, 0, -1):
             found = _budgets(model, E, L)
-            if found is None or not _degrees_feasible(a, i, found[0], v_cap - spent):
+            v_left = v_cap - spent
+            if found is None or not _degrees_feasible(a, i, found[0], v_left):
                 break
             be, budgets = found
-            cands = [
-                sub
-                for sub in _subscheme_candidates(model, E, i, a, v_cap - spent, be, budgets, False)
-                if _degrees_feasible(
-                    a, i - 1, be - i * (a - i) * sub.degree, v_cap - spent - i * sub.degree
-                )
-            ]
-            if i == 1:
-                cands = [sub for sub in cands if sub.degree * (a - 1) == be]
+            cands = _subscheme_candidates(model, E, i, a, v_left, be, budgets, False)
+            # the degrees that leave the lower levels feasible; at level 1,
+            # where no level is left, that is d(a - 1) == be
+            fits = {
+                d
+                for d in {d for d, _ in cands}
+                if _degrees_feasible(a, i - 1, be - i * (a - i) * d, v_left - i * d)
+            }
+            cands = [cand for cand in cands if cand[0] in fits]
             if not cands:
                 break
-            sub = rng.choice(cands)
-            if sub.is_empty():
+            d, points = rng.choice(cands)
+            if not points:
                 continue  # nothing to eliminate: the state holds at level i-1
-            level, E, L = descend_step(a, i, model, E, L, sub)
+            level, E, L = descend_step(a, i, model, E, L, Subscheme(points))
             if not E.is_effective() or E.is_zero():
                 break
             model = level.elim.model
-            spent += i * sub.degree
+            spent += i * d
             levels.append(level)
         else:
             ladder = close_ladder(a, b, levels, model, E, L)

@@ -38,6 +38,7 @@ from delpezzo.enumerator import (
     search_cell,
 )
 from delpezzo.graphs import WeightedGraph, canonical_key
+from delpezzo.lattice import Divisor
 from delpezzo.multiplet import (
     InternalConsistencyError,
     build_ladder,
@@ -393,15 +394,18 @@ def _search_cell_per_level(cell):
             continue
         forbid = forbid_top_sigma and i == b
         children = []
-        for sub in enumerator._subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid):
-            if i == 1 and sub.degree * (a - 1) != be:
+        cands = enumerator._subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid)
+        for d, points in cands:
+            if i == 1 and d * (a - 1) != be:
                 continue
-            if sub.is_empty():
+            if not points:
                 children.append((i - 1, model, E, L, spent, levels, found))
                 continue
-            level, E2, L2 = descend_step(a, i, model, E, L, sub)
+            level, E2, L2 = descend_step(a, i, model, E, L, Subscheme(points))
             if E2.is_effective() and not E2.is_zero():
-                children.append((i - 1, level.elim.model, E2, L2, spent + i * sub.degree, levels + [level], None))
+                children.append(
+                    (i - 1, level.elim.model, E2, L2, spent + i * d, levels + [level], None)
+                )
         stack.extend(reversed(children))
     return out
 
@@ -541,6 +545,10 @@ def _subscheme_candidates_reference(model, E, i, a, v_cap, be_cap, budgets, forb
     return results
 
 
+def _reference_pairs(*args):
+    return [(sub.degree, sub.points) for sub in _subscheme_candidates_reference(*args)]
+
+
 def test_subscheme_candidates_match_the_recursive_reference(monkeypatch):
     # every call the search and the fuzz generator make, on both generators
     calls = []
@@ -560,7 +568,7 @@ def test_subscheme_candidates_match_the_recursive_reference(monkeypatch):
     assert len(calls) > 1000
     assert sum(len(result) > 1 for _, result in calls) > 500
     for args, result in calls:
-        assert result == _subscheme_candidates_reference(*args), args[2:]
+        assert result == _reference_pairs(*args), args[2:]
     # the recorded allowances seldom bind, so tighten each by one unit: the
     # volume allowance by i, L.E by i(a-i), and both generators must agree
     changed = [0, 0]
@@ -570,9 +578,106 @@ def test_subscheme_candidates_match_the_recursive_reference(monkeypatch):
         for which, caps in enumerate(((v_cap - i, be_cap), (v_cap, be_cap - i * (a - i)))):
             args = (model, E, i, a, *caps, budgets, forbid)
             got = flat(*args)
-            assert got == _subscheme_candidates_reference(*args), args[2:]
+            assert got == _reference_pairs(*args), args[2:]
             changed[which] += got != result
     assert all(changed)  # each allowance binds somewhere
+
+
+def test_option_shapes_match_the_coefficient_lists():
+    # the closed bounds against the chain coefficients themselves, for every
+    # multiplicity cap up to 6 and every contact cap below it; coefficients
+    # run one past a - 1, since the bounds do not assume them in range
+    shapes = 0
+    for a in range(4, 13):
+        for s in range(1, a):
+            for e in range(a + 1):
+                want = [
+                    (m, k)
+                    for m in range(1, 7)
+                    for k in range(1, m + 1)
+                    if all(0 <= c < a for c in on_curve_coefficients(e, s, m, k))
+                ]
+                shapes += len(want)
+                for m_cap in range(1, 7):
+                    for k_cap in range(1, m_cap + 1):
+                        got = list(enumerator._on_curve_shapes(a, s, e, m_cap, k_cap))
+                        assert got == [x for x in want if x[0] <= m_cap and x[1] <= k_cap], (a, s, e)
+            for e1, e2 in itertools.product(range(a + 1), repeat=2):
+                want = [
+                    (m, k2)
+                    for m in range(1, 7)
+                    for k2 in range(1, m + 1)
+                    if all(0 <= c < a for c in node_coefficients(e1, e2, s, m, k2))
+                ]
+                shapes += len(want)
+                for m_cap in range(1, 7):
+                    for k_cap in range(1, m_cap + 1):
+                        got = list(enumerator._node_shapes(a, s, e1, e2, m_cap, k_cap))
+                        assert got == [x for x in want if x[0] <= m_cap and x[1] <= k_cap], (s, e1, e2)
+    assert shapes > 10_000
+
+
+def test_node_scan_from_the_support_matches_the_full_scan(monkeypatch):
+    # every state the fuzz generator reaches, and each again with the
+    # lowest curve of E taken out of it: the pairs scanned from E's support
+    # are the nodes of the full scan whose first chain coefficient is in
+    # range, and no node left out has an admissible shape
+    states = []
+    options = enumerator._datum_options
+
+    def recorded(model, E, i, a, m_cap, caps, forbid_sigma):
+        states.append((model, E, i, a, m_cap))
+        if len(E.items) > 1:
+            states.append((model, Divisor(E.items[1:]), i, a, m_cap))
+        return options(model, E, i, a, m_cap, caps, forbid_sigma)
+
+    monkeypatch.setattr(enumerator, "_datum_options", recorded)
+    for seed in range(3):
+        random_pseudo_fundamental_ladders(seed, 100)
+    assert len(states) > 500
+    dropped = [0, 0]  # nodes left out on E's support, and away from it
+    for model, E, i, a, m_cap in states:
+        s, coeff = a - i, dict(E.items)
+        full = sorted(
+            pair
+            for c1, c2 in itertools.combinations([rec.id for rec in model.curves], 2)
+            if model.intersection(c1, c2) == 1
+            for pair in ((c1, c2), (c2, c1))
+        )
+        scanned = enumerator._node_pairs(model, coeff, a, s)
+        assert scanned == [
+            (c1, c2) for c1, c2 in full if 0 <= coeff.get(c1, 0) + coeff.get(c2, 0) - s < a
+        ]
+        for c1, c2 in set(full) - set(scanned):
+            assert not list(
+                enumerator._node_shapes(a, s, coeff.get(c1, 0), coeff.get(c2, 0), m_cap, m_cap)
+            )
+            dropped[not (c1 in coeff or c2 in coeff)] += 1
+    assert min(dropped) > 10, dropped
+
+
+def _fuzz_digest(ladders):
+    """The ladder digest of ``perfbench/ops.fuzz_reference``."""
+    combined = hashlib.sha256()
+    for lad in ladders:
+        blob = json.dumps(ladder_json(lad), sort_keys=True).encode()
+        combined.update(hashlib.sha256(blob).hexdigest().encode())
+    return combined.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "81dc46c82622559c779881518c94e29cd4fab21b40c7c89d6fd7499a168e018c"),
+        (4242, "1400bd71b741a5889f401fbfc9828d7051ad6b36efe9c693ab109d6e93223554"),
+    ],
+)
+def test_fuzz_stream_is_pinned(seed, digest):
+    # any change in what the generator offers, or in the order of its random
+    # draws, changes the ladders it returns
+    ladders = random_pseudo_fundamental_ladders(seed, 100)
+    assert len(ladders) == 100
+    assert _fuzz_digest(ladders) == digest
 
 
 def test_fuzzer_ladders_equal_their_rebuilds():

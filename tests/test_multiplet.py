@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from delpezzo.catalog import build_entry_ladder, catalog_entries, entry_by_name
+from delpezzo.catalog import _length, build_entry_ladder, catalog_entries, entry_by_name, top_model
 from delpezzo.elimination import NodeDatum, OnCurveDatum, Subscheme, eliminate, transform
 from delpezzo.enumerator import random_pseudo_fundamental_ladders
 from delpezzo.lattice import Divisor, DivisorClass, StructuralError, SurfaceModel
@@ -123,6 +123,41 @@ def test_every_catalog_config_passes_certificates():
                 assert identities_check(lad)
                 assert not local_lemma_checks(lad)
                 assert volume(lad) == entry.volume
+
+
+def test_top_fundamental_rejects_every_catalog_ladder_one_level_short():
+    # with b - 1 levels, (b K + L) is still nef on top: the ladder is
+    # pseudo-fundamental but not fundamental, and nothing else fails
+    checked = 0
+    for a in (4, 5, 6, 8):
+        for entry in catalog_entries(a):
+            steps = entry.configs[0]
+            if any(level >= _length(a) for level in steps):
+                continue  # B4, C4 and A5 eliminate at the top level
+            lad = build_ladder(a, *top_model(entry), _length(a) - 1, steps)
+            assert certify_ladder(lad).failures == ("top_fundamental",), (a, entry.name)
+            assert certify_ladder(lad, require_fundamental=False).passed
+            checked += 1
+    assert checked == 24
+
+
+def test_top_minus_one_curve_rejects_an_f1_top_that_meets_sigma_b_times():
+    # F_1, E = sigma + 2 l_1 at a = 5, b = 4: L.sigma = a + 1 - 2 = b, so
+    # b K + L is nef and (b+1) K + L is not, but (b+1) K + L meets the
+    # (-1)-curve sigma negatively
+    a, b = 5, 4
+    model, fiber = SurfaceModel.hirzebruch(1).add_fiber()
+    E = Divisor.from_dict({0: 1, fiber.id: 2})
+    assert model.intersect(model.fundamental_class(a, E), model.sigma_class()) == b
+    steps = {
+        4: Subscheme((OnCurveDatum("sigma", 1, 1),)),
+        3: Subscheme((OnCurveDatum("l_1", 1, 1),) * 3),
+    }
+    lad = build_ladder(a, model, E, b, steps)
+    assert certify_ladder(lad).failures == ("top_minus_one_curve",)
+    assert certify_ladder(lad, require_fundamental=False).failures == ("top_minus_one_curve",)
+    # the bottom checks, which certify_ladder skips once a check has failed
+    assert check_basic_pair(lad.bottom_pair, nef_evidence=True).passed
 
 
 def test_basic_pair_positivity_value():
