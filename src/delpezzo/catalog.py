@@ -24,21 +24,23 @@ from .multiplet import Ladder, build_ladder
 
 
 def _partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
-    """Partitions of n into nonincreasing positive parts, each at most cap.
+    """Partitions of n into nonincreasing positive parts, each at most cap,
+    largest first part first.
 
-    Recursive, with depth at most n: each call takes a part of at least 1.
-    Every caller passes n <= 4: catalog degrees are at most 4, the fuzz
-    generator draws f <= 4, and the fiber multiplicity f of every cell
-    searched by classify(2..64) and seven audits is at most 4.
+    Runs from an explicit stack, so a long partition such as (1,) * 5000
+    costs list entries, not interpreter frames.  Every caller passes
+    n <= 4: catalog degrees are at most 4, the fuzz generator draws f <= 4,
+    and the fiber multiplicity f of every cell searched by classify(2..64)
+    and seven audits is at most 4.
     """
-    if cap is None:
-        cap = n
-    if n == 0:
-        return [()]
     out = []
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - first, first):
-            out.append((first,) + rest)
+    stack = [((), n, n if cap is None else cap)]
+    while stack:
+        head, left, top = stack.pop()
+        if left == 0:
+            out.append(head)
+        # the largest next part is pushed last, so it pops first
+        stack.extend((head + (p,), left - p, p) for p in range(1, min(left, top) + 1))
     return out
 
 

@@ -839,6 +839,23 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
 # -- pseudo-multiplet fuzzing ---------------------------------------------------
 
 
+def _fitting_draws(a: int, i: int, model, E, L, v_left: int) -> list:
+    """The (degree, points) candidates at level i whose degree leaves the
+    lower levels feasible; empty where the walk stops."""
+    found = _budgets(model, E, L)
+    if found is None or not _degrees_feasible(a, i, found[0], v_left):
+        return []
+    be, budgets = found
+    cands = _subscheme_candidates(model, E, i, a, v_left, be, budgets, False)
+    # at level 1, where no level is left, a fit is d(a - 1) == be
+    fits = {
+        d
+        for d in {d for d, _ in cands}
+        if _degrees_feasible(a, i - 1, be - i * (a - i) * d, v_left - i * d)
+    }
+    return [cand for cand in cands if cand[0] in fits]
+
+
 def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int = 200_000):
     """Deterministically sample valid pseudo-fundamental multiplets.
 
@@ -848,8 +865,18 @@ def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int =
     level draws uniformly among the candidates whose degree leaves the lower
     levels feasible, and builds a ``Subscheme`` for the drawn one only.
     Used by the identity test suite.
+
+    Draws repeat: 1000 ladders take about 3000 attempts on about 500
+    distinct tops.  So each draw path, the top (a, n, c0, parts) and then
+    (i, points) per nonempty elimination, is built and certified once per
+    call: the top, the draw list at each level, each descent and each
+    closed ladder.  A repeated path shares those objects, down to the same
+    ``Ladder``, and every random draw is made as an unshared walk makes it.
     """
     rng = random.Random(seed)
+    # path -> its state, or None where the attempt stops; the draw lists
+    # and closed ladders sit at ("draws", path, i) and ("ladder", path, b)
+    memo: dict = {}
     out = []
     attempts = 0
     while len(out) < count and attempts < max_attempts:
@@ -868,42 +895,42 @@ def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int =
         b = rng.randint(1, min(b_top, 4))
         parts = rng.choice(_partitions(f, a - 1))
 
-        model, E, L = _top(a, n, c0, parts)
-        be_top = model.intersect(L, E.class_in(model))
-        if be_top < 0 or be_top > 60:
+        path = (a, n, c0, parts)
+        if path not in memo:
+            model, E, L = _top(a, n, c0, parts)
+            be_top = model.intersect(L, E.class_in(model))
+            memo[path] = (model, E, L, be_top) if 0 <= be_top <= 60 else None
+        if memo[path] is None:
             continue
-        v_cap = be_top  # sum j d_j never exceeds sum j(a-j) d_j
+        model, E, L, v_cap = memo[path]  # sum j d_j never exceeds sum j(a-j) d_j
 
         levels: list[LadderLevel] = []
         spent = 0
         for i in range(b, 0, -1):
-            found = _budgets(model, E, L)
-            v_left = v_cap - spent
-            if found is None or not _degrees_feasible(a, i, found[0], v_left):
+            key = ("draws", path, i)
+            if key not in memo:
+                memo[key] = _fitting_draws(a, i, model, E, L, v_cap - spent)
+            if not memo[key]:
                 break
-            be, budgets = found
-            cands = _subscheme_candidates(model, E, i, a, v_left, be, budgets, False)
-            # the degrees that leave the lower levels feasible; at level 1,
-            # where no level is left, that is d(a - 1) == be
-            fits = {
-                d
-                for d in {d for d, _ in cands}
-                if _degrees_feasible(a, i - 1, be - i * (a - i) * d, v_left - i * d)
-            }
-            cands = [cand for cand in cands if cand[0] in fits]
-            if not cands:
-                break
-            d, points = rng.choice(cands)
+            d, points = rng.choice(memo[key])
             if not points:
                 continue  # nothing to eliminate: the state holds at level i-1
-            level, E, L = descend_step(a, i, model, E, L, Subscheme(points))
-            if not E.is_effective() or E.is_zero():
+            path += ((i, points),)
+            if path not in memo:
+                level, E2, L2 = descend_step(a, i, model, E, L, Subscheme(points))
+                memo[path] = (level, E2, L2) if E2.is_effective() and not E2.is_zero() else None
+            if memo[path] is None:
                 break
+            level, E, L = memo[path]
             model = level.elim.model
             spent += i * d
             levels.append(level)
         else:
-            ladder = close_ladder(a, b, levels, model, E, L)
-            if certify_ladder(ladder, require_fundamental=False).passed:
-                out.append(ladder)
+            key = ("ladder", path, b)
+            if key not in memo:
+                ladder = close_ladder(a, b, levels, model, E, L)
+                passed = certify_ladder(ladder, require_fundamental=False).passed
+                memo[key] = ladder if passed else None
+            if memo[key] is not None:
+                out.append(memo[key])
     return out

@@ -583,6 +583,26 @@ def test_subscheme_candidates_match_the_recursive_reference(monkeypatch):
     assert all(changed)  # each allowance binds somewhere
 
 
+def _partitions_recursive(n, cap):
+    if n == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(min(n, cap), 0, -1)
+        for rest in _partitions_recursive(n - first, first)
+    ]
+
+
+def test_partitions_match_the_recursive_reference():
+    for n in range(13):
+        assert _partitions(n) == _partitions_recursive(n, n)
+        for cap in range(n + 1):
+            assert _partitions(n, cap) == _partitions_recursive(n, cap), (n, cap)
+    assert len(_partitions(12)) == 77
+    # one long partition, far deeper than the interpreter's recursion limit
+    assert _partitions(5000, 1) == [(1,) * 5000]
+
+
 def test_option_shapes_match_the_coefficient_lists():
     # the closed bounds against the chain coefficients themselves, for every
     # multiplicity cap up to 6 and every contact cap below it; coefficients
@@ -692,6 +712,98 @@ def test_fuzzer_ladders_equal_their_rebuilds():
         assert len(rebuilt.levels) == len(lad.levels)
         for got, want in zip(lad.levels, rebuilt.levels):
             assert got == want
+
+
+def _fuzz_per_attempt(seed, count):
+    """Reference for random_pseudo_fundamental_ladders: every attempt builds
+    its own top, draw lists, descents and ladder.  Also returns the distinct
+    keys that reach ``_top``, ``descend_step`` and ``certify_ladder``."""
+    rng = random.Random(seed)
+    out = []
+    keys = {"_top": set(), "descend_step": set(), "certify_ladder": set()}
+    attempts = 0
+    while len(out) < count and attempts < 200_000:
+        attempts += 1
+        a = rng.randint(4, 8)
+        c0 = rng.choice([a - 1, a - 1, a - 2, rng.randint(1, a - 1)])
+        h0 = 2 * a - c0
+        n = rng.randint(1, 2 * a)
+        f = rng.choice([0, 0, 1, 2, rng.randint(0, 4)])
+        h = (n + 2) * a - f
+        if cell_verdict(a, n, h0, h) in ("window", "unresolved_sections"):
+            continue
+        b_top = p4_length(h0)
+        if b_top < 1:
+            continue
+        b = rng.randint(1, min(b_top, 4))
+        parts = rng.choice(_partitions(f, a - 1))
+
+        path = (a, n, c0, parts)
+        keys["_top"].add(path)
+        model, E, L = enumerator._top(a, n, c0, parts)
+        be_top = model.intersect(L, E.class_in(model))
+        if be_top < 0 or be_top > 60:
+            continue
+        v_cap = be_top
+
+        levels = []
+        spent = 0
+        for i in range(b, 0, -1):
+            found = enumerator._budgets(model, E, L)
+            v_left = v_cap - spent
+            if found is None or not enumerator._degrees_feasible(a, i, found[0], v_left):
+                break
+            be, budgets = found
+            cands = enumerator._subscheme_candidates(model, E, i, a, v_left, be, budgets, False)
+            fits = {
+                d
+                for d in {d for d, _ in cands}
+                if enumerator._degrees_feasible(a, i - 1, be - i * (a - i) * d, v_left - i * d)
+            }
+            cands = [cand for cand in cands if cand[0] in fits]
+            if not cands:
+                break
+            d, points = rng.choice(cands)
+            if not points:
+                continue
+            path += ((i, points),)
+            keys["descend_step"].add(path)
+            level, E, L = descend_step(a, i, model, E, L, Subscheme(points))
+            if not E.is_effective() or E.is_zero():
+                break
+            model = level.elim.model
+            spent += i * d
+            levels.append(level)
+        else:
+            keys["certify_ladder"].add((path, b))
+            ladder = close_ladder(a, b, levels, model, E, L)
+            if certify_ladder(ladder, require_fundamental=False).passed:
+                out.append(ladder)
+    return out, keys
+
+
+@pytest.mark.parametrize("seed, count", [(0, 100), (1, 100), (2, 100), (20240817, 1000)])
+def test_fuzz_memo_matches_the_per_attempt_walk(seed, count):
+    got = random_pseudo_fundamental_ladders(seed, count)
+    want, _ = _fuzz_per_attempt(seed, count)
+    assert len(got) == count
+    assert got == want
+    # a repeated path returns the ladder built for it the first time
+    assert len({id(lad) for lad in got}) == len({(lad.a, lad.b, lad.levels) for lad in want})
+
+
+def test_fuzz_memo_builds_each_drawn_key_once(monkeypatch):
+    _, keys = _fuzz_per_attempt(0, 100)
+    calls = dict.fromkeys(keys, 0)
+    for name in calls:
+        def counted(*args, _call=getattr(enumerator, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(enumerator, name, counted)
+    random_pseudo_fundamental_ladders(0, 100)
+    assert calls == {name: len(drawn) for name, drawn in keys.items()}
+    # 100 ladders from 92 certified paths
+    assert calls == {"_top": 177, "descend_step": 152, "certify_ladder": 92}
 
 
 def test_audit_small_clean():

@@ -182,6 +182,23 @@ def test_basic_pair_failures():
     assert "nonzero" in report.failures
 
 
+def test_adjoint_positivity_alone_rejects_a_pair_with_nine_free_points():
+    # E = 2 sigma on F_4 at a = 4 meets L = -4K - E in 0, and (K+L).L is
+    # (a-1)(aK^2 + K.E) = 3(4K^2 + 4).  Blowing up k general points away
+    # from sigma makes K^2 = 8 - k; at k = 9, (K+L).L = 0 and every other
+    # basic-pair condition still holds.
+    positivity = {}
+    for k in (8, 9):
+        model = SurfaceModel.hirzebruch(4)
+        for _ in range(k):
+            model, _ = model.blow_up()
+        pair = BasicPair.build(model, Divisor.from_dict({0: 2}), 4)
+        report = check_basic_pair(pair, nef_evidence=True)
+        assert report.details["component_degrees"] == [0]
+        positivity[k] = report.details["adjoint_positivity"], report.failures
+    assert positivity == {8: (12, ()), 9: (0, ("adjoint_positivity",))}
+
+
 def test_nef_certificate():
     lad = _entry_ladder(5, "O")
     top = lad.top
@@ -300,6 +317,27 @@ def test_identities_check_rejects_a_moved_adjoint_square():
     assert all(m.intersect(m.curve(c).cls, D) == 0 for c in lv.E.support)
     assert m.intersect(D, D) == -2
     bad = _with_level(lad, 1, L=lv.L + D)
+    assert not identities_check(bad)
+    assert not _identities_per_level(bad.a, bad.levels)
+
+
+def test_identities_check_rejects_a_moved_anticanonical_degree():
+    # Type I at a = 4 starts on F_7 with E = 3 sigma.  D = x(sigma + 7 l)
+    # meets sigma in 0, so L + D keeps L.E and the contact sums.  D.L is
+    # -a D.K - D.E = -4 D.K, so (K+L).L moves by D.K + 2 D.L + D^2 =
+    # 7x^2 + 63x, which is 0 at x = -9.  Only the -K.L identity sees that
+    # K.L moved by D.K = 81.
+    lad = _entry_ladder(4, "I")
+    assert identities_check(lad)
+    top = lad.levels[0]
+    m = top.model
+    assert (m.n, m.exc_count, top.E.items) == (7, 0, ((0, 3),))
+    D = m.base_class(-9, -63)
+    K, L = m.canonical_class, top.L
+    assert m.intersect(m.sigma_class(), D) == 0
+    assert m.intersect(K + L + D, L + D) == m.intersect(K + L, L)
+    assert m.intersect(K, D) == 81
+    bad = _with_level(lad, 0, L=L + D)
     assert not identities_check(bad)
     assert not _identities_per_level(bad.a, bad.levels)
 
