@@ -19,7 +19,6 @@ from .elimination import (
     Subscheme,
     OnCurveDatum,
     NodeDatum,
-    FreeDatum,
     eliminate,
     transform,
     check_psi_nef,
@@ -50,7 +49,6 @@ __all__ = [
     "Subscheme",
     "OnCurveDatum",
     "NodeDatum",
-    "FreeDatum",
     "eliminate",
     "transform",
     "check_psi_nef",

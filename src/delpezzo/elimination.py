@@ -3,13 +3,17 @@
 A zero-dimensional subscheme in which every point has order one sits on a
 smooth local arc, so combinatorially a point of it is just a multiplicity
 ``m`` together with contact orders against the tracked curves through it.
-Three kinds of local data cover everything this engine needs:
+Two kinds of local data cover everything this engine needs:
 
 * ``OnCurveDatum(curve, k, m)``: a point on one tracked curve, meeting it
   with contact ``k`` (``1 <= k <= m``);
 * ``NodeDatum(curve1, curve2, k2, m)``: a point at the node of two tracked
-  curves, contact 1 along the first branch and ``k2`` along the second;
-* ``FreeDatum(m)``: a point on no tracked curve.
+  curves, contact 1 along the first branch and ``k2`` along the second.
+
+A point on no tracked curve has no datum, because no certified ladder
+holds one: eliminated at level i <= a-1, it gives the first curve of its
+chain the coefficient -(a-i) < 0 in the transformed divisor, which is then
+not effective.
 
 The elimination of a subscheme blows the points up into straight chains:
 ``m`` blow-ups per point, the first ``k`` following the host curve, the
@@ -48,16 +52,7 @@ class NodeDatum:
             raise StructuralError(f"contact order must satisfy 1 <= k2 <= m, got k2={self.k2}, m={self.m}")
 
 
-@dataclass(frozen=True)
-class FreeDatum:
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise StructuralError("multiplicity must be positive")
-
-
-LocalDatum = OnCurveDatum | NodeDatum | FreeDatum
+LocalDatum = OnCurveDatum | NodeDatum
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,7 @@ def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
     Points are processed in order.  Each kind of datum fixes the first
     centre, a host curve and a contact order k: an on-curve datum starts on
     its curve and follows it, a node datum starts at the node and follows
-    the second branch, a free datum starts at a general point (k = 1).
+    the second branch.
     Blow-ups 2..k sit at the node of the last exceptional curve with the
     host's strict transform; the remaining ones at general points of the
     last exceptional curve.
@@ -146,8 +141,6 @@ def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
             c1, c2 = model.resolve(datum.curve1), model.resolve(datum.curve2)
             datum = NodeDatum(c1, c2, datum.k2, datum.m)
             plans.append(((c1, c2), c2, datum.k2, datum.m))
-        elif isinstance(datum, FreeDatum):
-            plans.append(((), None, 1, datum.m))
         else:
             raise StructuralError(f"unknown local datum {datum!r}")
         resolved.append(datum)

@@ -53,6 +53,9 @@ from .elimination import eliminate
 from .multiplet import build_ladder
 
 _CONFIG_CAP = 2_000_000
+# Attempts per ``random_pseudo_fundamental_ladders`` call before it returns
+# what it has; 1000 ladders take about 3000.
+_FUZZ_ATTEMPT_CAP = 200_000
 # At 2.0-2.6 us per (n, h0) window (a = 4..512), a sweep at the cap takes 8-11 s.
 AUDIT_WINDOW_CAP = 1 << 22
 
@@ -856,15 +859,17 @@ def _fitting_draws(a: int, i: int, model, E, L, v_left: int) -> list:
     return [cand for cand in cands if cand[0] in fits]
 
 
-def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int = 200_000):
+def random_pseudo_fundamental_ladders(seed: int, count: int):
     """Deterministically sample valid pseudo-fundamental multiplets.
 
     Draws random cells (with no volume requirement and any admissible
     length), walks random paths through the same candidate generator the
-    classifier uses, and keeps the ladders whose certificates pass.  Each
-    level draws uniformly among the candidates whose degree leaves the lower
-    levels feasible, and builds a ``Subscheme`` for the drawn one only.
-    Used by the identity test suite.
+    classifier uses, and keeps the ladders whose certificates pass.  The
+    walk's own tests do not imply the certificate: an occasional closed
+    path fails ``bottom_adjoint_positivity`` or ``top_minus_one_curve``
+    and is dropped.  Each level draws uniformly among the candidates whose
+    degree leaves the lower levels feasible, and builds a ``Subscheme`` for
+    the drawn one only.  Used by the identity test suite.
 
     Draws repeat: 1000 ladders take about 3000 attempts on about 500
     distinct tops.  So each draw path, the top (a, n, c0, parts) and then
@@ -879,7 +884,7 @@ def random_pseudo_fundamental_ladders(seed: int, count: int, max_attempts: int =
     memo: dict = {}
     out = []
     attempts = 0
-    while len(out) < count and attempts < max_attempts:
+    while len(out) < count and attempts < _FUZZ_ATTEMPT_CAP:
         attempts += 1
         a = rng.randint(4, 8)
         c0 = rng.choice([a - 1, a - 1, a - 2, rng.randint(1, a - 1)])

@@ -108,17 +108,6 @@ class Divisor:
     def is_zero(self) -> bool:
         return not self.items
 
-    def __add__(self, other: "Divisor") -> "Divisor":
-        out = self.as_dict()
-        for c, v in other.items:
-            out[c] = out.get(c, 0) + v
-        return Divisor.from_dict(out)
-
-    def __rmul__(self, c: int) -> "Divisor":
-        return Divisor.from_dict({k: c * v for k, v in self.items})
-
-    __mul__ = __rmul__
-
     def class_in(self, model: "SurfaceModel") -> DivisorClass:
         return model._add_curves(self, 1, [0, 0], [0] * model.exc_count)
 
@@ -274,8 +263,8 @@ class SurfaceModel:
         curves.append(new_rec)
         return SurfaceModel(self.n, new_exc, tuple(curves), self.next_point_index), new_rec
 
-    def bump_point_index(self, count: int = 1) -> "SurfaceModel":
-        return SurfaceModel(self.n, self.exc_count, self.curves, self.next_point_index + count)
+    def bump_point_index(self) -> "SurfaceModel":
+        return SurfaceModel(self.n, self.exc_count, self.curves, self.next_point_index + 1)
 
     # -- base-cone tests (valid on the minimal surface only) ----------------
 

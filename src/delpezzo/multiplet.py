@@ -7,11 +7,12 @@ K+L is nef, (K+L.L) > 0, and (L.C) = 0 for every component C of E.
 Contracting everything orthogonal to L produces a log del Pezzo surface
 whose anticanonical pullback is L; its volume is (L^2)/a^2.
 
-A fundamental multiplet stores a top surface F_n, a divisor E_b on it, and
-one curvilinear subscheme per level b..1; repeated elimination descends it
-to a basic pair through E_{i-1} = transform(E_i, a-i) and
-L_{i-1} = L_i - i.K_rel.  An empty subscheme blows nothing up and leaves
-(model, E, L) as they were, so a ladder stores only its nonempty
+A fundamental multiplet of length b in 1..a-1 stores a top surface F_n, a
+divisor E_b on it, and one curvilinear subscheme per level b..1; repeated
+elimination descends it to a basic pair through
+E_{i-1} = transform(E_i, a-i) and L_{i-1} = L_i - i.K_rel.  The descent is
+what certifies that K+L_0 is nef.  An empty subscheme blows nothing up and
+leaves (model, E, L) as they were, so a ladder stores only its nonempty
 eliminations: a level without one holds the state of the nearest stored
 level below it.  The machinery here descends ladders, certifies every
 defining condition with exact integer arithmetic, evaluates the
@@ -121,20 +122,17 @@ def build_ladder(
     E_top: Divisor,
     b: int,
     steps: Mapping[int, Subscheme],
-    *,
-    strict: bool = True,
 ) -> Ladder:
-    """Descend a multiplet of length b given as (top surface, divisor, steps).
+    """Descend a multiplet of length b in 1..a-1 given as (top surface,
+    divisor, steps).
 
     ``steps`` maps a level in b..1 to the nonempty subscheme eliminated
     there; every other level eliminates nothing.  Each subscheme may
     reference curves by id or by name against the model of its own level.
-    With ``strict`` the intermediate divisors must stay effective and
-    nonzero; disable it to build intentionally broken ladders for the
-    diagnostic checkers.
+    The intermediate divisors are not tested here: ``certify_ladder``
+    reports a divisor that turns non-effective or zero, and certifies
+    nefness, along the descent.
     """
-    if not (0 <= b <= a - 1):
-        raise StructuralError(f"ladder length {b} incompatible with index candidate {a}")
     model = top_model
     E = E_top
     L = model.fundamental_class(a, E)
@@ -143,10 +141,6 @@ def build_ladder(
         level, E, L = descend_step(a, i, model, E, L, steps[i])
         levels.append(level)
         model = level.elim.model
-        if strict and not E.is_effective():
-            raise StructuralError(f"divisor not effective below level {i}")
-        if strict and E.is_zero():
-            raise StructuralError(f"divisor vanished below level {i}")
     return close_ladder(a, b, levels, model, E, L)
 
 
@@ -166,11 +160,15 @@ def close_ladder(
 ) -> Ladder:
     """Append level 0 to the descended steps of a length-b ladder.
 
-    Raises ``StructuralError`` unless the steps are nonempty and their
-    levels strictly decrease inside b..1, and ``InternalConsistencyError``
-    unless the divisor-level and class-level transforms agree on every
-    stored state.
+    Every ladder passes through here.  Raises ``StructuralError`` unless b
+    lies in 1..a-1 and the steps are nonempty with levels strictly
+    decreasing inside b..1, and ``InternalConsistencyError`` unless the
+    divisor-level and class-level transforms agree on every stored state.
+    It certifies nothing else: ``certify_ladder`` checks the descent, the
+    only certificate that K+L_0 is nef.
     """
+    if not 1 <= b <= a - 1:
+        raise StructuralError(f"ladder length {b} is not inside 1..{a - 1}")
     above = b + 1
     for lv in levels:
         if not 0 < lv.i < above:
@@ -194,12 +192,6 @@ class CertificateReport:
     failures: tuple[str, ...]
     details: dict
 
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "failures": list(self.failures), "details": self.details}
-
 
 def nef_certificate(model: SurfaceModel, L: DivisorClass, E: Divisor) -> bool:
     """Sufficient nefness certificate below an elimination step at level i.
@@ -213,48 +205,37 @@ def nef_certificate(model: SurfaceModel, L: DivisorClass, E: Divisor) -> bool:
     return all(model.intersect(L, model.curve(c).cls) >= 0 for c in E.support)
 
 
-def top_nef_ok(model: SurfaceModel, L: DivisorClass, b: int) -> bool:
-    """bK + L nef on the minimal top surface, by the closed cone criterion."""
-    cls = b * model.canonical_class + L
-    return model.nef_on_base(cls)
-
-
-def top_not_nef_next(model: SurfaceModel, L: DivisorClass, b: int) -> bool:
-    cls = (b + 1) * model.canonical_class + L
-    return not model.nef_on_base(cls)
-
-
 def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> CertificateReport:
-    """Check every defining condition of a (pseudo-)fundamental multiplet.
+    """Check every defining condition of a (pseudo-)fundamental multiplet;
+    the one verdict on a ladder, whose length b lies in 1..a-1.
 
     Top level: bK+L_b nef by the closed criterion (the top surface must be
     minimal), plus the extra (-1)-curve condition on F_1; with
     ``require_fundamental`` also (b+1)K+L_b not nef.  Each elimination step:
     the transformed divisor stays nonzero effective and meets L
     nonnegatively on its components, which certifies nefness all the way
-    down.  Bottom: coefficients in 1..a-1, (L.C) = 0 on every component, and
-    (K+L.L) > 0.
+    down; this descent is the only certificate that K+L_0 is nef.  Bottom:
+    ``check_basic_pair``.
 
     The level checks run once per state below the top, named by the first
     level that holds it: b-1 for the top state when level b eliminates
     nothing, and i-1 for the state below a step at level i.
     """
-    a = ladder.a
     b = ladder.b
     failures = []
-    details: dict = {}
 
     top = ladder.top
     if top.model.exc_count != 0:
         failures.append("top_not_minimal")
     else:
-        if not top_nef_ok(top.model, top.L, b):
+        K = top.model.canonical_class
+        if not top.model.nef_on_base(b * K + top.L):
             failures.append("top_nef")
-        if require_fundamental and b > 0 and not top_not_nef_next(top.model, top.L, b):
+        cls = (b + 1) * K + top.L
+        if require_fundamental and top.model.nef_on_base(cls):
             failures.append("top_fundamental")
         if top.model.n == 1:
             # F_1 carries a (-1)-curve, the minimal section itself.
-            cls = (b + 1) * top.model.canonical_class + top.L
             if top.model.intersect(cls, top.model.sigma_class()) < 0:
                 failures.append("top_minus_one_curve")
 
@@ -276,22 +257,22 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
             break
 
     if not failures:
-        pair = ladder.bottom_pair
-        bot = check_basic_pair(pair, nef_evidence=True)
-        details["basic_pair"] = bot.details
+        bot = check_basic_pair(ladder.bottom_pair)
         failures.extend("bottom_" + f for f in bot.failures)
 
-    return CertificateReport(not failures, tuple(failures), details)
+    return CertificateReport(not failures, tuple(failures), {})
 
 
-def check_basic_pair(pair: BasicPair, *, nef_evidence: bool | None = None) -> CertificateReport:
-    """Evaluate the basic-pair conditions; failures are data, not errors.
+def check_basic_pair(pair: BasicPair) -> CertificateReport:
+    """Evaluate the basic-pair conditions other than nefness; failures are
+    data, not errors.
 
-    The simple-normal-crossing requirement holds for every configuration the
-    point blow-ups can produce, so it is reported as passed by construction.
-    Nefness of K+L is taken from ``nef_evidence`` when the pair arrived
-    through a certified ladder; for a pair on a minimal surface the closed
-    criterion decides it directly.
+    E nonzero and effective with coefficients in 1..a-1, (L.C) = 0 on every
+    component of E, and (K+L.L) > 0.  Nefness of K+L is not checked here: for a pair at the
+    bottom of a ladder of length 1..a-1 the descent certifies it, and
+    ``certify_ladder`` checks the descent.  The simple-normal-crossing
+    requirement holds for every configuration the point blow-ups can
+    produce, so it is passed by construction.
     """
     model, E, a, L = pair.model, pair.E0, pair.a, pair.L0
     failures = []
@@ -310,23 +291,10 @@ def check_basic_pair(pair: BasicPair, *, nef_evidence: bool | None = None) -> Ce
     if any(v != 0 for v in orth):
         failures.append("orthogonality")
 
-    kl = model.canonical_class + L
-    positivity = model.intersect(kl, L)
+    positivity = model.intersect(model.canonical_class + L, L)
     details["adjoint_positivity"] = positivity
     if positivity <= 0:
         failures.append("adjoint_positivity")
-
-    if nef_evidence is None:
-        if model.exc_count == 0:
-            nef_evidence = model.nef_on_base(kl)
-            if not nef_evidence:
-                failures.append("adjoint_nef")
-        else:
-            # Nefness on a blown-up model is only ever certified through the
-            # descent chain; without that evidence we report it as unproven.
-            failures.append("adjoint_nef_unverified")
-    elif not nef_evidence:
-        failures.append("adjoint_nef")
 
     return CertificateReport(not failures, tuple(failures), details)
 
@@ -446,10 +414,8 @@ def _local_components(lv: LadderLevel, datum) -> list[tuple[int, int]]:
     out = []
     if isinstance(datum, OnCurveDatum):
         candidates = [datum.curve]
-    elif isinstance(datum, NodeDatum):
-        candidates = [datum.curve1, datum.curve2]
     else:
-        candidates = []
+        candidates = [datum.curve1, datum.curve2]
     for c in candidates:
         v = lv.E.coeff(c)
         if v > 0:
@@ -543,15 +509,13 @@ def local_lemma_checks(ladder: Ladder) -> list[str]:
 def _datum_json(model: SurfaceModel, datum) -> dict:
     if isinstance(datum, OnCurveDatum):
         return {"kind": "on_curve", "curve": model.curve(datum.curve).name, "k": datum.k, "m": datum.m}
-    if isinstance(datum, NodeDatum):
-        return {
-            "kind": "at_node",
-            "curve1": model.curve(datum.curve1).name,
-            "curve2": model.curve(datum.curve2).name,
-            "k2": datum.k2,
-            "m": datum.m,
-        }
-    return {"kind": "free", "m": datum.m}
+    return {
+        "kind": "at_node",
+        "curve1": model.curve(datum.curve1).name,
+        "curve2": model.curve(datum.curve2).name,
+        "k2": datum.k2,
+        "m": datum.m,
+    }
 
 
 def ladder_json(ladder: Ladder, certificates: dict | None = None) -> dict:

@@ -72,13 +72,6 @@ class Fan2D:
     def is_smooth(self) -> bool:
         return all(_det(v, w) == 1 for v, w in self.cones())
 
-    def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self.rays]
-
-    @staticmethod
-    def from_json(data) -> "Fan2D":
-        return Fan2D(tuple((int(x), int(y)) for x, y in data))
-
 
 def _resolve_cone(v: tuple[int, int], w: tuple[int, int]) -> list[tuple[int, int]]:
     """Rays inserted by the minimal resolution of the cone <v, w>.

@@ -1,7 +1,6 @@
 import pytest
 
 from delpezzo.elimination import (
-    FreeDatum,
     NodeDatum,
     OnCurveDatum,
     Subscheme,
@@ -30,15 +29,6 @@ def test_chain_shape_on_curve():
     assert res.relative_canonical().as_dict() == {chain[0]: 1, chain[1]: 2, chain[2]: 3}
 
 
-def test_single_free_point():
-    F2 = SurfaceModel.hirzebruch(2)
-    res = eliminate(F2, Subscheme((FreeDatum(1),)))
-    (chain,) = res.chains
-    assert len(chain) == 1
-    assert res.model.self_intersection(chain[0]) == -1
-    assert res.relative_canonical().as_dict() == {chain[0]: 1}
-
-
 def test_node_chain_attachments():
     F5 = SurfaceModel.hirzebruch(5)
     F5, l1 = F5.add_fiber()
@@ -54,7 +44,7 @@ def test_node_chain_attachments():
 
 def test_degree_counts_blow_ups():
     F3 = SurfaceModel.hirzebruch(3)
-    sub = Subscheme((OnCurveDatum("sigma", 1, 2), FreeDatum(3)))
+    sub = Subscheme((OnCurveDatum("sigma", 1, 2), OnCurveDatum("sigma", 2, 3)))
     res = eliminate(F3, sub)
     assert sub.degree == 5
     assert res.model.exc_count == 5
@@ -95,7 +85,7 @@ def test_relative_canonical_coefficient_is_position():
         (
             OnCurveDatum("sigma", 3, 5),
             NodeDatum("sigma", "l_1", 2, 4),
-            FreeDatum(2),
+            OnCurveDatum("l_1", 1, 2),
         )
     )
     res = eliminate(F7, sub)
@@ -119,7 +109,7 @@ def test_check_psi_nef_true_on_eliminations():
     for sub in (
         Subscheme(()),
         Subscheme((OnCurveDatum("sigma", 2, 2),)),
-        Subscheme((FreeDatum(4),)),
+        Subscheme((OnCurveDatum("sigma", 1, 4),)),
     ):
         assert check_psi_nef(eliminate(F4, sub))
 
@@ -162,7 +152,7 @@ def test_closed_form_guards():
 
 def _eliminate_reference(model, subscheme):
     """One branch per datum kind: the chain construction before ``eliminate``
-    walked one loop for all three."""
+    walked one loop for both."""
     chains, steps = [], []
     for datum in subscheme.points:
         tag = f"P{model.next_point_index}"
@@ -175,11 +165,7 @@ def _eliminate_reference(model, subscheme):
             steps.append((through, rec.id))
             chain.append(rec.id)
 
-        if isinstance(datum, FreeDatum):
-            blow(1)
-            for j in range(2, datum.m + 1):
-                blow(j, chain[-1])
-        elif isinstance(datum, OnCurveDatum):
+        if isinstance(datum, OnCurveDatum):
             host = model.resolve(datum.curve)
             blow(1, host)
             for j in range(2, datum.k + 1):
@@ -199,7 +185,6 @@ def _eliminate_reference(model, subscheme):
 
 def _reference_cases():
     for m in range(1, 5):
-        yield (FreeDatum(m),)
         for k in range(1, m + 1):
             yield (OnCurveDatum("sigma", k, m),)
             yield (OnCurveDatum("l_1", k, m),)
@@ -210,7 +195,7 @@ def _reference_cases():
 
 def test_eliminate_matches_the_per_kind_reference():
     F3, _ = SurfaceModel.hirzebruch(3).add_fiber()
-    F3 = F3.bump_point_index(2)
+    F3 = F3.bump_point_index().bump_point_index()
     for points in _reference_cases():
         sub = Subscheme(points)
         res = eliminate(F3, sub)

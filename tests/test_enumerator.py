@@ -226,7 +226,7 @@ def test_canonical_form_ignores_fiber_labels():
         first, second = (lb, la) if flip else (la, lb)
         E = Divisor.from_dict({0: 4, first.id: 2, second.id: 2})
         steps = {3: Subscheme((OnCurveDatum(first.id, 2, 2), OnCurveDatum(second.id, 2, 2)))}
-        lad = build_ladder(5, top, E, 3, steps, strict=False)
+        lad = build_ladder(5, top, E, 3, steps)
         keys.append(canonical_form(lad.bottom_pair))
     assert keys[0] == keys[1]
 
@@ -707,7 +707,7 @@ def test_fuzzer_ladders_equal_their_rebuilds():
     assert len(ladders) == 100
     for lad in ladders:
         steps = {lv.i: lv.delta for lv in lad.levels[:-1]}
-        rebuilt = build_ladder(lad.a, lad.top.model, lad.top.E, lad.b, steps, strict=False)
+        rebuilt = build_ladder(lad.a, lad.top.model, lad.top.E, lad.b, steps)
         assert rebuilt.b == lad.b
         assert len(rebuilt.levels) == len(lad.levels)
         for got, want in zip(lad.levels, rebuilt.levels):
@@ -804,6 +804,27 @@ def test_fuzz_memo_builds_each_drawn_key_once(monkeypatch):
     assert calls == {name: len(drawn) for name, drawn in keys.items()}
     # 100 ladders from 92 certified paths
     assert calls == {"_top": 177, "descend_step": 152, "certify_ladder": 92}
+
+
+@pytest.mark.parametrize(
+    "seed, count, failure",
+    [(46, 200, "bottom_adjoint_positivity"), (13, 400, "top_minus_one_curve")],
+)
+def test_fuzz_certificate_filter_drops_a_closed_path(monkeypatch, seed, count, failure):
+    # the generator's budgets and effectivity tests do not imply the
+    # certificate: on these seeds one closed path fails it and is dropped
+    failures = []
+
+    def counted(ladder, **kwargs):
+        report = certify_ladder(ladder, **kwargs)
+        failures.extend(report.failures)
+        return report
+
+    monkeypatch.setattr(enumerator, "certify_ladder", counted)
+    ladders = random_pseudo_fundamental_ladders(seed, count)
+    assert failures == [failure]
+    assert len(ladders) == count
+    assert all(certify_ladder(lad, require_fundamental=False).passed for lad in ladders)
 
 
 def test_audit_small_clean():

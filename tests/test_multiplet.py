@@ -157,14 +157,14 @@ def test_top_minus_one_curve_rejects_an_f1_top_that_meets_sigma_b_times():
     assert certify_ladder(lad).failures == ("top_minus_one_curve",)
     assert certify_ladder(lad, require_fundamental=False).failures == ("top_minus_one_curve",)
     # the bottom checks, which certify_ladder skips once a check has failed
-    assert check_basic_pair(lad.bottom_pair, nef_evidence=True).passed
+    assert check_basic_pair(lad.bottom_pair).passed
 
 
 def test_basic_pair_positivity_value():
     # adjoint positivity of the length-zero pair behind the principal series
     lad = _entry_ladder(4, "O")
     pair = lad.bottom_pair
-    report = check_basic_pair(pair, nef_evidence=True)
+    report = check_basic_pair(pair)
     assert report.passed
     # (K + L).L = 2 (a-1)(a+1)^2 at a = 4
     assert report.details["adjoint_positivity"] == 150
@@ -193,7 +193,7 @@ def test_adjoint_positivity_alone_rejects_a_pair_with_nine_free_points():
         for _ in range(k):
             model, _ = model.blow_up()
         pair = BasicPair.build(model, Divisor.from_dict({0: 2}), 4)
-        report = check_basic_pair(pair, nef_evidence=True)
+        report = check_basic_pair(pair)
         assert report.details["component_degrees"] == [0]
         positivity[k] = report.details["adjoint_positivity"], report.failures
     assert positivity == {8: (12, ()), 9: (0, ("adjoint_positivity",))}
@@ -568,7 +568,41 @@ def test_build_ladder_rejects_a_step_outside_the_ladder(level):
     # type I at index 5 has length 3 and one step, at level 1
     top = _entry_ladder(5, "I").top
     with pytest.raises(StructuralError, match=f"step at level {level} is not inside 3..1"):
-        build_ladder(5, top.model, top.E, 3, {level: Subscheme((OnCurveDatum("sigma", 1, 1),))}, strict=False)
+        build_ladder(5, top.model, top.E, 3, {level: Subscheme((OnCurveDatum("sigma", 1, 1),))})
+
+
+@pytest.mark.parametrize("b", [0, 4, -1])
+def test_a_ladder_length_outside_one_to_a_minus_one_is_refused(b):
+    # E = 2 sigma on F_4 at a = 4: K+L and 2K+L are both nef, so at b = 0 the
+    # top passed as fundamental while no descent certified the bottom
+    F4 = SurfaceModel.hirzebruch(4)
+    E = Divisor.from_dict({0: 2})
+    with pytest.raises(StructuralError, match=f"ladder length {b} is not inside 1..3"):
+        build_ladder(4, F4, E, b, {})
+    with pytest.raises(StructuralError, match=f"ladder length {b} is not inside 1..3"):
+        close_ladder(4, b, [], F4, E, F4.fundamental_class(4, E))
+
+
+def test_certify_ladder_names_the_level_where_the_divisor_fails():
+    # a = 5, b = 3 on F_2 with E = 4 sigma + l_1: the top passes, the sigma
+    # point at level 3 leaves E effective (only the bottom fails), and an
+    # l_1 point at level i gives its chain the coefficient 1 - (a - i) < 0
+    F, fiber = SurfaceModel.hirzebruch(2).add_fiber()
+    E = Divisor.from_dict({0: 4, fiber.id: 1})
+    on_sigma = Subscheme((OnCurveDatum("sigma", 1, 1),))
+    on_fiber = Subscheme((OnCurveDatum("l_1", 1, 1),))
+    assert certify_ladder(build_ladder(5, F, E, 3, {3: on_sigma})).failures == ("bottom_orthogonality",)
+    lad = build_ladder(5, F, E, 3, {3: on_sigma, 2: on_fiber})
+    assert certify_ladder(lad).failures == ("effectivity_level_1",)
+    lad = build_ladder(5, F, E, 3, {2: on_fiber})
+    assert certify_ladder(lad).failures == ("effectivity_level_1",)
+    lad = build_ladder(5, F, E, 3, {3: on_fiber})
+    assert certify_ladder(lad).failures == ("effectivity_level_2",)
+    # with E = 0 on top the state at level b - 1 is zero, whatever lies below
+    zero = Divisor.from_dict({})
+    lad = build_ladder(5, F, zero, 3, {1: on_sigma})
+    failures = certify_ladder(lad, require_fundamental=False).failures
+    assert failures == ("top_divisor_not_effective", "nonzero_level_2")
 
 
 def test_volume_cross_check_runs():
@@ -637,12 +671,12 @@ def test_local_checks_boundary_case():
     # admissible exactly when 2i = a + 1
     F = SurfaceModel.hirzebruch(9)
     E = Divisor.from_dict({0: 4})
-    lad = build_ladder(5, F, E, 3, {3: Subscheme((OnCurveDatum("sigma", 1, 2),))}, strict=False)
+    lad = build_ladder(5, F, E, 3, {3: Subscheme((OnCurveDatum("sigma", 1, 2),))})
     assert local_lemma_checks(lad) == []
 
     F = SurfaceModel.hirzebruch(11)
     E = Divisor.from_dict({0: 5})
-    lad = build_ladder(6, F, E, 3, {3: Subscheme((OnCurveDatum("sigma", 1, 2),))}, strict=False)
+    lad = build_ladder(6, F, E, 3, {3: Subscheme((OnCurveDatum("sigma", 1, 2),))})
     assert any("2i = a+1" in v for v in local_lemma_checks(lad))
 
 

@@ -151,8 +151,3 @@ def test_resolution_report_shape():
     assert rep["relative_anticanonical_coefficients"] == ["3"]
     assert rep["index"] == 4
     assert rep["volume"] == "23/2"
-
-
-def test_fan_json_round_trip():
-    fan = family_fan("II2", 5)
-    assert Fan2D.from_json(fan.to_json()) == fan
