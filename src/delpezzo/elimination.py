@@ -128,7 +128,9 @@ def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
     the second branch.
     Blow-ups 2..k sit at the node of the last exceptional curve with the
     host's strict transform; the remaining ones at general points of the
-    last exceptional curve.
+    last exceptional curve.  The centres of all points are listed first and
+    blown up by one ``SurfaceModel.blow_up_all``, so each elimination builds
+    one model and each curve class once.
     """
     resolved = []
     plans = []  # (first centre, host, k, m) per point
@@ -145,21 +147,26 @@ def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
             raise StructuralError(f"unknown local datum {datum!r}")
         resolved.append(datum)
 
-    base_exc = model.exc_count
+    centres = []  # (through, name) per blow-up, for one ``blow_up_all``
     chains: list[tuple[int, ...]] = []
     steps: list[EliminationStep] = []
-    for first, host, k, m in plans:
-        tag = f"P{model.next_point_index}"
-        model = model.bump_point_index()
+    for index, (first, host, k, m) in enumerate(plans, model.next_point_index):
         chain: list[int] = []
         for j in range(1, m + 1):
             through = first if j == 1 else (chain[-1], host) if j <= k else (chain[-1],)
-            model, rec = model.blow_up(*through, name=f"Gamma_{tag}_{j}")
-            steps.append(EliminationStep(through, rec.id))
-            chain.append(rec.id)
+            new_id = len(model.curves) + len(centres)  # the id blow_up_all gives it
+            centres.append((through, f"Gamma_P{index}_{j}"))
+            steps.append(EliminationStep(through, new_id))
+            chain.append(new_id)
         chains.append(tuple(chain))
 
-    return EliminationResult(model, Subscheme(tuple(resolved)), tuple(chains), tuple(steps), base_exc)
+    return EliminationResult(
+        model.blow_up_all(centres, len(plans)),
+        Subscheme(tuple(resolved)),
+        tuple(chains),
+        tuple(steps),
+        model.exc_count,
+    )
 
 
 def transform(E: Divisor, result: EliminationResult, s: int) -> Divisor:

@@ -442,15 +442,20 @@ def _top(a: int, n: int, c0: int, parts) -> tuple[SurfaceModel, Divisor, Divisor
 
 
 def _budgets(model: SurfaceModel, E: Divisor, L: DivisorClass) -> tuple[int, dict] | None:
-    """L.E and L.C for every component C of E, or None if any is negative."""
-    be = model.intersect(L, E.class_in(model))
-    if be < 0:
-        return None
+    """L.E and L.C for every component C of E, or None if any is negative.
+
+    L.E is the sum of e_C (L.C) over E = sum e_C C, by bilinearity, so the
+    class of E is never formed.
+    """
+    be = 0
     budgets = {}
-    for cid in E.support:
+    for cid, e in E.items:
         budgets[cid] = model.intersect(L, model.curve(cid).cls)
         if budgets[cid] < 0:
             return None
+        be += e * budgets[cid]
+    if be < 0:
+        return None
     return be, budgets
 
 
@@ -844,18 +849,27 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
 
 def _fitting_draws(a: int, i: int, model, E, L, v_left: int) -> list:
     """The (degree, points) candidates at level i whose degree leaves the
-    lower levels feasible; empty where the walk stops."""
+    lower levels feasible; empty where the walk stops.
+
+    The degrees that fit are found first, from the allowance alone; the
+    candidates are then built only up to the largest of them.  That drops
+    only subschemes of larger degree, so the preorder of the rest holds.
+    """
     found = _budgets(model, E, L)
-    if found is None or not _degrees_feasible(a, i, found[0], v_left):
+    if found is None:
         return []
     be, budgets = found
-    cands = _subscheme_candidates(model, E, i, a, v_left, be, budgets, False)
+    unit = i * (a - i)
     # at level 1, where no level is left, a fit is d(a - 1) == be
-    fits = {
+    fits = [
         d
-        for d in {d for d, _ in cands}
-        if _degrees_feasible(a, i - 1, be - i * (a - i) * d, v_left - i * d)
-    }
+        for d in range(min(v_left // i, be // unit) + 1)
+        if _degrees_feasible(a, i - 1, be - unit * d, v_left - i * d)
+    ]
+    if not fits:
+        return []
+    cands = _subscheme_candidates(model, E, i, a, i * fits[-1], be, budgets, False)
+    fits = set(fits)
     return [cand for cand in cands if cand[0] in fits]
 
 
@@ -879,8 +893,9 @@ def random_pseudo_fundamental_ladders(seed: int, count: int):
     ``Ladder``, and every random draw is made as an unshared walk makes it.
     """
     rng = random.Random(seed)
-    # path -> its state, or None where the attempt stops; the draw lists
-    # and closed ladders sit at ("draws", path, i) and ("ladder", path, b)
+    # path -> its state, or None where the attempt stops; the draw lists,
+    # closed ladders and fiber partitions sit at ("draws", path, i),
+    # ("ladder", path, b) and ("parts", f, a)
     memo: dict = {}
     out = []
     attempts = 0
@@ -898,7 +913,9 @@ def random_pseudo_fundamental_ladders(seed: int, count: int):
         if b_top < 1:
             continue
         b = rng.randint(1, min(b_top, 4))
-        parts = rng.choice(_partitions(f, a - 1))
+        if ("parts", f, a) not in memo:
+            memo["parts", f, a] = _partitions(f, a - 1)
+        parts = rng.choice(memo["parts", f, a])
 
         path = (a, n, c0, parts)
         if path not in memo:

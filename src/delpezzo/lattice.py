@@ -14,12 +14,17 @@ one point, and a blow-up centre is the tuple of tracked curves through it:
 none (a general point), one (a general point of that curve) or two (their
 node).  Under these conventions the divisor class of a strict transform
 determines all intersection numbers, so no coordinates are ever needed.
+
+An elimination blows up all its centres in one ``blow_up_all``, which
+builds one model and each curve class once; a later centre may lie on a
+curve that an earlier one made.  ``blow_up`` is its one-centre case.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,8 +122,9 @@ class SurfaceModel:
     """A Hirzebruch surface F_n blown up ``exc_count`` times, plus the table of
     tracked curves.
 
-    Immutable; ``blow_up`` and ``add_fiber`` return new models.  Curve ids
-    are indices into ``curves`` and stay valid in every later model.
+    Immutable; ``blow_up_all``, ``blow_up`` and ``add_fiber`` return new
+    models.  Curve ids are indices into ``curves`` and stay valid in every
+    later model.
     """
 
     n: int
@@ -226,45 +232,68 @@ class SurfaceModel:
 
     def blow_up(self, *through: int, name: str | None = None) -> tuple["SurfaceModel", CurveRecord]:
         """Blow up the point through the tracked curves ``through``; returns the
-        new model and the new exceptional curve.
+        new model and the new exceptional curve.  The one-centre case of
+        ``blow_up_all``."""
+        model = self.blow_up_all(((through, name),), 0)
+        return model, model.curves[-1]
 
-        No curve means a general point, one a general point of that curve, two
-        their node, which requires intersection number exactly one; blowing it
-        up separates them.  Strict transforms of the curves through the centre
-        drop by the new exceptional class.
+    def blow_up_all(
+        self, centres: Sequence[tuple[tuple[int, ...], str | None]], points: int
+    ) -> "SurfaceModel":
+        """Blow up the centres ``(through, name)`` in order, as one new model
+        whose ``next_point_index`` is ``points`` further on.
+
+        ``through`` lists the tracked curves through the centre: none means a
+        general point, one a general point of that curve, two their node,
+        which requires intersection number exactly one; blowing it up
+        separates them.  The k-th centre makes the curve of id
+        ``len(self.curves) + k``, named ``name`` or ``e_<its class index>``,
+        and a later centre may lie on it.  Strict transforms of the curves
+        through a centre drop by its exceptional class.  Each class is built
+        once, at its final length.
         """
-        recs = [self.curve(c) for c in through]
-        if len(recs) > 2:
-            raise InvalidPointError("a centre lies on at most two tracked curves")
-        if len(recs) == 2:
-            r1, r2 = recs
-            if r1.id == r2.id:
-                raise InvalidPointError("a node needs two distinct curves")
-            if self.intersection(r1.id, r2.id) != 1:
-                raise InvalidPointError(
-                    f"curves {r1.name} and {r2.name} do not meet in a single node"
-                )
-        incident = {r.id for r in recs}
+        m, count, new = self.exc_count, len(self.curves), len(centres)
+        names = [f"e_{m + j + 1}" if name is None else name for j, (_, name) in enumerate(centres)]
+        drops: dict[int, list[int]] = {}  # curve id -> the new classes it drops by
 
-        j = self.exc_count
-        new_exc = j + 1
+        def tail(c: int) -> list[int]:
+            """The new exceptional part of curve c's class so far."""
+            out = [0] * new
+            if c >= count:
+                out[c - count] = 1
+            for j in drops.get(c, ()):
+                out[j] = -1
+            return out
+
+        for j, (through, _) in enumerate(centres):
+            for c in through:
+                if not 0 <= c < count + j:
+                    raise StructuralError(f"no tracked curve with id {c}")
+            if len(through) > 2:
+                raise InvalidPointError("a centre lies on at most two tracked curves")
+            if len(through) == 2:
+                c1, c2 = through
+                if c1 == c2:
+                    raise InvalidPointError("a node needs two distinct curves")
+                meet = self.intersection(c1, c2) if max(c1, c2) < count else 0
+                if meet - sum(map(operator.mul, tail(c1), tail(c2))) != 1:
+                    n1, n2 = (self.curves[c].name if c < count else names[c - count] for c in through)
+                    raise InvalidPointError(f"curves {n1} and {n2} do not meet in a single node")
+            for c in through:
+                drops.setdefault(c, []).append(j)
+
+        zeros = (0,) * new
         curves = []
         for rec in self.curves:
-            cls = rec.cls.pad(new_exc)
-            if rec.id in incident:
-                exc = list(cls.exc)
-                exc[j] = -1
-                cls = DivisorClass(cls.base, tuple(exc))
-            curves.append(CurveRecord(rec.id, rec.name, cls))
-        if name is None:
-            name = f"e_{new_exc}"
-        exc_cls = DivisorClass((0, 0), (0,) * j + (1,))
-        new_rec = CurveRecord(len(curves), name, exc_cls)
-        curves.append(new_rec)
-        return SurfaceModel(self.n, new_exc, tuple(curves), self.next_point_index), new_rec
-
-    def bump_point_index(self) -> "SurfaceModel":
-        return SurfaceModel(self.n, self.exc_count, self.curves, self.next_point_index + 1)
+            cls = rec.cls
+            if len(cls.exc) != m or len(cls.base) != 2:
+                self._check_class(cls)  # raises
+            exc = cls.exc + (tuple(tail(rec.id)) if rec.id in drops else zeros)
+            curves.append(CurveRecord(rec.id, rec.name, DivisorClass(cls.base, exc)))
+        for j, name in enumerate(names):
+            exc = (0,) * m + tuple(tail(count + j))
+            curves.append(CurveRecord(count + j, name, DivisorClass((0, 0), exc)))
+        return SurfaceModel(self.n, m + new, tuple(curves), self.next_point_index + points)
 
     # -- base-cone tests (valid on the minimal surface only) ----------------
 

@@ -291,7 +291,7 @@ def check_basic_pair(pair: BasicPair) -> CertificateReport:
     if any(v != 0 for v in orth):
         failures.append("orthogonality")
 
-    positivity = model.intersect(model.canonical_class + L, L)
+    positivity = model.intersect(model.canonical_class, L) + model.intersect(L, L)
     details["adjoint_positivity"] = positivity
     if positivity <= 0:
         failures.append("adjoint_positivity")
@@ -343,16 +343,17 @@ def identities_check(ladder: Ladder) -> bool:
             linear += j * d
             below.append((j, lv.delta))
 
-        if lv.model.intersect(lv.L, lv.E.class_in(lv.model)) != weighted:
+        # L.E is the sum of e_C (L.C), by bilinearity
+        degrees = {c: lv.model.intersect(lv.L, lv.model.curve(c).cls) for c in lv.E.support}
+        if sum(e * degrees[c] for c, e in lv.E.items) != weighted:
             return False
 
         k_dot_l = lv.model.intersect(lv.model.canonical_class, lv.L)
         if k_dot_l + lv.model.intersect(lv.L, lv.L) - k0l0 != genus:
             return False
 
-        for cid in lv.E.support:
-            contact = sum(j * delta.contact(cid) for j, delta in below)
-            if lv.model.intersect(lv.L, lv.model.curve(cid).cls) != contact:
+        for cid, lc in degrees.items():
+            if lc != sum(j * delta.contact(cid) for j, delta in below):
                 return False
 
         if Fraction(l0sq, a) != -k_dot_l - linear:

@@ -102,13 +102,16 @@ def _resolve_cone(v: tuple[int, int], w: tuple[int, int]) -> list[tuple[int, int
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with g = gcd(a, b) = x a + y b.
 
-    Recursive, with depth the number of Euclid steps on (a, b), which is
-    O(log max(|a|, |b|)) for the coordinates of a ray.
+    One loop over the Euclid steps on (a, b), keeping the Bezout
+    coefficients of the last two remainders, so no input runs out of stack.
     """
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
+    x0, y0, x1, y1 = 1, 0, 0, 1  # (a, b) is (x0 A + y0 B, x1 A + y1 B) for the inputs (A, B)
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    sign = 1 if a >= 0 else -1
+    return (sign * a, sign * x0, sign * y0)
 
 
 @dataclass(frozen=True)

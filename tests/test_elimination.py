@@ -156,7 +156,7 @@ def _eliminate_reference(model, subscheme):
     chains, steps = [], []
     for datum in subscheme.points:
         tag = f"P{model.next_point_index}"
-        model = model.bump_point_index()
+        model = model.blow_up_all((), 1)
         chain = []
 
         def blow(position, *through):
@@ -195,7 +195,7 @@ def _reference_cases():
 
 def test_eliminate_matches_the_per_kind_reference():
     F3, _ = SurfaceModel.hirzebruch(3).add_fiber()
-    F3 = F3.bump_point_index().bump_point_index()
+    F3 = F3.blow_up_all((), 2)
     for points in _reference_cases():
         sub = Subscheme(points)
         res = eliminate(F3, sub)

@@ -806,6 +806,61 @@ def test_fuzz_memo_builds_each_drawn_key_once(monkeypatch):
     assert calls == {"_top": 177, "descend_step": 152, "certify_ladder": 92}
 
 
+def _record(monkeypatch, name):
+    """Patch ``enumerator.<name>`` to record (args, result) of each call."""
+    calls = []
+    call = getattr(enumerator, name)
+
+    def recorded(*args):
+        calls.append((args, call(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(enumerator, name, recorded)
+    return calls
+
+
+def test_budgets_take_l_dot_e_from_the_component_degrees(monkeypatch):
+    # L.E = sum e_C (L.C) by bilinearity; check it against the class of E on
+    # every state the cell search and the fuzz draws see
+    calls = _record(monkeypatch, "_budgets")
+    for a in range(4, 17):
+        classify(a)
+    searched = len(calls)
+    random_pseudo_fundamental_ladders(0, 100)
+    assert searched > 100 and len(calls) > searched + 100
+    for (model, E, L), found in calls:
+        be = model.intersect(L, E.class_in(model))
+        degrees = {c: model.intersect(L, model.curve(c).cls) for c in E.support}
+        if be < 0 or min(degrees.values()) < 0:
+            assert found is None
+        else:
+            assert found == (be, degrees)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fuzz_draws_stop_at_the_largest_fitting_degree(monkeypatch, seed):
+    # the candidates built up to the largest fitting degree are those of the
+    # full allowance, filtered by the same fit set, in the same order
+    calls = _record(monkeypatch, "_fitting_draws")
+    random_pseudo_fundamental_ladders(seed, 1000)
+    trimmed = 0  # calls where the full allowance builds a larger degree
+    for (a, i, model, E, L, v_left), got in calls:
+        want = []
+        found = enumerator._budgets(model, E, L)
+        if found is not None:
+            be, budgets = found
+            full = enumerator._subscheme_candidates(model, E, i, a, v_left, be, budgets, False)
+            fits = {
+                d
+                for d, _ in full
+                if enumerator._degrees_feasible(a, i - 1, be - i * (a - i) * d, v_left - i * d)
+            }
+            want = [cand for cand in full if cand[0] in fits]
+            trimmed += max(d for d, _ in full) > max(fits, default=-1)
+        assert got == want
+    assert len(calls) > 1500 and trimmed > 1000  # 1,800-2,077 and 1,100-1,287 on seeds 0..2
+
+
 @pytest.mark.parametrize(
     "seed, count, failure",
     [(46, 200, "bottom_adjoint_positivity"), (13, 400, "top_minus_one_curve")],

@@ -267,3 +267,45 @@ def test_one_pass_kernel_matches_the_chain_arithmetic():
                 count = lv.elim.model.exc_count
                 for cls, s in ((lv.L, lv.i), (m.canonical_class, 1), (m.sigma_class(), -2)):
                     assert lv.elim.transform_class(cls, s) == cls.pad(count) + -s * rel
+
+
+def _eliminations():
+    """(model below, elimination) of every step of the catalog ladders at
+    a = 4..12 and of the fuzz ladders of seed 0."""
+    ladders = [
+        build_entry_ladder(entry, a, idx)
+        for a in range(4, 13)
+        for entry in catalog_entries(a)
+        for idx in range(len(entry.configs))
+    ]
+    ladders += random_pseudo_fundamental_ladders(0, 100)
+    return [(lv.model, lv.elim) for lad in ladders for lv in lad.levels if lv.elim is not None]
+
+
+def test_batched_blow_up_matches_the_incidence():
+    # every elimination builds its model in one ``blow_up_all``; the
+    # intersection numbers must be those that the centres' incidence dictates
+    eliminations = _eliminations()
+    assert len(eliminations) > 100
+    for below, elim in eliminations:
+        above, sub = elim.model, elim.subscheme
+        K0, K1 = below.canonical_class, above.canonical_class
+        assert above.intersect(K1, K1) == below.intersect(K0, K0) - sub.degree
+        for rec in below.curves:
+            drop = sub.contact(rec.id)
+            assert above.self_intersection(rec.id) == below.self_intersection(rec.id) - drop
+        for chain in elim.chains:
+            assert [above.self_intersection(c) for c in chain] == [-2] * (len(chain) - 1) + [-1]
+
+
+def test_batched_blow_up_rejects_a_node_of_curves_that_do_not_meet():
+    # the third centre pairs the second exceptional curve with a fiber it
+    # does not meet; the first two centres are a valid start of a chain
+    F3, l1 = SurfaceModel.hirzebruch(3).add_fiber()
+    e1, e2 = len(F3.curves), len(F3.curves) + 1
+    centres = [((0,), "g_1"), ((e1, 0), "g_2"), ((e2, l1.id), "g_3"), ((), "g_4")]
+    assert F3.blow_up_all(centres[:2], 1).intersection(e2, 0) == 1
+    with pytest.raises(InvalidPointError, match="curves g_2 and l_1 do not meet in a single node"):
+        F3.blow_up_all(centres, 1)
+    with pytest.raises(InvalidPointError, match="curves e_2 and sigma do not meet in a single node"):
+        F3.blow_up_all([((0,), None), ((e1,), None), ((e2, 0), None)], 0)

@@ -299,15 +299,34 @@ def test_identities_check_rejects_a_tampered_subscheme(name, datum, tampered):
     assert not _identities_per_level(bad.a, bad.levels)
 
 
+def _a5_step_then_a_point_of_sigma():
+    """A5's first step on F_7, then one point of sigma at level 1."""
+    top, fiber = SurfaceModel.hirzebruch(7).add_fiber()
+    steps = {3: Subscheme((OnCurveDatum("l_1", 2, 2),)), 1: Subscheme((OnCurveDatum("sigma", 1, 1),))}
+    return build_ladder(5, top, Divisor.from_dict({0: 4, fiber.id: 2}), 3, steps)
+
+
+def test_identities_check_rejects_a_moved_coefficient():
+    # E_3 = 4 sigma + 2 l_1 meets L_3 in 4 (L.sigma) + 2 (L.l_1) = 4 + 12,
+    # the weighted degree 3*2*2 + 1*4*1.  3 sigma + 2 l_1 keeps the support,
+    # L and so every L.C, contact sum, K.L and (K+L).L; only the L.E
+    # identity sees that L.E dropped by L.sigma = 1.
+    lad = _a5_step_then_a_point_of_sigma()
+    assert identities_check(lad)
+    top = lad.levels[0]
+    m = top.model
+    assert [m.intersect(top.L, m.curve(c).cls) for c in top.E.support] == [1, 6]
+    bad = _with_level(lad, 0, E=Divisor.from_dict({0: 3, 1: 2}))
+    assert not identities_check(bad)
+    assert not _identities_per_level(bad.a, bad.levels)
+
+
 def test_identities_check_rejects_a_moved_adjoint_square():
-    # A5's first step on F_7, then one point of sigma at level 1.  On the
-    # state that levels 2 and 1 hold, D = E_2 - E_1 meets K and every
+    # On the state that levels 2 and 1 hold, D = E_2 - E_1 meets K and every
     # component of E in 0, hence L in 0 too.  L + D keeps L.E, every contact
     # sum and -K.L, so only the (K+L).L identity sees that (K+L).L moved by
     # D^2 = -2.
-    top, fiber = SurfaceModel.hirzebruch(7).add_fiber()
-    steps = {3: Subscheme((OnCurveDatum("l_1", 2, 2),)), 1: Subscheme((OnCurveDatum("sigma", 1, 1),))}
-    lad = build_ladder(5, top, Divisor.from_dict({0: 4, fiber.id: 2}), 3, steps)
+    lad = _a5_step_then_a_point_of_sigma()
     assert identities_check(lad)
     lv = lad.levels[1]
     assert lv.i == 1

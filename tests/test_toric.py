@@ -37,6 +37,18 @@ def test_resolution_invariants_raise_fan_errors(monkeypatch):
         hj_resolve(family_fan("O", 5))
 
 
+def test_ext_gcd_of_consecutive_fibonacci_numbers_takes_no_stack():
+    # F_1502 and F_1501 (314 digits) take 1500 Euclid steps, more than the
+    # default recursion limit of 1000 frames
+    f0, f1 = 0, 1
+    for _ in range(1501):
+        f0, f1 = f1, f0 + f1
+    assert len(str(f1)) == 314
+    g, x, y = toric._ext_gcd(f1, f0)
+    assert g == 1 and x * f1 + y * f0 == 1
+    assert toric._ext_gcd(-12, 18) == (6, 1, 1) and toric._ext_gcd(0, -5) == (5, 0, -1)
+
+
 def test_smooth_fan_has_no_insertions():
     p2 = Fan2D(((1, 0), (0, 1), (-1, -1)))
     res = hj_resolve(p2)
