@@ -10,15 +10,17 @@ of h0 and n die by ``length_zero``, ``small_multiple_region``,
 ``large_multiple_volume`` and the n-cap, and each remaining cell gets a
 verdict from one rule table, ``_rules`` (``window``,
 ``coefficient_persistence``, ``volume``, ``section_budget``,
-``sigma_budget``, ``unresolved_sections``), per cell or per constant piece
-of h.  The cells with no verdict run a depth-first search over ladder
-states, one per prefix of nonempty eliminations: the empty subscheme
-changes nothing, so a state walks its own levels down in place and pushes
-a child state for each nonempty subscheme of each level, drawn against one
-degree allowance.  Every configuration that reaches the bottom is
-certified from scratch: effectivity and nefness down the ladder,
-the basic-pair conditions, exact volume, exact Gorenstein index, and the
-intersection identities on an independent code path.
+``sigma_budget``, ``unresolved_sections``).  ``generate_cells`` sums the
+verdicts over runs of n and pieces of h, on which they stay the same;
+``audit`` re-derives them one (n, h0) window at a time.  The cells with no
+verdict run a depth-first search over ladder states, one per prefix of
+nonempty eliminations: the empty subscheme changes nothing, so a state
+walks its own levels down in place and pushes a child state for each
+nonempty subscheme of each level, drawn against one degree allowance.
+Every configuration that reaches the bottom is certified from scratch:
+effectivity and nefness down the ladder, the basic-pair conditions, exact
+volume, exact Gorenstein index, and the intersection identities on an
+independent code path.
 
 Candidates are deduplicated by a canonical form: the weighted dual graph of
 the contracted configuration together with (a, volume, index).  Isomorphic
@@ -28,8 +30,10 @@ surfaces have isomorphic minimal resolutions, hence equal keys.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 
 from .catalog import _partitions, build_entry_ladder, catalog_entries
 from .elimination import NodeDatum, OnCurveDatum, Subscheme
@@ -158,6 +162,11 @@ def _rules(a: int, n: int, h0: int) -> tuple[tuple[str, int, int], ...]:
     units and an orthogonality budget of at least h inside the allowance, is
     outside the search model (``unresolved_sections``).  The two rules that
     need h0 <= a get empty intervals otherwise.
+
+    For fixed (a, h0) every bound is affine in n on each parity class of n
+    (the floor-halves are the only reason for the split), and so are the
+    window ends; ``generate_cells`` sums kills over runs of n on that
+    contract, which ``test_rules_are_affine_in_n_on_each_parity`` enforces.
     """
     lo, top = n * h0, (n + 2) * a + 1
     b = h0 // 2
@@ -249,12 +258,71 @@ def _normalization_active(a: int, n: int, h0: int, h: int) -> bool:
     return h0 == 2 * b and h != (n + 2) * b and n >= 2
 
 
+def _lines(a: int, n: int, h0: int) -> tuple[int, ...]:
+    """The window ends n h0 and (n + 2) a, then every bound of ``_rules``."""
+    return (n * h0, (n + 2) * a, *(x for _, lo, hi in _rules(a, n, h0) for x in (lo, hi)))
+
+
+def _row_pieces(a: int, h0: int, n_lo: int, n_hi: int):
+    """Yield (n, h, verdict, count) covering the windows n_lo <= n <= n_hi
+    of row h0: ``count`` cells with that verdict, the first at (n, h).
+
+    On each parity class n = n0 + 2j the lines of ``_lines`` are affine in j.
+    The class is cut into runs of j where two distinct lines cross, at the
+    first j on or past the crossing and at the first j past it.  On a run
+    the order of the lines, ties included, is fixed, so each verdict's count
+    per window is affine in j and sums to (first + last) * length / 2; it is
+    yielded at the run's first n and first h.  A run with open cells yields
+    every window of it.  A run of more than one window whose far end leaves
+    the lines raises ``InternalConsistencyError`` instead of miscounting.
+    """
+
+    def tally(pieces):
+        out = {}
+        for start, stop, verdict in pieces:
+            h, count = out.get(verdict, (start, 0))
+            out[verdict] = h, count + stop - start
+        return out
+
+    for n0 in (n_lo, n_lo + 1):
+        last = (n_hi - n0) // 2
+        if last < 0:
+            continue
+        base = _lines(a, n0, h0)
+        step = [y - x for x, y in zip(base, _lines(a, n0 + 2, h0))]
+        starts = {0}
+        for (b1, s1), (b2, s2) in combinations(set(zip(base, step)), 2):
+            if s1 != s2:
+                q, r = divmod(b2 - b1, s1 - s2)  # they meet at j = q + r / (s1 - s2)
+                starts.update((q + (r != 0), q + 1))
+        starts = sorted(j for j in starts if 0 <= j <= last)
+        for j0, stop in zip(starts, [*starts[1:], last + 1]):
+            j1 = stop - 1
+            if j1 > j0 and _lines(a, n0 + 2 * j1, h0) != tuple(x + s * j1 for x, s in zip(base, step)):
+                raise InternalConsistencyError(
+                    f"the bounds of _rules are not affine in n on row h0={h0} "
+                    f"(a={a}, n={n0 + 2 * j1})"
+                )
+            first = list(_verdict_pieces(a, n0 + 2 * j0, h0))
+            if any(verdict is None for *_, verdict in first):
+                for j in range(j0, stop):
+                    pieces = _verdict_pieces(a, n0 + 2 * j, h0) if j > j0 else first
+                    yield from ((n0 + 2 * j, start, v, end - start) for start, end, v in pieces)
+                continue
+            near = tally(first)
+            far = tally(_verdict_pieces(a, n0 + 2 * j1, h0)) if j1 > j0 else near
+            for verdict, (h, count) in near.items():
+                yield n0 + 2 * j0, h, verdict, (count + far[verdict][1]) * (stop - j0) // 2
+
+
 def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
     """Cells surviving the closed-form predicates, plus kill statistics.
 
-    Kills are counted per constant piece of h (``_verdict_pieces``), and h
-    runs one by one only where the verdict is None.  Cells and kill counts
-    are those of a per-h sweep.
+    In each row h0, ``p6_large_multiple_kill`` holds on a prefix of n, found
+    by bisection.  The rest of the row is summed over runs of n and pieces
+    of h (``_row_pieces``), and h runs one by one only where the verdict is
+    None.  Cells, kill counts and the order in which kill reasons first
+    appear are those of a per-h sweep.
     """
     killed: dict[str, int] = {}
     cells = []
@@ -272,15 +340,19 @@ def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
             n_hi = 2 * a  # only reachable at a = 2, reported as a caveat
         else:
             n_hi = p7_degree_cap(a, h0)
-        for n in range(0, n_hi + 1):
-            if p6_large_multiple_kill(a, n, h0):
-                killed["large_multiple_volume"] = killed.get("large_multiple_volume", 0) + 1
-                continue
-            for start, stop, reason in _verdict_pieces(a, n, h0):
-                if reason:
-                    killed[reason] = killed.get(reason, 0) + stop - start
-                    continue
-                cells.extend(SearchCell(a, n, h0, h) for h in range(start, stop))
+        # p6 holds on a prefix n < n_lo of the row: its left side grows with n
+        n_lo = n_hi + 1
+        if not p6_large_multiple_kill(a, n_hi, h0):
+            n_lo = bisect_left(range(n_hi), True, key=lambda n: not p6_large_multiple_kill(a, n, h0))
+        if n_lo:
+            killed["large_multiple_volume"] = killed.get("large_multiple_volume", 0) + n_lo
+        if n_lo > n_hi:
+            continue
+        for n, h, reason, count in sorted(_row_pieces(a, h0, n_lo, n_hi), key=lambda p: p[:2]):
+            if reason:
+                killed[reason] = killed.get(reason, 0) + count
+            else:
+                cells.extend(SearchCell(a, n, h0, h + k) for k in range(count))
     return cells, killed
 
 
@@ -793,7 +865,10 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     Unlike ``classify`` this does not discard the excluded region wholesale:
     kills are counted per constant piece of h (``_verdict_pieces``), with the
     counts of a per-h sweep, the cells left open are searched to exhaustion,
-    and every survivor must already be in the catalog.  A sweep that
+    and every survivor must already be in the catalog.  The sweep stays one
+    (n, h0) window at a time on purpose: it is the independent route, which
+    takes every window's verdicts from ``_verdict_pieces`` without the runs
+    of n and the p6 prefix that ``generate_cells`` relies on.  A sweep that
     ``check_audit_sweep`` refuses, such as one of more than
     ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), raises ``ValueError``
     before it starts.

@@ -182,7 +182,44 @@ def test_cell_verdict_is_constant_between_breakpoints():
                 assert h == max(n * h0, (n + 2) * a + 1), (a, n, h0)
 
 
-@pytest.mark.parametrize("a", [*range(2, 65), 256, 512])
+def test_rules_are_affine_in_n_on_each_parity():
+    # generate_cells sums kills over runs of n on each parity class: the
+    # window ends and every bound of _rules need zero second difference at
+    # step 2 in n
+    def lines(a, n, h0):
+        bounds = (x for _, lo, hi in enumerator._rules(a, n, h0) for x in (lo, hi))
+        return (n * h0, (n + 2) * a, *bounds)
+
+    for a in range(2, 25):
+        for h0 in range(1, 2 * a):
+            for n in range(0, 3 * a - 3):
+                second = zip(lines(a, n, h0), lines(a, n + 2, h0), lines(a, n + 4, h0))
+                assert all(x - 2 * y + z == 0 for x, y, z in second), (a, n, h0)
+
+
+def test_large_multiple_kill_holds_on_a_prefix_of_each_row():
+    # generate_cells finds the end of the p6 kills of a row by bisection
+    for a in [*range(2, 65), 512]:
+        for h0 in range(a + 2, 2 * a):
+            kills = [p6_large_multiple_kill(a, n, h0) for n in range(p7_degree_cap(a, h0) + 1)]
+            assert kills == sorted(kills, reverse=True), (a, h0)
+
+
+def test_generate_cells_refuses_a_rule_that_is_not_affine(monkeypatch):
+    # a run's kills are summed from its two ends, so a bound that leaves its
+    # line inside a run must fail loudly instead of miscounting
+    rules = enumerator._rules
+
+    def bent(a, n, h0):
+        *head, (name, lo, hi) = rules(a, n, h0)
+        return (*head, (name, lo, hi + n * n))
+
+    monkeypatch.setattr(enumerator, "_rules", bent)
+    with pytest.raises(InternalConsistencyError, match="not affine in n"):
+        generate_cells(16)
+
+
+@pytest.mark.parametrize("a", [*range(2, 65), 127, 129, 255, 256, 257, 384, 512])
 def test_generate_cells_matches_the_per_h_sweep(a):
     # a missed breakpoint would miscount kills silently: compare the cells,
     # the kill counts and the order in which kill reasons first appear
