@@ -21,7 +21,6 @@ from .elimination import (
     NodeDatum,
     eliminate,
     transform,
-    check_psi_nef,
 )
 from .multiplet import (
     BasicPair,
@@ -29,7 +28,6 @@ from .multiplet import (
     build_ladder,
     volume,
     check_basic_pair,
-    nef_certificate,
     identities_check,
     index_of,
     certificate_index_is_a,
@@ -51,13 +49,11 @@ __all__ = [
     "NodeDatum",
     "eliminate",
     "transform",
-    "check_psi_nef",
     "BasicPair",
     "Ladder",
     "build_ladder",
     "volume",
     "check_basic_pair",
-    "nef_certificate",
     "identities_check",
     "index_of",
     "certificate_index_is_a",

@@ -56,7 +56,8 @@ def _on_fiber(parts: tuple[int, ...]) -> Subscheme:
 class CatalogEntry:
     name: str
     base_n: int
-    eb: tuple[tuple[str, int], ...]  # (curve name, coefficient); fibers are tracked
+    c0: int  # coefficient of sigma in the top divisor
+    fibers: tuple[int, ...]  # coefficients of the tracked fibers l_1, l_2, ...
     configs: tuple[dict[int, Subscheme], ...]  # per config: level -> nonempty subscheme
     volume: Fraction
 
@@ -71,7 +72,8 @@ def _sigma_series(a: int, name: str, degree: int) -> CatalogEntry:
     return CatalogEntry(
         name,
         2 * a - degree,
-        (("sigma", a - 1),),
+        a - 1,
+        (),
         tuple({1: _on_sigma(parts)} if parts else {} for parts in _partitions(degree)),
         Fraction(2 * a * a + (4 - degree) * a + 2, a),
     )
@@ -87,14 +89,16 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
         CatalogEntry(
             "II_1",
             2 * a - 2,
-            (("sigma", a - 1),),
+            a - 1,
+            (),
             ({1: _on_sigma((2,))},),
             Fraction(2 * a * a + 2 * a + 2, a),
         ),
         CatalogEntry(
             "II_2",
             2 * a - 2,
-            (("sigma", a - 1),),
+            a - 1,
+            (),
             ({1: _on_sigma((1, 1))},),
             Fraction(2 * a * a + 2 * a + 2, a),
         ),
@@ -106,7 +110,8 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
             CatalogEntry(
                 "A5",
                 8,
-                (("sigma", 4), ("l_1", 2)),
+                4,
+                (2,),
                 tuple({3: _on_fiber(parts)} for parts in _partitions(2)),
                 Fraction(54, 5),
             )
@@ -116,7 +121,8 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
             CatalogEntry(
                 "B4",
                 4,
-                (("sigma", 3),),
+                3,
+                (),
                 ({2: Subscheme((OnCurveDatum("sigma", 2, 3),))},),
                 Fraction(8),
             )
@@ -125,7 +131,8 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
             CatalogEntry(
                 "C4",
                 5,
-                (("sigma", 3), ("l_1", 2)),
+                3,
+                (2,),
                 (
                     {
                         2: Subscheme((OnCurveDatum("l_1", 1, 1),)),
@@ -138,19 +145,21 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
     return entries
 
 
-def top_model(entry: CatalogEntry) -> tuple[SurfaceModel, Divisor]:
-    model = SurfaceModel.hirzebruch(entry.base_n)
-    coeffs = {}
-    for name, c in entry.eb:
-        if name != "sigma":
-            model, _ = model.add_fiber(name)
-        coeffs[model.curve_by_name(name).id] = c
+def top_model(n: int, c0: int, fibers: tuple[int, ...]) -> tuple[SurfaceModel, Divisor]:
+    """F_n and the divisor c0 sigma plus one tracked fiber l_k of each
+    coefficient in ``fibers``: sigma has id 0 and l_k id k.  The top of
+    every catalog entry and of every searched or fuzzed multiplet."""
+    model = SurfaceModel.hirzebruch(n)
+    coeffs = {model.curve_by_name("sigma").id: c0}
+    for e in fibers:
+        model, rec = model.add_fiber()
+        coeffs[rec.id] = e
     return model, Divisor.from_dict(coeffs)
 
 
 def build_entry_ladder(entry: CatalogEntry, a: int, config: int = 0) -> Ladder:
-    model, eb = top_model(entry)
-    return build_ladder(a, model, eb, _length(a), entry.configs[config])
+    model, E = top_model(entry.base_n, entry.c0, entry.fibers)
+    return build_ladder(a, model, E, _length(a), entry.configs[config])
 
 
 def entry_by_name(a: int, name: str) -> CatalogEntry:

@@ -65,11 +65,10 @@ def _cmd_classify(args) -> int:
 def _type_entries(args):
     if args.type not in TYPE_NAMES:
         raise FlagError(f"unknown type {args.type!r}; expected one of {', '.join(TYPE_NAMES)}")
-    if args.type == "A5" and args.a != 5:
-        raise FlagError("type A5 exists only at index 5")
-    if args.type in ("B4", "C4") and args.a != 4:
-        raise FlagError(f"type {args.type} exists only at index 4")
-    return entries_for_type(args.a, args.type)
+    try:
+        return entries_for_type(args.a, args.type)
+    except KeyError:
+        raise FlagError(f"type {args.type} does not exist at index {args.a}") from None
 
 
 def _cmd_verify_type(args) -> int:

@@ -187,25 +187,11 @@ def transform(E: Divisor, result: EliminationResult, s: int) -> Divisor:
     return Divisor.from_dict(coeffs)
 
 
-def check_psi_nef(result: EliminationResult) -> bool:
-    """True iff the anticanonical class meets every chain curve nonnegatively.
-
-    Holds for every output of ``eliminate`` by the chain shape; exposed so
-    tests can falsify it on hand-built models that break the shape.
-    """
-    model = result.model
-    mk = -model.canonical_class
-    for chain in result.chains:
-        for cid in chain:
-            if model.intersect(mk, model.curve(cid).cls) < 0:
-                return False
-    return True
-
-
 # Closed-form chain coefficients for the transform of a divisor supported on
-# the curves through a single point.  These are the independent cross-check
-# for the step-by-step arithmetic in ``transform`` and double as fast effectivity
-# filters during enumeration.
+# the curves through a single point.  These are the reference that
+# ``test_option_shapes_match_the_coefficient_lists`` holds the enumerator's
+# ``_on_curve_shapes`` and ``_node_shapes`` to, and that the transform tests
+# compare the step-by-step arithmetic of ``transform`` against.
 
 
 def on_curve_coefficients(e: int, s: int, m: int, k: int) -> list[int]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .catalog import _partitions, build_entry_ladder, catalog_entries
+from .catalog import _partitions, build_entry_ladder, catalog_entries, top_model
 from .elimination import NodeDatum, OnCurveDatum, Subscheme
 from .graphs import canonical_key
 from .lattice import Divisor, DivisorClass, SurfaceModel
@@ -375,12 +375,12 @@ def _on_curve_shapes(a: int, s: int, e: int, m_cap: int, k_cap: int):
 
     With s >= 1 the coefficients climb by e - s up to the k-th, k(e - s),
     then fall by s to the last, e k - s m; so e >= s, k(e - s) <= a - 1 and
-    e k >= s m say it all.
+    e k >= s m say it all.  The last one also stops m at e k_top // s.
     """
     if e < s:
         return
     k_top = min(k_cap, (a - 1) // (e - s)) if e > s else k_cap
-    for m in range(1, m_cap + 1):
+    for m in range(1, min(m_cap, e * k_top // s) + 1):
         for k in range(-(-s * m // e), min(m, k_top) + 1):
             yield m, k
 
@@ -393,20 +393,16 @@ def _node_shapes(a: int, s: int, e1: int, e2: int, m_cap: int, k_cap: int):
     With s >= 1 the coefficients move by e2 - s from the first,
     e1 + e2 - s, to the k2-th, e1 + k2(e2 - s), then fall by s to the last,
     e1 + k2 e2 - s m; so the first and the k2-th lie in 0..a-1 and the last
-    is nonnegative.  The last bounds the k2-th from below, as m >= k2.
+    is nonnegative.  The last bounds the k2-th from below, as m >= k2, and
+    stops m at (e1 + k_cap e2) // s.
     """
     if not 0 <= e1 + e2 - s < a:
         return
     if e2 > s:
         k_cap = min(k_cap, (a - 1 - e1) // (e2 - s))
-    for m in range(1, m_cap + 1):
-        need = s * m - e1  # the last coefficient is k2 e2 - need
-        if need <= 0:
-            k_lo = 1
-        elif e2:
-            k_lo = -(-need // e2)
-        else:
-            return  # need only grows with m
+    for m in range(1, min(m_cap, (e1 + k_cap * e2) // s) + 1):
+        need = s * m - e1  # the last coefficient is k2 e2 - need; need > 0 needs e2 > 0
+        k_lo = -(-need // e2) if need > 0 else 1
         for k2 in range(k_lo, min(m, k_cap) + 1):
             yield m, k2
 
@@ -464,7 +460,7 @@ def _datum_options(model, E, i, a, m_cap, caps, forbid_sigma):
     return options
 
 
-def _subscheme_candidates(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
+def _subscheme_candidates(model, E, i, a, v_cap, budgets, forbid_sigma):
     """All admissible subschemes at this level as (degree, points) pairs:
     multisets of point data, the empty one first, from an explicit stack in
     the preorder of option order.  The caller wraps the points it keeps in a
@@ -472,11 +468,17 @@ def _subscheme_candidates(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
 
     On-curve data may repeat (distinct points of the same curve); a node is
     a single point, so each unordered pair of curves is used at most once.
-    Degree m takes i m from ``v_cap`` and i(a-i) m from ``be_cap``, so both
-    allowances are one: a total degree of at most
-    min(v_cap // i, be_cap // (i(a-i))).
+    Degree m takes i m from ``v_cap``: a total degree of at most v_cap // i.
+
+    The L.E allowance, degree at most L.E // (i s) with s = a - i, needs no
+    test of its own.  Every option's last chain coefficient is nonnegative:
+    e k >= s m on a curve, e1 + k2 e2 >= s m at a node.  So the options of
+    a subscheme that spends ``spent_C`` contacts on each component C of E
+    have s deg <= sum_C e_C spent_C <= sum_C e_C (L.C // i) <= L.E / i.
+    The same bound, per option, ends the shape loops long before ``m_cap``
+    when the volume allowance is loose.
     """
-    m_cap = min(v_cap // i, be_cap // (i * (a - i)))
+    m_cap = v_cap // i
     if m_cap < 1:
         return [(0, ())]
     caps = {c: r // i for c, r in budgets.items()}  # the keys are E.support
@@ -500,17 +502,6 @@ def _subscheme_candidates(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
                 used2 = used if pair is None else used | {pair}
                 stack.append((idx, chosen + (d,), used2, m_left - d.m, left2))
     return results
-
-
-def _top(a: int, n: int, c0: int, parts) -> tuple[SurfaceModel, Divisor, DivisorClass]:
-    """F_n, the top divisor c0 sigma plus one fiber per part, and L = -aK - E."""
-    model = SurfaceModel.hirzebruch(n)
-    coeffs = {model.curve_by_name("sigma").id: c0}
-    for part in parts:
-        model, rec = model.add_fiber()
-        coeffs[rec.id] = part
-    E = Divisor.from_dict(coeffs)
-    return model, E, model.fundamental_class(a, E)
 
 
 def _budgets(model: SurfaceModel, E: Divisor, L: DivisorClass) -> tuple[int, dict] | None:
@@ -600,8 +591,10 @@ def search_cell(cell: SearchCell) -> CellOutcome:
     # lowest level first: the preorder of one node per level, empty child
     # first.  Each level walked is a configuration; ``_CONFIG_CAP`` is
     # checked once per state, after its walk.
-    stack = [(b, *_top(a, n, c0, parts), 0, []) for parts in _partitions(f, a - 1)]
-    stack.reverse()
+    stack = []
+    for parts in reversed(_partitions(f, a - 1)):
+        model, E = top_model(n, c0, parts)
+        stack.append((b, model, E, model.fundamental_class(a, E), 0, []))
     while stack:
         entry, model, E, L, spent, levels = stack.pop()
         i = entry
@@ -619,7 +612,7 @@ def search_cell(cell: SearchCell) -> CellOutcome:
                     break
                 forbid = forbid_top_sigma and i == b
                 children = []
-                cands = _subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid)
+                cands = _subscheme_candidates(model, E, i, a, v_left, budgets, forbid)
                 for d, points in cands[1:]:
                     if i == 1 and d * (a - 1) != be:
                         continue
@@ -943,7 +936,7 @@ def _fitting_draws(a: int, i: int, model, E, L, v_left: int) -> list:
     ]
     if not fits:
         return []
-    cands = _subscheme_candidates(model, E, i, a, i * fits[-1], be, budgets, False)
+    cands = _subscheme_candidates(model, E, i, a, i * fits[-1], budgets, False)
     fits = set(fits)
     return [cand for cand in cands if cand[0] in fits]
 
@@ -994,7 +987,8 @@ def random_pseudo_fundamental_ladders(seed: int, count: int):
 
         path = (a, n, c0, parts)
         if path not in memo:
-            model, E, L = _top(a, n, c0, parts)
+            model, E = top_model(n, c0, parts)
+            L = model.fundamental_class(a, E)
             be_top = model.intersect(L, E.class_in(model))
             memo[path] = (model, E, L, be_top) if 0 <= be_top <= 60 else None
         if memo[path] is None:

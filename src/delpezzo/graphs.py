@@ -129,7 +129,3 @@ def canonical_key(g: WeightedGraph) -> tuple:
         if best is None or enc < best:
             best = enc
     return best
-
-
-def isomorphic(g1: WeightedGraph, g2: WeightedGraph) -> bool:
-    return canonical_key(g1) == canonical_key(g2)

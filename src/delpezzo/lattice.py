@@ -68,12 +68,6 @@ class DivisorClass:
 
     __mul__ = __rmul__
 
-    def pad(self, exc_len: int) -> "DivisorClass":
-        """Extend the exceptional part with zeros (pullback to a later model)."""
-        if exc_len < len(self.exc):
-            raise StructuralError("cannot shrink the exceptional part")
-        return DivisorClass(self.base, self.exc + (0,) * (exc_len - len(self.exc)))
-
 
 @dataclass(frozen=True)
 class CurveRecord:
@@ -219,12 +213,11 @@ class SurfaceModel:
     def intersection(self, id1: int, id2: int) -> int:
         return self.intersect(self.curve(id1).cls, self.curve(id2).cls)
 
-    def add_fiber(self, name: str | None = None) -> tuple["SurfaceModel", CurveRecord]:
-        """Track one more fiber of F_n (all fibers are disjoint, each meets sigma once)."""
-        if name is None:
-            k = sum(1 for r in self.curves if r.name.startswith("l_")) + 1
-            name = f"l_{k}"
-        rec = CurveRecord(len(self.curves), name, self.fiber_class().pad(self.exc_count))
+    def add_fiber(self) -> tuple["SurfaceModel", CurveRecord]:
+        """Track one more fiber of F_n, named ``l_<k>`` for the k-th (all fibers
+        are disjoint, each meets sigma once)."""
+        k = sum(1 for r in self.curves if r.name.startswith("l_")) + 1
+        rec = CurveRecord(len(self.curves), f"l_{k}", self.fiber_class())
         return (
             SurfaceModel(self.n, self.exc_count, self.curves + (rec,), self.next_point_index),
             rec,

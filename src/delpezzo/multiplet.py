@@ -51,15 +51,21 @@ class BasicPair:
     a: int
     L0: DivisorClass
 
-    @staticmethod
-    def build(model: SurfaceModel, E0: Divisor, a: int) -> "BasicPair":
-        return BasicPair(model, E0, a, model.fundamental_class(a, E0))
-
     # Built once per pair and shared by certificates, keys and JSON records.
 
     @cached_property
     def graph(self) -> WeightedGraph:
-        return contracted_graph(self)
+        """Weighted dual graph of the contracted configuration.
+
+        Its vertices are the tracked curves orthogonal to L0, exactly the
+        curves contracted to singular points: the support of E plus any
+        chains of discrepancy-zero (-2)-curves, which enter with
+        coefficient 0.  Vertex weights are (self-intersection, coefficient
+        in E).
+        """
+        model, L = self.model, self.L0
+        support = tuple(rec.id for rec in model.curves if model.intersect(L, rec.cls) == 0)
+        return model.dual_graph(support, self.E0.as_dict())
 
     @cached_property
     def volume(self) -> Fraction:
@@ -110,10 +116,6 @@ class Ladder:
     def volume(self) -> Fraction:
         """The module-level ``volume`` of this ladder, computed once."""
         return volume(self)
-
-    def weighted_degree(self) -> int:
-        """The sum of i deg over the steps."""
-        return sum(lv.i * lv.delta.degree for lv in self.levels[:-1])
 
 
 def build_ladder(
@@ -190,19 +192,6 @@ def close_ladder(
 class CertificateReport:
     passed: bool
     failures: tuple[str, ...]
-    details: dict
-
-
-def nef_certificate(model: SurfaceModel, L: DivisorClass, E: Divisor) -> bool:
-    """Sufficient nefness certificate below an elimination step at level i.
-
-    Given that ``i K + L`` was nef one level up, nefness of every ``j K + L``
-    for 0 <= j <= i follows once E is effective and L meets every component
-    of E nonnegatively.  This is the only nefness test the engine ever needs.
-    """
-    if not E.is_effective():
-        return False
-    return all(model.intersect(L, model.curve(c).cls) >= 0 for c in E.support)
 
 
 def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> CertificateReport:
@@ -213,8 +202,9 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
     minimal), plus the extra (-1)-curve condition on F_1; with
     ``require_fundamental`` also (b+1)K+L_b not nef.  Each elimination step:
     the transformed divisor stays nonzero effective and meets L
-    nonnegatively on its components, which certifies nefness all the way
-    down; this descent is the only certificate that K+L_0 is nef.  Bottom:
+    nonnegatively on its components.  Given that iK+L was nef one level up,
+    that makes every jK+L with 0 <= j <= i nef below, all the way down; this
+    descent is the only certificate that K+L_0 is nef.  Bottom:
     ``check_basic_pair``.
 
     The level checks run once per state below the top, named by the first
@@ -252,7 +242,7 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
         if lv.E.is_zero():
             failures.append(f"nonzero_level_{i}")
             break
-        if not nef_certificate(lv.model, lv.L, lv.E):
+        if any(lv.model.intersect(lv.L, lv.model.curve(c).cls) < 0 for c in lv.E.support):
             failures.append(f"nef_level_{i}")
             break
 
@@ -260,7 +250,7 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
         bot = check_basic_pair(ladder.bottom_pair)
         failures.extend("bottom_" + f for f in bot.failures)
 
-    return CertificateReport(not failures, tuple(failures), {})
+    return CertificateReport(not failures, tuple(failures))
 
 
 def check_basic_pair(pair: BasicPair) -> CertificateReport:
@@ -276,7 +266,6 @@ def check_basic_pair(pair: BasicPair) -> CertificateReport:
     """
     model, E, a, L = pair.model, pair.E0, pair.a, pair.L0
     failures = []
-    details: dict = {}
 
     if E.is_zero():
         failures.append("nonzero")
@@ -287,16 +276,13 @@ def check_basic_pair(pair: BasicPair) -> CertificateReport:
         failures.append("coefficient_range")
 
     orth = [model.intersect(L, model.curve(c).cls) for c in E.support]
-    details["component_degrees"] = orth
     if any(v != 0 for v in orth):
         failures.append("orthogonality")
 
-    positivity = model.intersect(model.canonical_class, L) + model.intersect(L, L)
-    details["adjoint_positivity"] = positivity
-    if positivity <= 0:
+    if model.intersect(model.canonical_class, L) + model.intersect(L, L) <= 0:
         failures.append("adjoint_positivity")
 
-    return CertificateReport(not failures, tuple(failures), details)
+    return CertificateReport(not failures, tuple(failures))
 
 
 # -- numerical invariants ----------------------------------------------------
@@ -310,7 +296,8 @@ def volume(ladder: Ladder) -> Fraction:
     """
     top = ladder.top
     mk = -top.model.canonical_class
-    primary = Fraction(top.model.intersect(mk, top.L) - ladder.weighted_degree(), ladder.a)
+    weighted_degree = sum(lv.i * lv.delta.degree for lv in ladder.levels[:-1])
+    primary = Fraction(top.model.intersect(mk, top.L) - weighted_degree, ladder.a)
     cross = ladder.bottom_pair.volume
     if primary != cross:
         raise InternalConsistencyError(f"volume mismatch: {primary} vs {cross}")
@@ -359,28 +346,6 @@ def identities_check(ladder: Ladder) -> bool:
         if Fraction(l0sq, a) != -k_dot_l - linear:
             return False
     return True
-
-
-def contracted_support(pair: BasicPair) -> tuple[int, ...]:
-    """Tracked curves orthogonal to the fundamental class.
-
-    These are exactly the curves contracted to singular points: the support
-    of E plus any chains of discrepancy-zero (-2)-curves.
-    """
-    model, L = pair.model, pair.L0
-    return tuple(
-        rec.id for rec in model.curves if model.intersect(L, rec.cls) == 0
-    )
-
-
-def contracted_graph(pair: BasicPair) -> WeightedGraph:
-    """Weighted dual graph of the contracted configuration.
-
-    Vertex weights are (self-intersection, coefficient in E); curves with
-    zero discrepancy enter with coefficient 0.  ``pair.graph`` keeps the
-    one built for a pair.
-    """
-    return pair.model.dual_graph(contracted_support(pair), pair.E0.as_dict())
 
 
 def index_of(pair: BasicPair) -> int:

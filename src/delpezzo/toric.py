@@ -69,9 +69,6 @@ class Fan2D:
             for i in range(len(self.rays))
         ]
 
-    def is_smooth(self) -> bool:
-        return all(_det(v, w) == 1 for v, w in self.cones())
-
 
 def _resolve_cone(v: tuple[int, int], w: tuple[int, int]) -> list[tuple[int, int]]:
     """Rays inserted by the minimal resolution of the cone <v, w>.
@@ -138,17 +135,15 @@ class ResolvedFan:
             out[r] = -_det(prev, nxt)
         return out
 
-    def report_json(self, a: int | None = None) -> dict:
+    def report_json(self, a: int) -> dict:
         discs = [self.discrepancies[r] for r in self.inserted_rays()]
-        out = {
+        return {
             "inserted": [list(r) for r in self.inserted_rays()],
             "discrepancies": [f"{d.numerator}/{d.denominator}" for d in discs],
             "index": gorenstein_index(self.original),
             "volume": str(anticanonical_square(self.original)),
+            "relative_anticanonical_coefficients": [str(-a * d) for d in discs],
         }
-        if a is not None:
-            out["relative_anticanonical_coefficients"] = [str(-a * d) for d in discs]
-        return out
 
 
 def hj_resolve(fan: Fan2D) -> ResolvedFan:
@@ -245,10 +240,6 @@ def family_fan(family: str, a: int) -> Fan2D:
     else:
         raise FanError(f"unknown family {family!r}; expected one of {_FAMILIES}")
     return Fan2D(tuple(rays))
-
-
-def hirzebruch_fan(n: int) -> Fan2D:
-    return Fan2D(((1, 0), (0, 1), (-1, n), (0, -1)))
 
 
 def exceptional_graph(fan: Fan2D, a: int) -> WeightedGraph:

@@ -24,10 +24,16 @@ def test_verify_type_a5(capsys):
     assert "certificates: pass" in out
 
 
-def test_verify_type_a5_wrong_index(capsys):
-    code, _, err = run(capsys, "verify-type", "--type", "A5", "--a", "6")
+@pytest.mark.parametrize("type_name, a", [("A5", 4), ("B4", 5), ("C4", 6)])
+@pytest.mark.parametrize("command", ["verify-type", "dualgraph"])
+def test_verify_type_a5_wrong_index(capsys, tmp_path, command, type_name, a):
+    # the catalog decides where a type exists; the error names type and index
+    out_flag = ["--out", str(tmp_path / "g.dot")] if command == "dualgraph" else []
+    code, out, err = run(capsys, command, "--type", type_name, "--a", str(a), *out_flag)
     assert code == 2
-    assert "A5" in err
+    assert out == ""
+    assert f"type {type_name} does not exist at index {a}" in err
+    assert not (tmp_path / "g.dot").exists()
 
 
 def test_verify_type_covers_both_double_point_configurations(capsys):
@@ -266,7 +272,7 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     from delpezzo.multiplet import CertificateReport
 
     monkeypatch.setattr(
-        cli, "certify_ladder", lambda ladder: CertificateReport(False, ("forced",), {})
+        cli, "certify_ladder", lambda ladder: CertificateReport(False, ("forced",))
     )
     code, out, _ = run(capsys, "verify-type", "--type", "O", "--a", "4")
     assert code == 1

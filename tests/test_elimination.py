@@ -4,7 +4,6 @@ from delpezzo.elimination import (
     NodeDatum,
     OnCurveDatum,
     Subscheme,
-    check_psi_nef,
     eliminate,
     node_coefficients,
     on_curve_coefficients,
@@ -102,27 +101,6 @@ def test_closed_forms_match_tape_pullback_spot():
     out = transform(Divisor.from_dict({0: 4}), res, 2)
     (chain,) = res.chains
     assert [out.coeff(c) for c in chain] == on_curve_coefficients(4, 2, 6, 3)
-
-
-def test_check_psi_nef_true_on_eliminations():
-    F4 = SurfaceModel.hirzebruch(4)
-    for sub in (
-        Subscheme(()),
-        Subscheme((OnCurveDatum("sigma", 2, 2),)),
-        Subscheme((OnCurveDatum("sigma", 1, 4),)),
-    ):
-        assert check_psi_nef(eliminate(F4, sub))
-
-
-def test_check_psi_nef_false_on_interior_blow_up():
-    import dataclasses
-
-    F4 = SurfaceModel.hirzebruch(4)
-    res = eliminate(F4, Subscheme((OnCurveDatum("sigma", 2, 2),)))
-    # blowing up a free point of the interior (-2)-curve breaks the shape
-    worse, _ = res.model.blow_up(res.chains[0][0])
-    doctored = dataclasses.replace(res, model=worse)
-    assert not check_psi_nef(doctored)
 
 
 def test_invalid_data_rejected():

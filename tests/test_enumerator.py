@@ -407,9 +407,10 @@ def _search_cell_per_level(cell):
             "index_certificate": index_certificate,
         })
 
-    top = enumerator._top
-    stack = [(b, *top(a, n, c0, parts), 0, [], None) for parts in _partitions(f, a - 1)]
-    stack.reverse()
+    stack = []
+    for parts in reversed(_partitions(f, a - 1)):
+        model, E = enumerator.top_model(n, c0, parts)
+        stack.append((b, model, E, model.fundamental_class(a, E), 0, [], None))
     while stack:
         i, model, E, L, spent, levels, found = stack.pop()
         out.configs += 1
@@ -431,7 +432,7 @@ def _search_cell_per_level(cell):
             continue
         forbid = forbid_top_sigma and i == b
         children = []
-        cands = enumerator._subscheme_candidates(model, E, i, a, v_left, be, budgets, forbid)
+        cands = enumerator._subscheme_candidates(model, E, i, a, v_left, budgets, forbid)
         for d, points in cands:
             if i == 1 and d * (a - 1) != be:
                 continue
@@ -604,20 +605,22 @@ def test_subscheme_candidates_match_the_recursive_reference(monkeypatch):
         random_pseudo_fundamental_ladders(seed, 100)
     assert len(calls) > 1000
     assert sum(len(result) > 1 for _, result in calls) > 500
-    for args, result in calls:
-        assert result == _reference_pairs(*args), args[2:]
-    # the recorded allowances seldom bind, so tighten each by one unit: the
-    # volume allowance by i, L.E by i(a-i), and both generators must agree
-    changed = [0, 0]
-    for (model, E, i, a, v_cap, be_cap, budgets, forbid), result in calls:
+    # the reference also tests L.E, the real one, which the flat generator
+    # leaves to the contact budgets
+    for (model, E, i, a, v_cap, budgets, forbid), result in calls:
+        be = sum(e * budgets[c] for c, e in E.items)
+        assert result == _reference_pairs(model, E, i, a, v_cap, be, budgets, forbid), (i, a, v_cap)
+    # the recorded volume allowances seldom bind, so tighten each by one
+    # unit, i, and both generators must agree
+    changed = 0
+    for (model, E, i, a, v_cap, budgets, forbid), result in calls:
         if len(result) == 1:
             continue
-        for which, caps in enumerate(((v_cap - i, be_cap), (v_cap, be_cap - i * (a - i)))):
-            args = (model, E, i, a, *caps, budgets, forbid)
-            got = flat(*args)
-            assert got == _reference_pairs(*args), args[2:]
-            changed[which] += got != result
-    assert all(changed)  # each allowance binds somewhere
+        be = sum(e * budgets[c] for c, e in E.items)
+        got = flat(model, E, i, a, v_cap - i, budgets, forbid)
+        assert got == _reference_pairs(model, E, i, a, v_cap - i, be, budgets, forbid), (i, a, v_cap)
+        changed += got != result
+    assert changed  # the volume allowance binds somewhere
 
 
 def _partitions_recursive(n, cap):
@@ -754,10 +757,10 @@ def test_fuzzer_ladders_equal_their_rebuilds():
 def _fuzz_per_attempt(seed, count):
     """Reference for random_pseudo_fundamental_ladders: every attempt builds
     its own top, draw lists, descents and ladder.  Also returns the distinct
-    keys that reach ``_top``, ``descend_step`` and ``certify_ladder``."""
+    keys that reach ``top_model``, ``descend_step`` and ``certify_ladder``."""
     rng = random.Random(seed)
     out = []
-    keys = {"_top": set(), "descend_step": set(), "certify_ladder": set()}
+    keys = {"top_model": set(), "descend_step": set(), "certify_ladder": set()}
     attempts = 0
     while len(out) < count and attempts < 200_000:
         attempts += 1
@@ -776,8 +779,9 @@ def _fuzz_per_attempt(seed, count):
         parts = rng.choice(_partitions(f, a - 1))
 
         path = (a, n, c0, parts)
-        keys["_top"].add(path)
-        model, E, L = enumerator._top(a, n, c0, parts)
+        keys["top_model"].add(path)
+        model, E = enumerator.top_model(n, c0, parts)
+        L = model.fundamental_class(a, E)
         be_top = model.intersect(L, E.class_in(model))
         if be_top < 0 or be_top > 60:
             continue
@@ -791,7 +795,7 @@ def _fuzz_per_attempt(seed, count):
             if found is None or not enumerator._degrees_feasible(a, i, found[0], v_left):
                 break
             be, budgets = found
-            cands = enumerator._subscheme_candidates(model, E, i, a, v_left, be, budgets, False)
+            cands = enumerator._subscheme_candidates(model, E, i, a, v_left, budgets, False)
             fits = {
                 d
                 for d in {d for d, _ in cands}
@@ -840,7 +844,7 @@ def test_fuzz_memo_builds_each_drawn_key_once(monkeypatch):
     random_pseudo_fundamental_ladders(0, 100)
     assert calls == {name: len(drawn) for name, drawn in keys.items()}
     # 100 ladders from 92 certified paths
-    assert calls == {"_top": 177, "descend_step": 152, "certify_ladder": 92}
+    assert calls == {"top_model": 177, "descend_step": 152, "certify_ladder": 92}
 
 
 def _record(monkeypatch, name):
@@ -886,7 +890,7 @@ def test_fuzz_draws_stop_at_the_largest_fitting_degree(monkeypatch, seed):
         found = enumerator._budgets(model, E, L)
         if found is not None:
             be, budgets = found
-            full = enumerator._subscheme_candidates(model, E, i, a, v_left, be, budgets, False)
+            full = enumerator._subscheme_candidates(model, E, i, a, v_left, budgets, False)
             fits = {
                 d
                 for d, _ in full

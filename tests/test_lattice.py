@@ -264,9 +264,10 @@ def test_one_pass_kernel_matches_the_chain_arithmetic():
             assert m.fundamental_class(a, E) == want == lv.L
             if lv.elim is not None:
                 rel = _relative_canonical_by_chain(lv.elim)
-                count = lv.elim.model.exc_count
+                zeros = (0,) * (lv.elim.model.exc_count - m.exc_count)  # the pullback
                 for cls, s in ((lv.L, lv.i), (m.canonical_class, 1), (m.sigma_class(), -2)):
-                    assert lv.elim.transform_class(cls, s) == cls.pad(count) + -s * rel
+                    pulled = DivisorClass(cls.base, cls.exc + zeros)
+                    assert lv.elim.transform_class(cls, s) == pulled + -s * rel
 
 
 def _eliminations():
