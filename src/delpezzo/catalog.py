@@ -5,8 +5,8 @@ surface, a divisor on it, and the subschemes its levels eliminate.  A
 single entry can cover several point configurations (splitting a subscheme
 of given degree on a curve into points of various multiplicities); the
 configurations descend to basic pairs that may or may not be isomorphic,
-but they share the entry's volume and index, and the entry stores the
-canonical key of every one of them.
+but they share the entry's volume and index.  Configurations name curves
+by the ids ``top_model`` gives, so ``entry_recipe`` needs no model.
 
 The two degree-two configurations on the section get separate entries
 ("II_1" with one point, "II_2" with two) because their surfaces have
@@ -45,11 +45,11 @@ def _partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
 
 
 def _on_sigma(parts: tuple[int, ...]) -> Subscheme:
-    return Subscheme(tuple(OnCurveDatum("sigma", m, m) for m in parts))
+    return Subscheme(tuple(OnCurveDatum(0, m, m) for m in parts))
 
 
 def _on_fiber(parts: tuple[int, ...]) -> Subscheme:
-    return Subscheme(tuple(OnCurveDatum("l_1", m, m) for m in parts))
+    return Subscheme(tuple(OnCurveDatum(1, m, m) for m in parts))
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
                 4,
                 3,
                 (),
-                ({2: Subscheme((OnCurveDatum("sigma", 2, 3),))},),
+                ({2: Subscheme((OnCurveDatum(0, 2, 3),))},),
                 Fraction(8),
             )
         )
@@ -135,8 +135,8 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
                 (2,),
                 (
                     {
-                        2: Subscheme((OnCurveDatum("l_1", 1, 1),)),
-                        1: Subscheme((NodeDatum("sigma", "l_1", 3, 3),)),
+                        2: Subscheme((OnCurveDatum(1, 1, 1),)),
+                        1: Subscheme((NodeDatum(0, 1, 3, 3),)),
                     },
                 ),
                 Fraction(8),
@@ -145,16 +145,26 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
     return entries
 
 
+def top_divisor(c0: int, fibers: tuple[int, ...]) -> Divisor:
+    """c0 sigma plus e_k l_k for the k-th e_k in ``fibers``: sigma has id 0, l_k id k."""
+    return Divisor.from_dict(dict(enumerate((c0, *fibers))))
+
+
 def top_model(n: int, c0: int, fibers: tuple[int, ...]) -> tuple[SurfaceModel, Divisor]:
-    """F_n and the divisor c0 sigma plus one tracked fiber l_k of each
-    coefficient in ``fibers``: sigma has id 0 and l_k id k.  The top of
-    every catalog entry and of every searched or fuzzed multiplet."""
+    """F_n with one tracked fiber l_k per coefficient in ``fibers``, and
+    ``top_divisor(c0, fibers)`` on it.  The top of every catalog entry and
+    of every searched or fuzzed multiplet."""
     model = SurfaceModel.hirzebruch(n)
-    coeffs = {model.curve_by_name("sigma").id: c0}
-    for e in fibers:
-        model, rec = model.add_fiber()
-        coeffs[rec.id] = e
-    return model, Divisor.from_dict(coeffs)
+    for _ in fibers:
+        model = model.add_fiber()[0]
+    return model, top_divisor(c0, fibers)
+
+
+def entry_recipe(entry: CatalogEntry, a: int, config: int) -> tuple:
+    """The input of ``build_entry_ladder``: n, top divisor, length, and the
+    steps top down as (level, subscheme).  At one index, equal recipes give ``==`` ladders."""
+    steps = tuple(sorted(entry.configs[config].items(), reverse=True))
+    return entry.base_n, top_divisor(entry.c0, entry.fibers), _length(a), steps
 
 
 def build_entry_ladder(entry: CatalogEntry, a: int, config: int = 0) -> Ladder:

@@ -24,7 +24,10 @@ independent code path.
 
 Candidates are deduplicated by a canonical form: the weighted dual graph of
 the contracted configuration together with (a, volume, index).  Isomorphic
-surfaces have isomorphic minimal resolutions, hence equal keys.
+surfaces have isomorphic minimal resolutions, hence equal keys.  A catalog
+configuration takes the key of the survivor with its recipe, if any; III
+(2,1), IV (3,1) and IV (2,1,1) are built again, as the catalog lists their
+points largest first and the search smallest first.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .catalog import _partitions, build_entry_ladder, catalog_entries, top_model
+from .catalog import _partitions, build_entry_ladder, catalog_entries, entry_recipe, top_model
 from .elimination import NodeDatum, OnCurveDatum, Subscheme
 from .graphs import canonical_key
 from .lattice import Divisor, DivisorClass, SurfaceModel
@@ -366,6 +369,7 @@ class CellOutcome:
     configs: int = 0
     candidates: int = 0
     rejected: dict = field(default_factory=dict)
+    known: dict = field(default_factory=dict)  # survivor recipe (``entry_recipe``) -> key
 
 
 def _on_curve_shapes(a: int, s: int, e: int, m_cap: int, k_cap: int):
@@ -567,8 +571,10 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             "index_certificate": index_certificate,
         }
         record = ladder_json(ladder, certificates)
+        key = canonical_form(pair)
+        out.known[n, ladder.top.E, b, tuple((lv.i, lv.delta) for lv in ladder.levels[:-1])] = key
         out.survivors.append({
-            "key": canonical_form(pair),
+            "key": key,
             "type": None,  # tagged against the catalog by the caller
             "volume": record["volume"],
             "index": a,
@@ -687,17 +693,22 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
-def catalog_key_map(a: int) -> dict[str, tuple[str, int]]:
-    """Canonical key of every configuration of every catalog entry."""
+def catalog_key_map(a: int, known: dict) -> dict[str, tuple[str, int]]:
+    """Canonical key of every configuration of every catalog entry.  One whose
+    ``entry_recipe`` is in ``known`` (a search's ``CellOutcome.known``) takes
+    that certified survivor's key; the rest, all with ``{}``, are built and
+    certified here."""
     out: dict[str, tuple[str, int]] = {}
     for entry in catalog_entries(a):
         for idx in range(len(entry.configs)):
-            ladder = build_entry_ladder(entry, a, idx)
-            if not certify_ladder(ladder).passed:
-                raise InternalConsistencyError(
-                    f"catalog entry {entry.name} configuration {idx} fails its own certificates"
-                )
-            key = canonical_form(ladder.bottom_pair)
+            key = known.get(entry_recipe(entry, a, idx))
+            if key is None:
+                ladder = build_entry_ladder(entry, a, idx)
+                if not certify_ladder(ladder).passed:
+                    raise InternalConsistencyError(
+                        f"catalog entry {entry.name} configuration {idx + 1} fails its own certificates"
+                    )
+                key = canonical_form(ladder.bottom_pair)
             if key in out and out[key][0] != entry.name:
                 raise InternalConsistencyError(
                     f"catalog key collision between {out[key][0]} and {entry.name}"
@@ -710,16 +721,18 @@ def _search_and_tag(a: int, cells: list[SearchCell]):
     """Search the cells; return the outcomes, the survivors merged by key (the
     first found kept) in key order, and the catalog key map.  From index 4 on
     each survivor's ``type`` is its catalog type or ``unexpected``; below,
-    the map is empty and the type stays None."""
+    the map is empty and the type stays None.  The map reuses the survivors'
+    keys by recipe."""
     outcomes = [search_cell(c) for c in cells]
     merged: dict[str, dict] = {}
+    known = {r: k for o in outcomes for r, k in o.known.items()}
     for o in outcomes:
         for s in o.survivors:
             merged.setdefault(s["key"], s)
     survivors = [merged[k] for k in sorted(merged)]
     if a < 4:
         return outcomes, survivors, {}
-    key_map = catalog_key_map(a)
+    key_map = catalog_key_map(a, known)
     for s in survivors:
         s["type"] = key_map[s["key"]][0] if s["key"] in key_map else "unexpected"
     return outcomes, survivors, key_map

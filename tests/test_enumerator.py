@@ -3,11 +3,20 @@ import itertools
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from delpezzo import enumerator
-from delpezzo.catalog import _partitions, build_entry_ladder, entry_by_name
+from delpezzo.catalog import (
+    _partitions,
+    build_entry_ladder,
+    catalog_entries,
+    entry_by_name,
+    entry_recipe,
+    top_divisor,
+    top_model,
+)
 from delpezzo.elimination import (
     NodeDatum,
     OnCurveDatum,
@@ -309,8 +318,106 @@ def test_classify_four_exact():
 def test_classify_reports_are_sound():
     rep = classify(5)
     keys = {s["key"] for s in rep.survivors}
-    assert keys == set(catalog_key_map(5))
+    assert keys == set(catalog_key_map(5, {}))
     assert rep.configs < 2_000_000  # explicit termination counter
+
+
+def _ladder_recipe(ladder):
+    """A ladder's recipe, read off the built ladder: the key of ``CellOutcome.known``."""
+    steps = tuple((lv.i, lv.delta) for lv in ladder.levels[:-1])
+    return ladder.top.model.n, ladder.top.E, ladder.b, steps
+
+
+def test_catalog_keys_reuse_exactly_the_survivors_ladders(monkeypatch):
+    # classify and audit take a catalog configuration's key from the survivor
+    # with its recipe; that survivor is the configuration, built the same
+    # way, and the map equals the one that builds every configuration
+    closed, built, calls = {}, [], []
+
+    def closing(*args):
+        ladder = close_ladder(*args)
+        closed[_ladder_recipe(ladder)] = ladder
+        return ladder
+
+    def building(entry, a, config):
+        built.append((entry.name, config))
+        return build_entry_ladder(entry, a, config)
+
+    def key_map(a, known):
+        calls.append((a, known, catalog_key_map(a, known)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(enumerator, "close_ladder", closing)
+    monkeypatch.setattr(enumerator, "build_entry_ladder", building)
+    monkeypatch.setattr(enumerator, "catalog_key_map", key_map)
+    runs = [(classify, (a,)) for a in [*range(4, 41), 64, 512]] + [(audit, (5, 14)), (audit, (28, 112))]
+    for run, args in runs:
+        for log in (closed, built, calls):
+            log.clear()
+        run(*args)
+        [(a, known, keys)] = calls
+        # III (2,1), IV (3,1) and IV (2,1,1) list their points largest first
+        assert sorted(built) == [("III", 1), ("IV", 1), ("IV", 3)], args
+        assert keys == catalog_key_map(a, {}), args
+        reused = 0
+        for entry in catalog_entries(a):
+            for idx in range(len(entry.configs)):
+                recipe = entry_recipe(entry, a, idx)
+                if recipe in known:
+                    ladder = build_entry_ladder(entry, a, idx)
+                    assert ladder == closed[recipe], (args, entry.name, idx)
+                    assert canonical_form(ladder.bottom_pair) == known[recipe]
+                    reused += 1
+        assert reused == sum(len(e.configs) for e in catalog_entries(a)) - 3, args
+
+
+def test_catalog_key_map_still_guards_the_configurations_it_builds(monkeypatch, capsys):
+    # a configuration that no survivor reproduces is built and certified;
+    # one that fails is an engine fault, numbered as verify-type numbers it
+    entries = catalog_entries
+
+    def with_a_bad_config(a):
+        out = entries(a)
+        bad = {1: Subscheme((OnCurveDatum(0, 1, 2),))}  # E turns negative at level 0
+        return [replace(e, configs=e.configs + (bad,)) if e.name == "IV" else e for e in out]
+
+    monkeypatch.setattr(enumerator, "catalog_entries", with_a_bad_config)
+    message = "catalog entry IV configuration 6 fails its own certificates"
+    with pytest.raises(InternalConsistencyError, match=message):
+        classify(5)
+    from delpezzo.cli import main
+
+    assert main(["classify", "--a", "5"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_recipe_one_datum_away_lends_no_key():
+    a = 5
+    entry = entry_by_name(a, "A5")
+    n, E, b, steps = recipe = entry_recipe(entry, a, 0)
+    [(level, sub)] = steps
+    [point] = sub.points
+    assert (b, point, E) == (3, OnCurveDatum(1, 2, 2), top_divisor(4, (2,)))
+    near = [
+        (n, E, b + 1, steps),
+        (n, E, b, ((level, Subscheme((replace(point, k=1),))),)),
+        (n, top_divisor(4, (3,)), b, steps),
+    ]
+    built = catalog_key_map(a, {})
+    for other in near:
+        assert catalog_key_map(a, {other: "borrowed"}) == built
+    assert catalog_key_map(a, {recipe: "borrowed"})["borrowed"] == ("A5", 0)
+
+
+@pytest.mark.parametrize("n, c0, fibers", [(0, 1, ()), (3, 2, (1,)), (8, 4, (2, 1, 3))])
+def test_top_model_gives_the_ids_the_recipes_read(n, c0, fibers):
+    # entry_recipe reads sigma as id 0 and l_k as id k without building
+    model, E = top_model(n, c0, fibers)
+    assert model.n == n
+    names = [(rec.id, rec.name) for rec in model.curves]
+    assert names == [(0, "sigma")] + [(k, f"l_{k}") for k in range(1, len(fibers) + 1)]
+    assert E == top_divisor(c0, fibers)
+    assert E.as_dict() == {0: c0, **{k: e for k, e in enumerate(fibers, 1)}}
 
 
 @pytest.mark.parametrize(
@@ -1013,7 +1120,7 @@ def _audit_per_h(a, n_max, h0=None):
     outside = []
     in_catalog = 0
     if a >= 4:
-        key_map = catalog_key_map(a)
+        key_map = catalog_key_map(a, {})
         for key in sorted(survivors):
             if key in key_map:
                 survivors[key]["type"] = key_map[key][0]
