@@ -6,7 +6,8 @@ single entry can cover several point configurations (splitting a subscheme
 of given degree on a curve into points of various multiplicities); the
 configurations descend to basic pairs that may or may not be isomorphic,
 but they share the entry's volume and index.  Configurations name curves
-by the ids ``top_model`` gives, so ``entry_recipe`` needs no model.
+by the ids ``top_model`` gives and list points smallest first, as the
+search does, so ``entry_recipe`` needs no model and matches a survivor's.
 
 The two degree-two configurations on the section get separate entries
 ("II_1" with one point, "II_2" with two) because their surfaces have
@@ -45,11 +46,11 @@ def _partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
 
 
 def _on_sigma(parts: tuple[int, ...]) -> Subscheme:
-    return Subscheme(tuple(OnCurveDatum(0, m, m) for m in parts))
+    return Subscheme(tuple(OnCurveDatum(0, m, m) for m in sorted(parts)))
 
 
 def _on_fiber(parts: tuple[int, ...]) -> Subscheme:
-    return Subscheme(tuple(OnCurveDatum(1, m, m) for m in parts))
+    return Subscheme(tuple(OnCurveDatum(1, m, m) for m in sorted(parts)))
 
 
 @dataclass(frozen=True)

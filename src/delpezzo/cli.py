@@ -4,10 +4,11 @@ toric computations, dual-graph export, and audit sweeps.
 Exit codes: 0 on success (and catalog match / clean audit / all
 certificates passing), 1 on a verification failure, 2 on flag errors and
 on an output file that cannot be written, 3 on a ``SearchExplosion``,
-``InternalConsistencyError`` or ``CanonicalizationError``; errors 2 and 3
-go to stderr, as JSON under --json.  ``audit`` refuses, as a flag error,
-a sweep of more than ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), which
-would take about 10 s or more.
+``InternalConsistencyError`` or ``CanonicalizationError``, 141 when the
+reader of stdout closes it early; errors 2 and 3 go to stderr, as JSON
+under --json.  ``audit`` refuses, as a flag error, a sweep of more than
+``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), which would take about 10 s
+or more.
 Volumes are always printed as exact fractions.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import TYPE_NAMES, build_entry_ladder, entries_for_type
@@ -228,7 +230,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "a", 2) < 2:
             raise FlagError("the index must be at least 2")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # what is still buffered goes to devnull at exit
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process the pipe killed
     except (FlagError, SearchExplosion, InternalConsistencyError, CanonicalizationError) as exc:
         msg = json.dumps({"error": str(exc)}) if emit_json else f"error: {exc}"
         sys.stderr.write(msg + "\n")

@@ -25,9 +25,8 @@ independent code path.
 Candidates are deduplicated by a canonical form: the weighted dual graph of
 the contracted configuration together with (a, volume, index).  Isomorphic
 surfaces have isomorphic minimal resolutions, hence equal keys.  A catalog
-configuration takes the key of the survivor with its recipe, if any; III
-(2,1), IV (3,1) and IV (2,1,1) are built again, as the catalog lists their
-points largest first and the search smallest first.
+configuration takes the key of the survivor with its recipe, and is built
+and certified again only if no survivor has it (none at any index tested).
 """
 
 from __future__ import annotations
@@ -275,9 +274,11 @@ def _row_pieces(a: int, h0: int, n_lo: int, n_hi: int):
     first j on or past the crossing and at the first j past it.  On a run
     the order of the lines, ties included, is fixed, so each verdict's count
     per window is affine in j and sums to (first + last) * length / 2; it is
-    yielded at the run's first n and first h.  A run with open cells yields
-    every window of it.  A run of more than one window whose far end leaves
-    the lines raises ``InternalConsistencyError`` instead of miscounting.
+    yielded at the run's first n and first h.  Either cut alone gives the
+    same output under today's ``_rules``; the proof needs both.  A run with
+    open cells yields every window of it.  A run of more than one window
+    whose far end leaves the lines raises ``InternalConsistencyError``
+    instead of miscounting.
     """
 
     def tally(pieces):
@@ -693,13 +694,13 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
-def catalog_key_map(a: int, known: dict) -> dict[str, tuple[str, int]]:
-    """Canonical key of every configuration of every catalog entry.  One whose
-    ``entry_recipe`` is in ``known`` (a search's ``CellOutcome.known``) takes
-    that certified survivor's key; the rest, all with ``{}``, are built and
-    certified here."""
-    out: dict[str, tuple[str, int]] = {}
-    for entry in catalog_entries(a):
+def catalog_key_map(a: int, entries: list, known: dict) -> dict[str, str]:
+    """Entry name by canonical key, over every configuration of ``entries``.
+    One whose ``entry_recipe`` is in ``known`` (a search's
+    ``CellOutcome.known``) takes that certified survivor's key; the rest,
+    all with ``{}``, are built and certified here."""
+    out: dict[str, str] = {}
+    for entry in entries:
         for idx in range(len(entry.configs)):
             key = known.get(entry_recipe(entry, a, idx))
             if key is None:
@@ -709,20 +710,19 @@ def catalog_key_map(a: int, known: dict) -> dict[str, tuple[str, int]]:
                         f"catalog entry {entry.name} configuration {idx + 1} fails its own certificates"
                     )
                 key = canonical_form(ladder.bottom_pair)
-            if key in out and out[key][0] != entry.name:
+            if out.setdefault(key, entry.name) != entry.name:
                 raise InternalConsistencyError(
-                    f"catalog key collision between {out[key][0]} and {entry.name}"
+                    f"catalog key collision between {out[key]} and {entry.name}"
                 )
-            out.setdefault(key, (entry.name, idx))
     return out
 
 
-def _search_and_tag(a: int, cells: list[SearchCell]):
+def _search_and_tag(a: int, cells: list[SearchCell], entries: list):
     """Search the cells; return the outcomes, the survivors merged by key (the
-    first found kept) in key order, and the catalog key map.  From index 4 on
-    each survivor's ``type`` is its catalog type or ``unexpected``; below,
-    the map is empty and the type stays None.  The map reuses the survivors'
-    keys by recipe."""
+    first found kept) in key order, and the key map of ``entries``.  From
+    index 4 on each survivor's ``type`` is its catalog type or
+    ``unexpected``; below, the map is empty and the type stays None.  The map
+    reuses the survivors' keys by recipe."""
     outcomes = [search_cell(c) for c in cells]
     merged: dict[str, dict] = {}
     known = {r: k for o in outcomes for r, k in o.known.items()}
@@ -732,9 +732,9 @@ def _search_and_tag(a: int, cells: list[SearchCell]):
     survivors = [merged[k] for k in sorted(merged)]
     if a < 4:
         return outcomes, survivors, {}
-    key_map = catalog_key_map(a, known)
+    key_map = catalog_key_map(a, entries, known)
     for s in survivors:
-        s["type"] = key_map[s["key"]][0] if s["key"] in key_map else "unexpected"
+        s["type"] = key_map.get(s["key"], "unexpected")
     return outcomes, survivors, key_map
 
 
@@ -758,7 +758,8 @@ def classify(a: int) -> ClassificationReport:
             f"{killed['unresolved_sections']} cell(s) admit divisor shapes outside the "
             "section-plus-fibers model and were not searched"
         )
-    outcomes, survivors, key_map = _search_and_tag(a, cells)
+    entries = catalog_entries(a)
+    outcomes, survivors, key_map = _search_and_tag(a, cells, entries)
     configs = sum(o.configs for o in outcomes)
     candidates = sum(o.candidates for o in outcomes)
     for o in outcomes:
@@ -771,9 +772,9 @@ def classify(a: int) -> ClassificationReport:
     rows: list[dict] = []
     missing: list[dict] = []
     if a >= 4:
-        for entry in catalog_entries(a):
+        for entry in entries:
             found = {s["key"] for s in survivors if s["type"] == entry.name}
-            expected = {k for k, v in key_map.items() if v[0] == entry.name}
+            expected = {k for k, v in key_map.items() if v == entry.name}
             row = {
                 "type": entry.name,
                 "volume": str(entry.volume),
@@ -904,7 +905,7 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
                     continue
                 killed[reason] = killed.get(reason, 0) + stop - start
 
-    outcomes, survivors, _ = _search_and_tag(a, to_search)
+    outcomes, survivors, _ = _search_and_tag(a, to_search, catalog_entries(a))
     rejected: dict[str, int] = {}
     for o in outcomes:
         for reason, count in o.rejected.items():

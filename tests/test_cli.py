@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 
@@ -162,6 +164,64 @@ def test_dualgraph_exports_are_byte_stable(capsys, tmp_path):
     )
     assert code == 0
     assert js.read_text() == C4_JSON
+
+
+def _verify_type_text(name, volume, graphs):
+    # the verify-type text of a type at a = 6 whose every certificate passes
+    return "".join(
+        f"{name} configuration {k}/{len(graphs)}\n  volume {volume}  index 6\n"
+        "  certificates: pass\n  identities: pass\n  index certificate: pass\n"
+        f"  local checks: pass\n  canonical key: a=6|v={volume}|i=6|g={g}\n"
+        for k, g in enumerate(graphs, 1)
+    )
+
+
+SIGMA_AT_6_DOT = """\
+graph dual {
+  v0 [label="sigma\\n(s=-12, c=5)"];
+}
+"""
+
+SIGMA_AT_6_JSON = """\
+{
+  "edges": [],
+  "vertices": [
+    {
+      "coeff": 5,
+      "name": "sigma",
+      "self_intersection": -12
+    }
+  ]
+}
+"""
+
+
+def test_multi_point_configurations_print_stable_bytes(capsys):
+    # III (2,1), IV (3,1) and IV (2,1,1) list their points smallest first;
+    # these bytes were recorded while the catalog listed them largest first
+    s, t = "(-12, 5)", "(-2, 0)"
+    expected = {
+        "III": _verify_type_text(
+            "III", "40/3", [f"(({s}, {t}, {t}), ((1, 2),))", f"(({s}, {t}), ())", f"(({s},), ())"]
+        ),
+        "IV": _verify_type_text(
+            "IV",
+            "37/3",
+            [
+                f"(({s}, {t}, {t}, {t}), ((1, 3), (2, 3)))",
+                f"(({s}, {t}, {t}), ((1, 2),))",
+                f"(({s}, {t}, {t}), ())",
+                f"(({s}, {t}), ())",
+                f"(({s},), ())",
+            ],
+        ),
+    }
+    for type_name, text in expected.items():
+        assert run(capsys, "verify-type", "--type", type_name, "--a", "6") == (0, text, "")
+    for type_name, config in (("III", "2"), ("IV", "2"), ("IV", "4")):
+        for fmt, payload in (("dot", SIGMA_AT_6_DOT), ("json", SIGMA_AT_6_JSON)):
+            argv = ["dualgraph", "--type", type_name, "--a", "6", "--config", config]
+            assert run(capsys, *argv, "--format", fmt, "--out", "-") == (0, payload, "")
 
 
 def test_dualgraph_config_out_of_range(capsys, tmp_path):
@@ -336,3 +396,15 @@ def test_argument_grid_ends_in_an_exit_code(capsys, tmp_path):
         assert code in (0, 1, 2, 3), argv
         codes[code] = codes.get(code, 0) + 1
     assert codes[0] > 100 and codes[2] > 1000
+
+
+@pytest.mark.parametrize("buffering", [1, -1])
+def test_a_closed_pipe_ends_in_141_without_a_traceback(capsys, monkeypatch, buffering):
+    # `delpezzo verify-type ... | head -1`: the reader has gone before a write
+    # (line-buffered) or before the final flush (block-buffered) reaches it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", buffering=buffering) as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["verify-type", "--type", "IV", "--a", "30"]) == 141
+    assert capsys.readouterr().err == ""

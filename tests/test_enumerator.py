@@ -318,7 +318,7 @@ def test_classify_four_exact():
 def test_classify_reports_are_sound():
     rep = classify(5)
     keys = {s["key"] for s in rep.survivors}
-    assert keys == set(catalog_key_map(5, {}))
+    assert keys == set(catalog_key_map(5, catalog_entries(5), {}))
     assert rep.configs < 2_000_000  # explicit termination counter
 
 
@@ -343,8 +343,8 @@ def test_catalog_keys_reuse_exactly_the_survivors_ladders(monkeypatch):
         built.append((entry.name, config))
         return build_entry_ladder(entry, a, config)
 
-    def key_map(a, known):
-        calls.append((a, known, catalog_key_map(a, known)))
+    def key_map(a, entries, known):
+        calls.append((a, known, catalog_key_map(a, entries, known)))
         return calls[-1][2]
 
     monkeypatch.setattr(enumerator, "close_ladder", closing)
@@ -356,9 +356,9 @@ def test_catalog_keys_reuse_exactly_the_survivors_ladders(monkeypatch):
             log.clear()
         run(*args)
         [(a, known, keys)] = calls
-        # III (2,1), IV (3,1) and IV (2,1,1) list their points largest first
-        assert sorted(built) == [("III", 1), ("IV", 1), ("IV", 3)], args
-        assert keys == catalog_key_map(a, {}), args
+        # the catalog lists its points as the search does, so nothing is built
+        assert built == [], args
+        assert keys == catalog_key_map(a, catalog_entries(a), {}), args
         reused = 0
         for entry in catalog_entries(a):
             for idx in range(len(entry.configs)):
@@ -368,7 +368,7 @@ def test_catalog_keys_reuse_exactly_the_survivors_ladders(monkeypatch):
                     assert ladder == closed[recipe], (args, entry.name, idx)
                     assert canonical_form(ladder.bottom_pair) == known[recipe]
                     reused += 1
-        assert reused == sum(len(e.configs) for e in catalog_entries(a)) - 3, args
+        assert reused == sum(len(e.configs) for e in catalog_entries(a)), args
 
 
 def test_catalog_key_map_still_guards_the_configurations_it_builds(monkeypatch, capsys):
@@ -403,10 +403,11 @@ def test_a_recipe_one_datum_away_lends_no_key():
         (n, E, b, ((level, Subscheme((replace(point, k=1),))),)),
         (n, top_divisor(4, (3,)), b, steps),
     ]
-    built = catalog_key_map(a, {})
+    entries = catalog_entries(a)
+    built = catalog_key_map(a, entries, {})
     for other in near:
-        assert catalog_key_map(a, {other: "borrowed"}) == built
-    assert catalog_key_map(a, {recipe: "borrowed"})["borrowed"] == ("A5", 0)
+        assert catalog_key_map(a, entries, {other: "borrowed"}) == built
+    assert catalog_key_map(a, entries, {recipe: "borrowed"})["borrowed"] == "A5"
 
 
 @pytest.mark.parametrize("n, c0, fibers", [(0, 1, ()), (3, 2, (1,)), (8, 4, (2, 1, 3))])
@@ -1120,10 +1121,10 @@ def _audit_per_h(a, n_max, h0=None):
     outside = []
     in_catalog = 0
     if a >= 4:
-        key_map = catalog_key_map(a, {})
+        key_map = catalog_key_map(a, catalog_entries(a), {})
         for key in sorted(survivors):
             if key in key_map:
-                survivors[key]["type"] = key_map[key][0]
+                survivors[key]["type"] = key_map[key]
                 in_catalog += 1
             else:
                 survivors[key]["type"] = "unexpected"
