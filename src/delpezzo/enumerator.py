@@ -10,12 +10,13 @@ of h0 and n die by ``length_zero``, ``small_multiple_region``,
 ``large_multiple_volume`` and the n-cap, and each remaining cell gets a
 verdict from one rule table, ``_rules`` (``window``,
 ``coefficient_persistence``, ``volume``, ``section_budget``,
-``sigma_budget``, ``unresolved_sections``).  ``generate_cells`` sums the
-verdicts over runs of n and pieces of h, on which they stay the same;
-``audit`` re-derives them one (n, h0) window at a time.  The cells with no
-verdict run a depth-first search over ladder states, one per prefix of
-nonempty eliminations: the empty subscheme changes nothing, so a state
-walks its own levels down in place and pushes a child state for each
+``sigma_budget``, ``unresolved_sections``).  ``generate_cells`` kills the
+rows h0 >= a + 2 in O(sqrt a) blocks of equal n-cap and sums the other
+rows' verdicts over runs of n and pieces of h, on which they stay the
+same; ``audit`` re-derives them one (n, h0) window at a time.  The cells
+with no verdict run a depth-first search over ladder states, one per
+prefix of nonempty eliminations: the empty subscheme changes nothing, so a
+state walks its own levels down in place and pushes a child state for each
 nonempty subscheme of each level, drawn against one degree allowance.
 Every configuration that reaches the bottom is certified from scratch:
 effectivity and nefness down the ladder, the basic-pair conditions, exact
@@ -36,6 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 
 from .catalog import _partitions, build_entry_ladder, catalog_entries, entry_recipe, top_model
 from .elimination import NodeDatum, OnCurveDatum, Subscheme
@@ -84,8 +86,17 @@ def canonical_form(pair: BasicPair) -> str:
 # -- pruning predicates --------------------------------------------------------
 
 
+def _level_below(a: int, w: int) -> int:
+    """Where the walk ``while j and j * (a - j) > w: j -= 1`` stops, for a j
+    in 0..a that fails the test: the largest j' with j'(a - j') <= w below
+    the peak a / 2, or 0.  There (a - 2j')^2 >= a^2 - 4w, so a - 2j' is at
+    least the ceiling of the square root."""
+    return max(0, (a - isqrt(a * a - 4 * w - 1) - 1) // 2)
+
+
 # Bounded so a long-lived process cannot grow it without limit; one cold
-# classify(512) fills 26 entries (10 hits), so no single run evicts.
+# classify(a) fills 26 entries (10 hits) at a = 512, 4096 and 65,536, and
+# classify(4..32) in one process 841 (332 hits), so no single run evicts.
 @lru_cache(maxsize=1 << 16)
 def _degrees_feasible(a: int, levels: int, weighted: int, cap: int) -> bool:
     """Does some degree vector (d_1..d_levels) satisfy
@@ -102,8 +113,8 @@ def _degrees_feasible(a: int, levels: int, weighted: int, cap: int) -> bool:
             return True
         if w < 0 or c <= 0:
             continue
-        while j and j * (a - j) > w:
-            j -= 1  # such a level can only take d_j = 0
+        if j * (a - j) > w:
+            j = _level_below(a, w)  # the levels between can only take d_j = 0
         if j == 0 or (j, w, c) in seen:
             continue
         seen.add((j, w, c))
@@ -322,41 +333,53 @@ def _row_pieces(a: int, h0: int, n_lo: int, n_hi: int):
 def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
     """Cells surviving the closed-form predicates, plus kill statistics.
 
-    In each row h0, ``p6_large_multiple_kill`` holds on a prefix of n, found
-    by bisection.  The rest of the row is summed over runs of n and pieces
-    of h (``_row_pieces``), and h runs one by one only where the verdict is
-    None.  Cells, kill counts and the order in which kill reasons first
-    appear are those of a per-h sweep.
+    Rows h0 = 2..a die as one block when ``p5_region_killed`` holds.  Rows
+    h0 = a + k, 2 <= k <= a - 1, come in O(sqrt a) blocks of equal n-cap
+    2a // k.  At fixed n the left side of ``p6_large_multiple_kill`` is
+    affine in h0 and grows with n, so if p6 holds at the cap on a block's
+    two end rows it kills the whole block.  Every other row is walked on
+    its own: p6 holds on a prefix of n, found by bisection, and the rest is
+    summed over runs of n and pieces of h (``_row_pieces``), with h one by
+    one only where the verdict is None.  Cells, kill counts and the order in
+    which kill reasons first appear are those of a per-h sweep.
     """
     killed: dict[str, int] = {}
     cells = []
-    if not p5_region_killed(a):
-        killed["small_multiple_region_open"] = 1
-    for h0 in range(1, 2 * a):
-        b = p4_length(h0)
-        if b < 1:
-            killed["length_zero"] = killed.get("length_zero", 0) + 1
-            continue
-        if h0 <= a:
-            if p5_region_killed(a):
-                killed["small_multiple_region"] = killed.get("small_multiple_region", 0) + 1
-                continue
-            n_hi = 2 * a  # only reachable at a = 2, reported as a caveat
-        else:
-            n_hi = p7_degree_cap(a, h0)
+
+    def kill(reason: str, count: int) -> None:
+        killed[reason] = killed.get(reason, 0) + count
+
+    def row(h0: int, n_hi: int) -> None:
         # p6 holds on a prefix n < n_lo of the row: its left side grows with n
         n_lo = n_hi + 1
         if not p6_large_multiple_kill(a, n_hi, h0):
             n_lo = bisect_left(range(n_hi), True, key=lambda n: not p6_large_multiple_kill(a, n, h0))
         if n_lo:
-            killed["large_multiple_volume"] = killed.get("large_multiple_volume", 0) + n_lo
-        if n_lo > n_hi:
-            continue
+            kill("large_multiple_volume", n_lo)
         for n, h, reason, count in sorted(_row_pieces(a, h0, n_lo, n_hi), key=lambda p: p[:2]):
             if reason:
-                killed[reason] = killed.get(reason, 0) + count
+                kill(reason, count)
             else:
                 cells.extend(SearchCell(a, n, h0, h + k) for k in range(count))
+
+    region_killed = p5_region_killed(a)
+    if not region_killed:
+        kill("small_multiple_region_open", 1)
+    kill("length_zero", 1)  # h0 = 1
+    if region_killed:
+        kill("small_multiple_region", a - 1)
+    for h0 in range(a + 1 if region_killed else 2, a + 2):
+        row(h0, 2 * a)  # p7_degree_cap at h0 = a + 1
+    k = 2
+    while k < a:
+        cap = p7_degree_cap(a, a + k)
+        last = min(a - 1, 2 * a // cap)  # the last k with this cap
+        if p6_large_multiple_kill(a, cap, a + k) and p6_large_multiple_kill(a, cap, a + last):
+            kill("large_multiple_volume", (cap + 1) * (last - k + 1))
+        else:
+            for h0 in range(a + k, a + last + 1):
+                row(h0, cap)
+        k = last + 1
     return cells, killed
 
 
@@ -593,7 +616,7 @@ def search_cell(cell: SearchCell) -> CellOutcome:
     # and L, so a state walks its levels down in place: the state tests run
     # once, the degree test per level until it fails.  Where no point fits
     # (v_left < i or be < i(a-i)) its answer holds down to the highest level
-    # where one does, or 0, so the walk goes there untested.  At level 1 the
+    # where one does, or 0, so the walk jumps there untested.  At level 1 the
     # empty subscheme passes only when be == 0.  Children pushed per level pop
     # lowest level first: the preorder of one node per level, empty child
     # first.  Each level walked is a configuration; ``_CONFIG_CAP`` is
@@ -611,8 +634,8 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             be, budgets = found
             while _degrees_feasible(a, i, be, v_left):
                 i = min(i, v_left)
-                while i and be < i * (a - i):
-                    i -= 1
+                if be < i * (a - i):
+                    i = _level_below(a, be)
                 if i == 0:
                     if be == 0 and all(r == 0 for r in budgets.values()):
                         finish(close_ladder(a, b, levels, model, E, L))
@@ -874,10 +897,10 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     counts of a per-h sweep, the cells left open are searched to exhaustion,
     and every survivor must already be in the catalog.  The sweep stays one
     (n, h0) window at a time on purpose: it is the independent route, which
-    takes every window's verdicts from ``_verdict_pieces`` without the runs
-    of n and the p6 prefix that ``generate_cells`` relies on.  A sweep that
-    ``check_audit_sweep`` refuses, such as one of more than
-    ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), raises ``ValueError``
+    takes every window's verdicts from ``_verdict_pieces`` without the row
+    blocks, the runs of n and the p6 prefix that ``generate_cells`` relies
+    on.  A sweep that ``check_audit_sweep`` refuses, such as one of more
+    than ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), raises ``ValueError``
     before it starts.
     """
     check_audit_sweep(a, n_max, h0)

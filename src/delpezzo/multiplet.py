@@ -488,7 +488,9 @@ def ladder_json(ladder: Ladder, certificates: dict | None = None) -> dict:
     """JSON form of a descended multiplet: top data, subschemes, invariants."""
     top = ladder.top
     pair = ladder.bottom_pair
-    steps = {lv.i: lv for lv in ladder.levels[:-1]}
+    deltas = [[] for _ in range(ladder.b)]  # level i at b - i, each its own list
+    for lv in ladder.levels[:-1]:
+        deltas[ladder.b - lv.i] = [_datum_json(lv.model, p) for p in lv.delta.points]
     out = {
         "a": ladder.a,
         "b": ladder.b,
@@ -496,10 +498,7 @@ def ladder_json(ladder: Ladder, certificates: dict | None = None) -> dict:
         "E_b": [
             {"curve": top.model.curve(c).name, "coeff": v} for c, v in top.E.items
         ],
-        "deltas": [
-            [_datum_json(steps[i].model, p) for p in steps[i].delta.points] if i in steps else []
-            for i in range(ladder.b, 0, -1)
-        ],
+        "deltas": deltas,
         "volume": str(ladder.volume),
         "index": pair.index,
         "E_0": [

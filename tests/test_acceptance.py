@@ -74,13 +74,14 @@ def test_criterion_1_theorem_regression():
 def test_classify_matches_the_catalog_at_large_index():
     """The search runs from explicit stacks: its depth, h0 // 2 levels (about
     a / 2), is not bounded by the recursion limit.  Each index takes about
-    0.01-0.07 s on one core (Python 3.11); cell generation sums its kills
-    over runs of n, so it no longer grows with a window per n.  30 s is the
-    bound."""
+    0.005-0.02 s on one core (Python 3.11) up to 16,384, and 0.1 s at 65,536;
+    cell generation walks blocks of rows of equal n-cap, so it costs
+    O(sqrt a), and what still grows with a is the JSON record's delta list
+    per level.  30 s is the bound."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # CPython's default
     try:
-        for a in (1000, 1024, 2048, 4096, 16384):
+        for a in (1000, 1024, 2048, 4096, 16384, 65536):
             start = time.perf_counter()
             report = classify(a)
             assert report.catalog_match, (a, report.unexpected, report.missing)

@@ -321,6 +321,20 @@ def test_index_too_small(capsys):
     assert code == 2
 
 
+def test_classify_refuses_an_index_over_the_cap_before_it_starts(capsys, monkeypatch, tmp_path):
+    def unreachable(a):
+        raise AssertionError("classify ran")
+
+    monkeypatch.setattr(cli, "classify", unreachable)
+    a = str(cli.CLASSIFY_INDEX_CAP + 1)
+    message = f"classify takes an index of at most {cli.CLASSIFY_INDEX_CAP}"
+    assert run(capsys, "classify", "--a", a) == (2, "", f"error: {message}\n")
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, "classify", "--a", a, "--json", str(out_path))
+    assert (code, out, json.loads(err)) == (2, "", {"error": message})
+    assert not out_path.exists()
+
+
 def test_missing_flags_exit_two(capsys):
     assert main(["classify"]) == 2
     capsys.readouterr()
@@ -408,3 +422,20 @@ def test_a_closed_pipe_ends_in_141_without_a_traceback(capsys, monkeypatch, buff
         monkeypatch.setattr(sys, "stdout", closed)
         assert main(["verify-type", "--type", "IV", "--a", "30"]) == 141
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("buffering", [1, -1])
+@pytest.mark.parametrize("error, code", [(None, 2), (InternalConsistencyError, 3)])
+def test_a_closed_stderr_keeps_the_exit_code(monkeypatch, buffering, error, code):
+    # `delpezzo classify --a 1 2>&1 | true`: the error message finds no
+    # reader, and the exit code must still say which error it was
+    if error:
+        def failing(a):
+            raise error("forced")
+
+        monkeypatch.setattr(cli, "classify", failing)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", buffering=buffering) as closed:
+        monkeypatch.setattr(sys, "stderr", closed)
+        assert main(["classify", "--a", "4" if error else "1"]) == code

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from dataclasses import replace
+from math import isqrt
 
 import pytest
 
@@ -164,7 +165,7 @@ def _cells_per_h(a):
         else:
             n_hi = p7_degree_cap(a, h0)
         for n in range(0, n_hi + 1):
-            if p6_large_multiple_kill(a, n, h0):
+            if enumerator.p6_large_multiple_kill(a, n, h0):
                 kill("large_multiple_volume")
                 continue
             for h in range(n * h0, (n + 2) * a + 1):
@@ -206,6 +207,16 @@ def test_rules_are_affine_in_n_on_each_parity():
                 assert all(x - 2 * y + z == 0 for x, y, z in second), (a, n, h0)
 
 
+def test_large_multiple_kill_is_monotone_in_h0_at_fixed_n():
+    # generate_cells kills a block of rows from p6 at its two end rows: at
+    # fixed n the left side of p6 is affine in h0, so the rows it kills are
+    # a prefix or a suffix of h0 >= a + 2
+    for a in [*range(2, 65), 512]:
+        for n in range(0, 2 * a + 1):
+            kills = [p6_large_multiple_kill(a, n, h0) for h0 in range(a + 2, 2 * a)]
+            assert kills in (sorted(kills), sorted(kills, reverse=True)), (a, n)
+
+
 def test_large_multiple_kill_holds_on_a_prefix_of_each_row():
     # generate_cells finds the end of the p6 kills of a row by bisection
     for a in [*range(2, 65), 512]:
@@ -237,6 +248,60 @@ def test_generate_cells_matches_the_per_h_sweep(a):
     assert cells == ref_cells
     assert killed == ref_killed
     assert list(killed) == list(ref_killed)
+
+
+@pytest.mark.parametrize("tilt", [0, 4])
+def test_a_block_killed_at_one_end_only_is_walked_row_by_row(monkeypatch, tilt):
+    # at a = 50 the rows k = h0 - a = 21..25 share the n-cap 4.  This p6 is
+    # affine in h0 and grows with n, as the real one, but spares the rows on
+    # one side of k = 23 at the cap: the near side without tilt, the far
+    # side with it.  generate_cells must then walk the block row by row
+    a, cap = 50, 4
+
+    def left(n, h0):
+        return n * (2 * a - h0) + 2 * h0 + 4 * a + tilt * h0
+
+    bound = left(cap, a + 23) + 1
+    monkeypatch.setattr(
+        enumerator, "p6_large_multiple_kill", lambda a, n, h0: h0 >= a + 2 and left(n, h0) < bound
+    )
+    spared = [k for k in range(21, 26) if left(cap, a + k) >= bound]
+    assert spared == ([21, 22] if tilt == 0 else [24, 25])
+    cells, killed = generate_cells(a)
+    ref_cells, ref_killed = _cells_per_h(a)
+    assert cells == ref_cells
+    assert list(killed.items()) == list(ref_killed.items())
+
+
+@pytest.mark.parametrize("a", [64, 512, 4096, 65536])
+def test_large_multiple_volume_is_a_floor_sum(a):
+    # rows h0 = a + k, 2 <= k <= a - 1, die whole at every n up to the cap 2a // k
+    _, killed = generate_cells(a)
+    assert killed["large_multiple_volume"] == sum(2 * a // k + 1 for k in range(2, a))
+
+
+@pytest.mark.parametrize("a", [4096, 65536])
+def test_generate_cells_makes_o_sqrt_a_p6_calls(monkeypatch, a):
+    # one test per end row of each block of equal n-cap (about 2 sqrt(2a)
+    # blocks), plus the bisection of row a + 1; not one per row
+    calls = []
+    p6 = enumerator.p6_large_multiple_kill
+    monkeypatch.setattr(enumerator, "p6_large_multiple_kill", lambda *args: calls.append(args) or p6(*args))
+    generate_cells(a)
+    assert len(calls) <= 6 * isqrt(a)
+
+
+def test_level_below_is_where_the_level_walk_stops():
+    # search_cell and _degrees_feasible jump to the largest level j' <= j with
+    # j'(a - j') <= w, or to 0, in place of walking down one level at a time
+    for a in range(2, 65):
+        for j in range(a + 1):
+            for w in range(-1, -(-a * a // 4) + 2):
+                walked = j
+                while walked and walked * (a - walked) > w:
+                    walked -= 1
+                jumped = j if j * (a - j) <= w else enumerator._level_below(a, w)
+                assert jumped == walked, (a, j, w)
 
 
 def test_cells_deterministic():
