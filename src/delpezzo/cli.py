@@ -1,17 +1,17 @@
 """Command-line front end: classification runs, single-type verification,
 toric computations, dual-graph export, and audit sweeps.
 
-Exit codes: 0 on success (and catalog match / clean audit / all
-certificates passing), 1 on a verification failure, 2 on flag errors and
-on an output file that cannot be written, 3 on a ``SearchExplosion``,
-``InternalConsistencyError`` or ``CanonicalizationError``, 141 when the
-reader of stdout closes it early; errors 2 and 3 go to stderr, as JSON
-under --json, and keep their exit code when stderr's reader has closed
-it.  ``audit`` refuses, as a flag error, a sweep of more than
-``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), which would take about 10 s
-or more.  ``classify`` refuses, as a flag error, an index above
-``CLASSIFY_INDEX_CAP`` (2^18 = 262,144), where it takes about 1 s and
-130 MB, and 2 s and 170 MB with --json.
+Exit codes: 0 on success (and catalog match, or no comparison below
+index 4 / clean audit / all certificates passing), 1 on a verification
+failure, 2 on flag errors and on an output file that cannot be written,
+3 on a ``SearchExplosion``, ``InternalConsistencyError`` or
+``CanonicalizationError``, 141 when the reader of stdout closes it early;
+errors 2 and 3 go to stderr, as JSON under --json, and keep their exit
+code when stderr's reader has closed it.  ``audit`` refuses, as a flag
+error, a sweep of more than ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0),
+which would take about 10 s or more.  ``classify`` refuses, as a flag
+error, an index above ``CLASSIFY_INDEX_CAP`` (2^18 = 262,144), where it
+takes about 0.2 s and 30 MB, and 2 s and 75 MB with --json.
 Volumes are always printed as exact fractions.
 """
 
@@ -41,9 +41,12 @@ from .toric import (
 )
 
 
-# The JSON report holds b (about a / 2) delta lists for each of the twelve
-# survivors, so time and memory grow with a: measured cold on one core
-# (Python 3.11), 0.9 s and 126 MB at the cap, 3.5 s and 452 MB at 2^20.
+# Every level without a step shares one empty delta list, but the JSON text
+# still has b (about a / 2) delta entries for each of the twelve survivors,
+# so --json time and memory grow with a: measured cold on one core (Python
+# 3.11), 2 s and 75 MB at the cap, against 0.2 s and 30 MB without --json.
+# A sparse JSON record, which lists only the nonempty levels, would let the
+# cap rise.
 CLASSIFY_INDEX_CAP = 1 << 18
 
 
@@ -77,9 +80,7 @@ def _cmd_classify(args) -> int:
     sys.stdout.write(report.to_text())
     if args.json:
         _write(args.json, _json_text(report.to_json()))
-    if args.a < 4:
-        return 0
-    return 0 if report.catalog_match else 1
+    return 1 if report.catalog_match is False else 0  # None below index 4: not tested
 
 
 def _type_entries(args):

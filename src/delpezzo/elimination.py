@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .lattice import Divisor, DivisorClass, StructuralError, SurfaceModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OnCurveDatum:
     curve: int | str
     k: int
@@ -40,7 +40,7 @@ class OnCurveDatum:
             raise StructuralError(f"contact order must satisfy 1 <= k <= m, got k={self.k}, m={self.m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeDatum:
     curve1: int | str
     curve2: int | str
@@ -55,7 +55,7 @@ class NodeDatum:
 LocalDatum = OnCurveDatum | NodeDatum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subscheme:
     points: tuple[LocalDatum, ...] = ()
 
@@ -80,13 +80,13 @@ class Subscheme:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EliminationStep:
     incident: tuple[int, ...]  # tracked-curve ids through the centre
     new_curve: int  # id of the new exceptional curve record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EliminationResult:
     """The blown-up model together with the chain bookkeeping.
 

@@ -255,7 +255,7 @@ def p7_degree_cap(a: int, h0: int) -> int:
 # -- cells ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchCell:
     a: int
     n: int
@@ -583,7 +583,7 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             return
         if not identities_check(ladder):
             raise InternalConsistencyError("identity re-verification failed on a survivor")
-        if any(pair.model.intersect(pair.L0, rec.cls) < 0 for rec in pair.model.curves):
+        if any(d < 0 for d in pair.degrees):
             raise InternalConsistencyError("fundamental class negative on a tracked curve")
         index_certificate = certificate_index_is_a(pair)
         certificates = {
@@ -596,6 +596,8 @@ def search_cell(cell: SearchCell) -> CellOutcome:
         }
         record = ladder_json(ladder, certificates)
         key = canonical_form(pair)
+        # certified: E0's support is L0-orthogonal, so it is cut from the pair's graph
+        graph = pair.graph
         out.known[n, ladder.top.E, b, tuple((lv.i, lv.delta) for lv in ladder.levels[:-1])] = key
         out.survivors.append({
             "key": key,
@@ -604,7 +606,7 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             "index": a,
             "cell": (a, n, h0, h),
             "E0": record["E_0"],
-            "dual_graph": pair.model.dual_graph(pair.E0.support, pair.E0.as_dict()).to_dot(),
+            "dual_graph": graph.induced([v for v, (_, c) in enumerate(graph.weights) if c]).to_dot(),
             "multiplet": record,
             "index_certificate": index_certificate,
         })
@@ -678,7 +680,10 @@ class ClassificationReport:
     killed: dict
 
     @property
-    def catalog_match(self) -> bool:
+    def catalog_match(self) -> bool | None:
+        """None below index 4, where no catalog comparison is made."""
+        if self.a < 4:
+            return None
         return not self.unexpected and not self.missing
 
     def to_json(self) -> dict:
@@ -711,7 +716,8 @@ class ClassificationReport:
         lines.append(
             f" cells: {self.cells_visited}  configurations: {self.configs}  candidates: {self.candidates}"
         )
-        lines.append(f" catalog match: {'yes' if self.catalog_match else 'no'}")
+        match = {None: "not tested", True: "yes", False: "no"}[self.catalog_match]
+        lines.append(f" catalog match: {match}")
         for msg in self.warnings:
             lines.append(f" warning: {msg}")
         return "\n".join(lines) + "\n"

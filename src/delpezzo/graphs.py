@@ -21,7 +21,7 @@ class CanonicalizationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedGraph:
     """Vertices 0..order-1 with weights and optional names; edges (i, j) with
     i < j, sorted."""
@@ -46,6 +46,16 @@ class WeightedGraph:
 
     def neighbours(self, v: int) -> list[int]:
         return sorted(j if i == v else i for i, j in self.edges if v in (i, j))
+
+    def induced(self, keep: list[int]) -> "WeightedGraph":
+        """The subgraph on the vertices ``keep``, in increasing order,
+        renumbered 0.. in that order, with their weights and names."""
+        pos = {v: i for i, v in enumerate(keep)}
+        return WeightedGraph(
+            tuple(self.weights[v] for v in keep),
+            tuple((pos[i], pos[j]) for i, j in self.edges if i in pos and j in pos),
+            tuple(self.names[v] for v in keep) if self.names else (),
+        )
 
     def components(self) -> list[list[int]]:
         seen: set[int] = set()

@@ -39,7 +39,7 @@ class InvalidPointError(StructuralError):
     """Raised for a blow-up centre that the incidence conventions forbid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorClass:
     """Integer vector in the lattice basis: base part plus exceptional part."""
 
@@ -69,7 +69,7 @@ class DivisorClass:
     __mul__ = __rmul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveRecord:
     """A tracked curve: opaque id, printable name, current strict-transform class."""
 
@@ -78,7 +78,7 @@ class CurveRecord:
     cls: DivisorClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Divisor:
     """Formal integer combination of tracked curves, stored as sorted (id, coeff) pairs."""
 

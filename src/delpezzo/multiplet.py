@@ -54,6 +54,12 @@ class BasicPair:
     # Built once per pair and shared by certificates, keys and JSON records.
 
     @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """L0.C for every tracked curve C, in id order."""
+        model, L = self.model, self.L0
+        return tuple(model.intersect(L, rec.cls) for rec in model.curves)
+
+    @cached_property
     def graph(self) -> WeightedGraph:
         """Weighted dual graph of the contracted configuration.
 
@@ -63,9 +69,8 @@ class BasicPair:
         coefficient 0.  Vertex weights are (self-intersection, coefficient
         in E).
         """
-        model, L = self.model, self.L0
-        support = tuple(rec.id for rec in model.curves if model.intersect(L, rec.cls) == 0)
-        return model.dual_graph(support, self.E0.as_dict())
+        support = tuple(c for c, d in enumerate(self.degrees) if d == 0)
+        return self.model.dual_graph(support, self.E0.as_dict())
 
     @cached_property
     def volume(self) -> Fraction:
@@ -77,7 +82,7 @@ class BasicPair:
         return index_of(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LadderLevel:
     i: int
     model: SurfaceModel
@@ -188,7 +193,7 @@ def close_ladder(
 # -- certificates ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateReport:
     passed: bool
     failures: tuple[str, ...]
@@ -485,10 +490,14 @@ def _datum_json(model: SurfaceModel, datum) -> dict:
 
 
 def ladder_json(ladder: Ladder, certificates: dict | None = None) -> dict:
-    """JSON form of a descended multiplet: top data, subschemes, invariants."""
+    """JSON form of a descended multiplet: top data, subschemes, invariants.
+
+    The record is read-only: every level without a step shares one empty
+    list of deltas.
+    """
     top = ladder.top
     pair = ladder.bottom_pair
-    deltas = [[] for _ in range(ladder.b)]  # level i at b - i, each its own list
+    deltas = [[]] * ladder.b  # level i at b - i
     for lv in ladder.levels[:-1]:
         deltas[ladder.b - lv.i] = [_datum_json(lv.model, p) for p in lv.delta.points]
     out = {

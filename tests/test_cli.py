@@ -81,10 +81,16 @@ def test_classify_json_and_exit(capsys, tmp_path):
     assert len(data["survivors"]) == 14
 
 
-def test_classify_low_index_warns(capsys):
-    code, out, _ = run(capsys, "classify", "--a", "2")
-    assert code == 0
-    assert "outside the theorem hypotheses" in out
+def test_classify_low_index_warns(capsys, tmp_path):
+    # no catalog comparison below index 4: neither a match nor a failure
+    out_path = tmp_path / "r.json"
+    for a in (2, 3):
+        code, out, _ = run(capsys, "classify", "--a", str(a), "--json", str(out_path))
+        assert code == 0
+        assert "outside the theorem hypotheses" in out
+        assert "catalog match: not tested" in out
+        assert "catalog match: yes" not in out
+        assert json.loads(out_path.read_text())["catalog_match"] is None
 
 
 def test_dualgraph_dot(capsys, tmp_path):

@@ -50,10 +50,13 @@ from delpezzo.enumerator import (
 from delpezzo.graphs import WeightedGraph, canonical_key
 from delpezzo.lattice import Divisor
 from delpezzo.multiplet import (
+    BasicPair,
     InternalConsistencyError,
+    _datum_json,
     build_ladder,
     certificate_index_is_a,
     certify_ladder,
+    check_basic_pair,
     close_ladder,
     descend_step,
     identities_check,
@@ -436,6 +439,90 @@ def test_catalog_keys_reuse_exactly_the_survivors_ladders(monkeypatch):
         assert reused == sum(len(e.configs) for e in catalog_entries(a)), args
 
 
+def _recording_ladder_json(monkeypatch):
+    """Route ``search_cell``'s survivor records through a recorder; returns
+    the list of (ladder, record) it fills, one per certified survivor."""
+    recorded = []
+
+    def recording(ladder, certificates=None):
+        recorded.append((ladder, ladder_json(ladder, certificates)))
+        return recorded[-1][1]
+
+    monkeypatch.setattr(enumerator, "ladder_json", recording)
+    return recorded
+
+
+def _deltas_one_list_per_level(ladder):
+    """Reference for ``ladder_json``'s deltas: a fresh empty list per level."""
+    deltas = [[] for _ in range(ladder.b)]
+    for lv in ladder.levels[:-1]:
+        deltas[ladder.b - lv.i] = [_datum_json(lv.model, p) for p in lv.delta.points]
+    return deltas
+
+
+def _list_ids(obj):
+    """The ids of the distinct list objects under ``obj``."""
+    ids, stack = set(), [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            ids.add(id(x))
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+    return ids
+
+
+def test_survivor_records_share_one_empty_delta_list(monkeypatch):
+    # the records read as if each level had its own list, and the number of
+    # lists they hold does not grow with the index
+    recorded = _recording_ladder_json(monkeypatch)
+    counts = []
+    for a in (512, 4096):
+        recorded.clear()
+        report = classify(a)
+        assert recorded, a
+        for ladder, record in recorded:
+            certificates = record["certificates"]
+            reference = {**ladder_json(ladder, certificates), "deltas": _deltas_one_list_per_level(ladder)}
+            assert json.dumps(record, sort_keys=True) == json.dumps(reference, sort_keys=True)
+        counts.append(len(_list_ids(report.to_json()["survivors"])))
+    assert counts[0] == counts[1]
+
+
+def _check_pair_degrees(pair):
+    """``BasicPair.degrees`` and the vertices of ``BasicPair.graph`` against
+    one intersection per tracked curve."""
+    model, L = pair.model, pair.L0
+    want = [model.intersect(L, model.curve(c).cls) for c in range(len(model.curves))]
+    assert list(pair.degrees) == want
+    assert set(pair.graph.names) == {rec.name for rec, d in zip(model.curves, want) if d == 0}
+    assert pair.graph.order == want.count(0)
+
+
+def test_pair_degrees_and_survivor_graphs_match_the_intersection_routes(monkeypatch):
+    # one L0.C pass per pair gives the degrees, the contracted support and,
+    # cut to E0's support, the DOT of every survivor record
+    recorded = _recording_ladder_json(monkeypatch)
+    for a in [*range(4, 41), 64, 512]:
+        recorded.clear()
+        report = classify(a)
+        ladders = {id(record): ladder for ladder, record in recorded}
+        for ladder, _ in recorded:
+            _check_pair_degrees(ladder.bottom_pair)
+        for s in report.survivors:
+            pair = ladders[id(s["multiplet"])].bottom_pair
+            assert s["dual_graph"] == pair.model.dual_graph(pair.E0.support, pair.E0.as_dict()).to_dot()
+            # a tampered fundamental class still fails orthogonality
+            model = pair.model
+            tampered = BasicPair(model, pair.E0, pair.a, pair.L0 + model.fiber_class())
+            _check_pair_degrees(tampered)
+            assert "orthogonality" in check_basic_pair(tampered).failures
+    for seed in range(3):
+        for ladder in random_pseudo_fundamental_ladders(seed, 1000):
+            _check_pair_degrees(ladder.bottom_pair)
+
+
 def test_catalog_key_map_still_guards_the_configurations_it_builds(monkeypatch, capsys):
     # a configuration that no survivor reproduces is built and certified;
     # one that fails is an engine fault, numbered as verify-type numbers it
@@ -491,18 +578,19 @@ def test_top_model_gives_the_ids_the_recipes_read(n, c0, fibers):
     [
         (
             2,
-            "89b65cda908dc7856638dc444362f80136bb4888bb64ffd44d1aa3344ebfb346",
-            "797d33277dde7d8a5229fb704bf36c016a3a7210e73778198e85c8157e583051",
+            "1a6bb597e7c1489a9e395994df8448af5f549a328db154beb4dc279df852775f",
+            "4d2571cb8892735c916a0268fadf06a28563d0254122b6ca80957a25a7facd7a",
         ),
         (
             3,
-            "51e508c09a9f60e0d9cc5b88b97d920442e55aa3ca4c65f6912d2a5655ce2ab5",
-            "7605836423a30f428a151bc093de08b6a686cb868ba074a8f434ca49ce834219",
+            "2e1707e10835e87e390ead8d3c9de0ac859918aae7929565a545cc15223a4661",
+            "de11f1c7b9db8e519194d75e09a5c84466c28340c11077453d8e4641a0de6591",
         ),
     ],
 )
 def test_classify_low_index_reports_are_byte_stable(a, text_sha, json_sha):
-    # below index 4 no catalog is compared: every survivor is a "-" row
+    # below index 4 no catalog is compared: every survivor is a "-" row and
+    # the match reads "not tested" (JSON null)
     rep = classify(a)
     assert hashlib.sha256(rep.to_text().encode()).hexdigest() == text_sha
     payload = json.dumps(rep.to_json(), sort_keys=True)

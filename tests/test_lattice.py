@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -206,6 +207,24 @@ def test_dot_output_is_stable():
     assert g1.to_dot() == g2.to_dot()
     assert 'label="sigma\\n(s=-2, c=1)"' in g1.to_dot()
     assert "v0 -- v1;" in g1.to_dot()
+
+
+def test_induced_graph_is_the_dual_graph_of_the_kept_curves():
+    # cutting a contracted graph to some of its vertices, renumbered in
+    # order, gives the dual graph of those curves, names and edges included
+    checked = 0
+    for a in range(4, 9):
+        for entry in catalog_entries(a):
+            for idx in range(len(entry.configs)):
+                pair = build_entry_ladder(entry, a, idx).bottom_pair
+                ids = [c for c, d in enumerate(pair.degrees) if d == 0]
+                coeffs = pair.E0.as_dict()
+                for r in range(len(ids) + 1):
+                    for keep in itertools.combinations(range(len(ids)), r):
+                        want = pair.model.dual_graph([ids[k] for k in keep], coeffs)
+                        assert pair.graph.induced(list(keep)) == want
+                        checked += bool(want.edges) and keep[0] > 0
+    assert checked  # some kept edge sits past a dropped vertex
 
 
 def test_dual_graph_rejects_curves_meeting_twice():

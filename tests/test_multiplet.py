@@ -6,7 +6,7 @@ import pytest
 
 from delpezzo.catalog import _length, build_entry_ladder, catalog_entries, entry_by_name, top_model
 from delpezzo.elimination import NodeDatum, OnCurveDatum, Subscheme, eliminate, transform
-from delpezzo.enumerator import random_pseudo_fundamental_ladders
+from delpezzo.enumerator import SearchCell, random_pseudo_fundamental_ladders
 from delpezzo.lattice import Divisor, DivisorClass, StructuralError, SurfaceModel
 from delpezzo.multiplet import (
     BasicPair,
@@ -712,3 +712,47 @@ def test_ladder_json_shape():
     assert data["deltas"][0] == [{"kind": "on_curve", "curve": "l_1", "k": 1, "m": 1}]
     assert data["deltas"][1][0]["kind"] == "at_node"
     assert data["certificates"] == {"ok": True}
+
+
+def test_value_types_are_slotted_and_stay_frozen():
+    # the value types built on every descent and certificate carry no
+    # __dict__, and slots leave every field as read-only as before
+    lad = _entry_ladder(4, "C4")  # an on-curve point at level 2, a node at level 1
+    top, below = lad.levels[0], lad.levels[1]
+    points = top.delta.points + below.delta.points
+    values = [
+        top.L,
+        top.model.curves[0],
+        top.E,
+        next(p for p in points if isinstance(p, OnCurveDatum)),
+        next(p for p in points if isinstance(p, NodeDatum)),
+        top.delta,
+        top.elim.steps[0],
+        top.elim,
+        top,
+        certify_ladder(lad),
+        SearchCell(4, 5, 6, 26),
+        lad.bottom_pair.graph,
+    ]
+    assert sorted(type(v).__name__ for v in values) == sorted(
+        (
+            "DivisorClass", "CurveRecord", "Divisor", "OnCurveDatum", "NodeDatum", "Subscheme",
+            "EliminationStep", "EliminationResult", "LadderLevel", "CertificateReport",
+            "SearchCell", "WeightedGraph",
+        )
+    )
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+        # a new attribute is refused as well: Python 3.11's slotted frozen
+        # __setattr__ raises TypeError for a name that is not a field, and
+        # without a __dict__ not even object.__setattr__ can add one
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            value.extra = 0
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, "extra", 0)
+    # the types with cached properties keep their __dict__
+    for value in (lad, lad.bottom_pair, top.model):
+        assert hasattr(value, "__dict__")
