@@ -488,15 +488,17 @@ def _datum_options(model, E, i, a, m_cap, caps, forbid_sigma):
     return options
 
 
-def _subscheme_candidates(model, E, i, a, v_cap, budgets, forbid_sigma):
+def _subscheme_candidates(model, E, i, a, v_cap, budgets, forbid_sigma, keep=None):
     """All admissible subschemes at this level as (degree, points) pairs:
-    multisets of point data, the empty one first, from an explicit stack in
-    the preorder of option order.  The caller wraps the points it keeps in a
-    ``Subscheme``.
+    multisets of point data in the preorder of option order, the empty one
+    first.  With ``keep``, a set of degrees, only those of a kept degree are
+    recorded.  The caller wraps the points it keeps in a ``Subscheme``.
 
     On-curve data may repeat (distinct points of the same curve); a node is
     a single point, so each unordered pair of curves is used at most once.
     Degree m takes i m from ``v_cap``: a total degree of at most v_cap // i.
+    The walk keeps one path of options and extends and cuts it back in
+    place, so a child costs no copy of the budgets.
 
     The L.E allowance, degree at most L.E // (i s) with s = a - i, needs no
     test of its own.  Every option's last chain coefficient is nonnegative:
@@ -504,32 +506,50 @@ def _subscheme_candidates(model, E, i, a, v_cap, budgets, forbid_sigma):
     a subscheme that spends ``spent_C`` contacts on each component C of E
     have s deg <= sum_C e_C spent_C <= sum_C e_C (L.C // i) <= L.E / i.
     The same bound, per option, ends the shape loops long before ``m_cap``
-    when the volume allowance is loose.
+    when the volume allowance is loose.  At level 1 the callers keep only
+    L.E / (a - 1), where the bound is an equality: each L.C is spent in
+    full, and each option's last chain coefficient is 0, so a node enters
+    only if e1 + k2 e2 = s m (on a curve e = s there, so k = m always).
     """
     m_cap = v_cap // i
-    if m_cap < 1:
-        return [(0, ())]
     caps = {c: r // i for c, r in budgets.items()}  # the keys are E.support
-    options = _datum_options(model, E, i, a, m_cap, caps, forbid_sigma)
-    results = []
-    stack = [(0, (), frozenset(), m_cap, caps)]
-    while stack:
-        start, chosen, used, m_left, left = stack.pop()
-        results.append((m_cap - m_left, chosen))
-        # children are pushed from the last option down, so the first pops first
-        for idx in range(len(options) - 1, start - 1, -1):
+    options = _datum_options(model, E, i, a, m_cap, caps, forbid_sigma) if m_cap > 0 else []
+    if i == 1 and keep is not None:
+        coeff = dict(E.items)
+        options = [o for o in options if sum(coeff[c] * k for c, k in o[2]) == (a - 1) * o[0].m]
+    results = [(0, ())] if keep is None or 0 in keep else []
+    path, points, used, left, m_left, idx, end = [], [], set(), caps, m_cap, 0, len(options)
+    while True:
+        while idx < end:  # the first option from idx on that fits
             d, pair, spend = options[idx]
-            if d.m > m_left or pair in used:
-                continue
-            left2 = dict(left)
-            for c, k in spend:
-                left2[c] -= k
-                if left2[c] < 0:
+            if d.m <= m_left and pair not in used:
+                for c, k in spend:
+                    if left[c] < k:
+                        break
+                else:
                     break
-            else:
-                used2 = used if pair is None else used | {pair}
-                stack.append((idx, chosen + (d,), used2, m_left - d.m, left2))
-    return results
+            idx += 1
+        else:  # none fits: cut the path back by one option
+            if not path:
+                return results
+            idx = path.pop()
+            d, pair, spend = options[idx]
+            points.pop()
+            used.discard(pair)
+            m_left += d.m
+            for c, k in spend:
+                left[c] += k
+            idx += 1
+            continue
+        path.append(idx)  # its children start at the same option
+        points.append(d)
+        if pair is not None:
+            used.add(pair)
+        m_left -= d.m
+        for c, k in spend:
+            left[c] -= k
+        if keep is None or m_cap - m_left in keep:
+            results.append((m_cap - m_left, tuple(points)))
 
 
 def _budgets(model: SurfaceModel, E: Divisor, L: DivisorClass) -> tuple[int, dict] | None:
@@ -619,10 +639,12 @@ def search_cell(cell: SearchCell) -> CellOutcome:
     # once, the degree test per level until it fails.  Where no point fits
     # (v_left < i or be < i(a-i)) its answer holds down to the highest level
     # where one does, or 0, so the walk jumps there untested.  At level 1 the
-    # empty subscheme passes only when be == 0.  Children pushed per level pop
-    # lowest level first: the preorder of one node per level, empty child
-    # first.  Each level walked is a configuration; ``_CONFIG_CAP`` is
-    # checked once per state, after its walk.
+    # empty subscheme passes only when be == 0, where the jump lands on 0; a
+    # walk there has be = d(a - 1) > 0 and keeps the degree d alone, with no
+    # empty subscheme.  Children pushed per level pop lowest level first: the
+    # preorder of one node per level, empty child first.  Each level walked
+    # is a configuration; ``_CONFIG_CAP`` is checked once per state, after
+    # its walk.
     stack = []
     for parts in reversed(_partitions(f, a - 1)):
         model, E = top_model(n, c0, parts)
@@ -644,10 +666,9 @@ def search_cell(cell: SearchCell) -> CellOutcome:
                     break
                 forbid = forbid_top_sigma and i == b
                 children = []
-                cands = _subscheme_candidates(model, E, i, a, v_left, budgets, forbid)
-                for d, points in cands[1:]:
-                    if i == 1 and d * (a - 1) != be:
-                        continue
+                keep = {be // (a - 1)} if i == 1 else None
+                cands = _subscheme_candidates(model, E, i, a, v_left, budgets, forbid, keep)
+                for d, points in cands if keep else cands[1:]:
                     level, E2, L2 = descend_step(a, i, model, E, L, Subscheme(points))
                     if E2.is_effective() and not E2.is_zero():
                         children.append((
@@ -963,15 +984,16 @@ def _fitting_draws(a: int, i: int, model, E, L, v_left: int) -> list:
     lower levels feasible; empty where the walk stops.
 
     The degrees that fit are found first, from the allowance alone; the
-    candidates are then built only up to the largest of them.  That drops
-    only subschemes of larger degree, so the preorder of the rest holds.
+    walk then goes only up to the largest of them and records only the
+    candidates of a fitting degree, in the preorder of the full walk.  At
+    level 1, where no level is left, the one fit is d(a - 1) == be, and the
+    walk takes only the options that spend exactly.
     """
     found = _budgets(model, E, L)
     if found is None:
         return []
     be, budgets = found
     unit = i * (a - i)
-    # at level 1, where no level is left, a fit is d(a - 1) == be
     fits = [
         d
         for d in range(min(v_left // i, be // unit) + 1)
@@ -979,9 +1001,7 @@ def _fitting_draws(a: int, i: int, model, E, L, v_left: int) -> list:
     ]
     if not fits:
         return []
-    cands = _subscheme_candidates(model, E, i, a, i * fits[-1], budgets, False)
-    fits = set(fits)
-    return [cand for cand in cands if cand[0] in fits]
+    return _subscheme_candidates(model, E, i, a, i * fits[-1], budgets, False, set(fits))
 
 
 def random_pseudo_fundamental_ladders(seed: int, count: int):
@@ -997,17 +1017,21 @@ def random_pseudo_fundamental_ladders(seed: int, count: int):
     the drawn one only.  Used by the identity test suite.
 
     Draws repeat: 1000 ladders take about 3000 attempts on about 500
-    distinct tops.  So each draw path, the top (a, n, c0, parts) and then
-    (i, points) per nonempty elimination, is built and certified once per
-    call: the top, the draw list at each level, each descent and each
-    closed ladder.  A repeated path shares those objects, down to the same
-    ``Ladder``, and every random draw is made as an unshared walk makes it.
+    distinct tops.  So the draw paths form a trie, built once per call, with
+    integer node ids: a top (a, n, c0, parts), then one node per nonempty
+    elimination.  Its draw lists, descents and closed ladders are built and
+    certified once, a repeated path shares them down to the same ``Ladder``,
+    and no key hashes a subscheme.  Each draw is ``rng.randrange(len(draws))``,
+    which takes from the stream what ``rng.choice(draws)`` takes, so every
+    random draw is made as an unshared walk makes it.
     """
     rng = random.Random(seed)
-    # path -> its state, or None where the attempt stops; the draw lists,
-    # closed ladders and fiber partitions sit at ("draws", path, i),
-    # ("ladder", path, b) and ("parts", f, a)
+    # (a, n, c0, parts) -> top node, (node, i) -> draw list at level i,
+    # (node, i, k) -> the node draw k descends to, ("ladder", node, b) and
+    # ("parts", f, a); None where an attempt stops.  states[node] is
+    # (model, E, L) and the top's v_cap or the level descended to.
     memo: dict = {}
+    states: list = []
     out = []
     attempts = 0
     while len(out) < count and attempts < _FUZZ_ATTEMPT_CAP:
@@ -1028,39 +1052,46 @@ def random_pseudo_fundamental_ladders(seed: int, count: int):
             memo["parts", f, a] = _partitions(f, a - 1)
         parts = rng.choice(memo["parts", f, a])
 
-        path = (a, n, c0, parts)
-        if path not in memo:
+        top = (a, n, c0, parts)
+        if top not in memo:
             model, E = top_model(n, c0, parts)
             L = model.fundamental_class(a, E)
             be_top = model.intersect(L, E.class_in(model))
-            memo[path] = (model, E, L, be_top) if 0 <= be_top <= 60 else None
-        if memo[path] is None:
+            memo[top] = None
+            if 0 <= be_top <= 60:
+                memo[top] = len(states)
+                states.append((model, E, L, be_top))
+        node = memo[top]
+        if node is None:
             continue
-        model, E, L, v_cap = memo[path]  # sum j d_j never exceeds sum j(a-j) d_j
+        model, E, L, v_cap = states[node]  # sum j d_j never exceeds sum j(a-j) d_j
 
         levels: list[LadderLevel] = []
         spent = 0
         for i in range(b, 0, -1):
-            key = ("draws", path, i)
-            if key not in memo:
-                memo[key] = _fitting_draws(a, i, model, E, L, v_cap - spent)
-            if not memo[key]:
+            if (node, i) not in memo:
+                memo[node, i] = _fitting_draws(a, i, model, E, L, v_cap - spent)
+            draws = memo[node, i]
+            if not draws:
                 break
-            d, points = rng.choice(memo[key])
+            k = rng.randrange(len(draws))
+            d, points = draws[k]
             if not points:
                 continue  # nothing to eliminate: the state holds at level i-1
-            path += ((i, points),)
-            if path not in memo:
+            if (node, i, k) not in memo:
                 level, E2, L2 = descend_step(a, i, model, E, L, Subscheme(points))
-                memo[path] = (level, E2, L2) if E2.is_effective() and not E2.is_zero() else None
-            if memo[path] is None:
+                memo[node, i, k] = None
+                if E2.is_effective() and not E2.is_zero():
+                    memo[node, i, k] = len(states)
+                    states.append((level.elim.model, E2, L2, level))
+            node = memo[node, i, k]
+            if node is None:
                 break
-            level, E, L = memo[path]
-            model = level.elim.model
+            model, E, L, level = states[node]
             spent += i * d
             levels.append(level)
         else:
-            key = ("ladder", path, b)
+            key = ("ladder", node, b)
             if key not in memo:
                 ladder = close_ladder(a, b, levels, model, E, L)
                 passed = certify_ladder(ladder, require_fundamental=False).passed

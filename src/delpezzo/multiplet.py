@@ -316,9 +316,9 @@ def identities_check(ladder: Ladder) -> bool:
     the subscheme degrees and contact orders on the other, independently of
     the bookkeeping used to build the ladder.  One bottom-up pass keeps
     running totals of the degree side over the subschemes at and below
-    each level.  A level with no step holds the state of the stored level
-    below it and adds nothing to the degree side, so it needs no check of
-    its own.
+    each level, contacts per curve included.  A level with no step holds
+    the state of the stored level below it and adds nothing to the degree
+    side, so it needs no check of its own.  All four tests are in integers.
     """
     a = ladder.a
     bot = ladder.bottom
@@ -326,14 +326,17 @@ def identities_check(ladder: Ladder) -> bool:
     l0sq = bot.model.intersect(bot.L, bot.L)
 
     weighted = genus = linear = 0  # sums of j(a-j) deg, j(j-1) deg, j deg
-    below: list[tuple[int, Subscheme]] = []  # subschemes so far
+    contacts: dict[int, int] = {}  # curve -> sum of j (contact) so far
     for lv in reversed(ladder.levels):
         if lv.delta is not None:
             j, d = lv.i, lv.delta.degree
             weighted += j * (a - j) * d
             genus += j * (j - 1) * d
             linear += j * d
-            below.append((j, lv.delta))
+            for p in lv.delta.points:
+                on_curve = isinstance(p, OnCurveDatum)
+                for c, k in ((p.curve, p.k),) if on_curve else ((p.curve1, 1), (p.curve2, p.k2)):
+                    contacts[c] = contacts.get(c, 0) + j * k
 
         # L.E is the sum of e_C (L.C), by bilinearity
         degrees = {c: lv.model.intersect(lv.L, lv.model.curve(c).cls) for c in lv.E.support}
@@ -345,10 +348,10 @@ def identities_check(ladder: Ladder) -> bool:
             return False
 
         for cid, lc in degrees.items():
-            if lc != sum(j * delta.contact(cid) for j, delta in below):
+            if lc != contacts.get(cid, 0):
                 return False
 
-        if Fraction(l0sq, a) != -k_dot_l - linear:
+        if l0sq != a * (-k_dot_l - linear):
             return False
     return True
 

@@ -844,8 +844,11 @@ def _subscheme_candidates_reference(model, E, i, a, v_cap, be_cap, budgets, forb
     return results
 
 
-def _reference_pairs(*args):
-    return [(sub.degree, sub.points) for sub in _subscheme_candidates_reference(*args)]
+def _reference_pairs(*args, keep=None):
+    """The reference's (degree, points) pairs, only those of a degree in
+    ``keep`` if given."""
+    pairs = [(sub.degree, sub.points) for sub in _subscheme_candidates_reference(*args)]
+    return pairs if keep is None else [pair for pair in pairs if pair[0] in keep]
 
 
 def test_subscheme_candidates_match_the_recursive_reference(monkeypatch):
@@ -867,19 +870,25 @@ def test_subscheme_candidates_match_the_recursive_reference(monkeypatch):
     assert len(calls) > 1000
     assert sum(len(result) > 1 for _, result in calls) > 500
     # the reference also tests L.E, the real one, which the flat generator
-    # leaves to the contact budgets
-    for (model, E, i, a, v_cap, budgets, forbid), result in calls:
+    # leaves to the contact budgets; a call with a kept set of degrees is
+    # compared with the reference filtered by that set
+    calls = [((*args, None)[:8], result) for args, result in calls]  # keep is None if not given
+    assert sum(args[7] is not None for args, _ in calls) > 1000
+    for (model, E, i, a, v_cap, budgets, forbid, keep), result in calls:
         be = sum(e * budgets[c] for c, e in E.items)
-        assert result == _reference_pairs(model, E, i, a, v_cap, be, budgets, forbid), (i, a, v_cap)
+        want = _reference_pairs(model, E, i, a, v_cap, be, budgets, forbid, keep=keep)
+        assert result == want, (i, a, v_cap, keep)
     # the recorded volume allowances seldom bind, so tighten each by one
     # unit, i, and both generators must agree
     changed = 0
-    for (model, E, i, a, v_cap, budgets, forbid), result in calls:
+    for (model, E, i, a, v_cap, budgets, forbid, keep), result in calls:
         if len(result) == 1:
             continue
         be = sum(e * budgets[c] for c, e in E.items)
-        got = flat(model, E, i, a, v_cap - i, budgets, forbid)
-        assert got == _reference_pairs(model, E, i, a, v_cap - i, be, budgets, forbid), (i, a, v_cap)
+        got = flat(model, E, i, a, v_cap - i, budgets, forbid, keep)
+        assert got == _reference_pairs(model, E, i, a, v_cap - i, be, budgets, forbid, keep=keep), (
+            i, a, v_cap, keep
+        )
         changed += got != result
     assert changed  # the volume allowance binds somewhere
 
@@ -1161,6 +1170,64 @@ def test_fuzz_draws_stop_at_the_largest_fitting_degree(monkeypatch, seed):
             trimmed += max(d for d, _ in full) > max(fits, default=-1)
         assert got == want
     assert len(calls) > 1500 and trimmed > 1000  # 1,800-2,077 and 1,100-1,287 on seeds 0..2
+
+
+def test_level_one_walk_spends_every_budget_exactly(monkeypatch):
+    # at level 1 both callers keep only the degree d with d(a - 1) = L.E;
+    # the walk then takes only the options whose last chain coefficient is
+    # 0, and must give the full walk's candidates of that degree, each
+    # spending every component's L.C in full
+    calls = _record(monkeypatch, "_subscheme_candidates")
+    for a in [*range(4, 65), 512]:
+        classify(a)
+    audit(28, 112)
+    ends = [len(calls)]
+    for seed in range(3):
+        random_pseudo_fundamental_ladders(seed, 1000)
+        ends.append(len(calls))
+    monkeypatch.undo()
+    counts = [[0, 0, 0] for _ in ends]  # calls, built, kept: the search, then seeds 0..2
+    nodes = 0  # kept candidates with a point at a node
+    for n, ((model, E, i, a, v_cap, budgets, forbid, *keep), got) in enumerate(calls):
+        if i != 1:
+            continue
+        be = sum(e * budgets[c] for c, e in E.items)
+        assert be % (a - 1) == 0 and keep == [{be // (a - 1)}]
+        full = enumerator._subscheme_candidates(model, E, 1, a, v_cap, budgets, forbid)
+        assert got == [cand for cand in full if cand[0] * (a - 1) == be]
+        for _, points in got:
+            assert all(Subscheme(points).contact(c) == r for c, r in budgets.items())
+            nodes += any(isinstance(p, NodeDatum) for p in points)
+        count = counts[sum(n >= end for end in ends)]
+        count[0] += 1
+        count[1] += len(full)
+        count[2] += len(got)
+    assert counts[0][0] > 200 and nodes > 100
+    assert counts[2][1:] == [7697, 867]  # fuzz seed 1: built by the full walk, kept
+
+
+def test_fuzz_bottoms_key_into_the_classification():
+    # a fuzz bottom of index a' and volume at least 2a' is a surface that
+    # the theorem covers, so it must be a survivor of classify(a'); for a' a
+    # proper divisor of a, E / (a / a') is its index-a' divisor.  Indices
+    # a' < 4 are left out: five index-2 bottoms of volume 4 do not key into
+    # classify(2), an open finding of ROADMAP.md.
+    keys = {a: {s["key"] for s in classify(a).survivors} for a in range(4, 9)}
+    tested = [0, 0]  # index a, and a proper divisor of a
+    for seed in range(3):
+        for lad in random_pseudo_fundamental_ladders(seed, 1000):
+            pair = lad.bottom_pair
+            if pair.volume < 2 * pair.index or pair.index < 4:
+                continue
+            r = pair.a // pair.index
+            assert all(v % r == 0 for _, v in pair.E0.items)
+            E0 = Divisor.from_dict({c: v // r for c, v in pair.E0.items})
+            rescaled = BasicPair(pair.model, E0, pair.index, pair.model.fundamental_class(pair.index, E0))
+            assert check_basic_pair(rescaled).passed
+            assert (rescaled.index, rescaled.volume) == (pair.index, pair.volume)
+            assert canonical_form(rescaled) in keys[pair.index]
+            tested[r > 1] += 1
+    assert tested == [1392, 71]
 
 
 @pytest.mark.parametrize(
