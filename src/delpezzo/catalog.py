@@ -168,7 +168,7 @@ def entry_recipe(entry: CatalogEntry, a: int, config: int) -> tuple:
     return entry.base_n, top_divisor(entry.c0, entry.fibers), _length(a), steps
 
 
-def build_entry_ladder(entry: CatalogEntry, a: int, config: int = 0) -> Ladder:
+def build_entry_ladder(entry: CatalogEntry, a: int, config: int) -> Ladder:
     model, E = top_model(entry.base_n, entry.c0, entry.fibers)
     return build_ladder(a, model, E, _length(a), entry.configs[config])
 

@@ -3,8 +3,9 @@ toric computations, dual-graph export, and audit sweeps.
 
 Exit codes: 0 on success (and catalog match, or no comparison below
 index 4 / clean audit / all certificates passing), 1 on a verification
-failure, 2 on flag errors and on an output file that cannot be written,
-3 on a ``SearchExplosion``, ``InternalConsistencyError`` or
+failure (such as an ``UNEXPECTED`` survivor or a ``MISSING`` catalog
+configuration), 2 on flag errors and on an output file that cannot be
+written, 3 on a ``SearchExplosion``, ``InternalConsistencyError`` or
 ``CanonicalizationError``, 141 when the reader of stdout closes it early;
 errors 2 and 3 go to stderr, as JSON under --json, and keep their exit
 code when stderr's reader has closed it.  ``audit`` refuses, as a flag

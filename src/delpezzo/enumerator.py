@@ -26,8 +26,8 @@ independent code path.
 Candidates are deduplicated by a canonical form: the weighted dual graph of
 the contracted configuration together with (a, volume, index).  Isomorphic
 surfaces have isomorphic minimal resolutions, hence equal keys.  A catalog
-configuration takes the key of the survivor with its recipe, and is built
-and certified again only if no survivor has it (none at any index tested).
+configuration takes the key of the survivor with its recipe; one that no
+survivor has is reported missing (none at any index tested).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
-from .catalog import _partitions, build_entry_ladder, catalog_entries, entry_recipe, top_model
+from .catalog import _partitions, catalog_entries, entry_recipe, top_model
 from .elimination import NodeDatum, OnCurveDatum, Subscheme
 from .graphs import canonical_key
 from .lattice import Divisor, DivisorClass, SurfaceModel
@@ -744,35 +744,31 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
-def catalog_key_map(a: int, entries: list, known: dict) -> dict[str, str]:
-    """Entry name by canonical key, over every configuration of ``entries``.
-    One whose ``entry_recipe`` is in ``known`` (a search's
-    ``CellOutcome.known``) takes that certified survivor's key; the rest,
-    all with ``{}``, are built and certified here."""
+def catalog_key_map(a: int, entries: list, known: dict) -> tuple[dict[str, str], list[dict]]:
+    """Entry name by canonical key, and the missing configurations.  A
+    configuration whose ``entry_recipe`` is in ``known`` (a search's
+    ``CellOutcome.known``) takes that survivor's key; the rest are missing,
+    numbered from 1 within their entry as ``verify-type`` numbers them."""
     out: dict[str, str] = {}
+    missing: list[dict] = []
     for entry in entries:
         for idx in range(len(entry.configs)):
             key = known.get(entry_recipe(entry, a, idx))
             if key is None:
-                ladder = build_entry_ladder(entry, a, idx)
-                if not certify_ladder(ladder).passed:
-                    raise InternalConsistencyError(
-                        f"catalog entry {entry.name} configuration {idx + 1} fails its own certificates"
-                    )
-                key = canonical_form(ladder.bottom_pair)
-            if out.setdefault(key, entry.name) != entry.name:
+                missing.append({"type": entry.name, "volume": str(entry.volume), "configuration": idx + 1})
+            elif out.setdefault(key, entry.name) != entry.name:
                 raise InternalConsistencyError(
                     f"catalog key collision between {out[key]} and {entry.name}"
                 )
-    return out
+    return out, missing
 
 
 def _search_and_tag(a: int, cells: list[SearchCell], entries: list):
     """Search the cells; return the outcomes, the survivors merged by key (the
-    first found kept) in key order, and the key map of ``entries``.  From
-    index 4 on each survivor's ``type`` is its catalog type or
-    ``unexpected``; below, the map is empty and the type stays None.  The map
-    reuses the survivors' keys by recipe."""
+    first found kept) in key order, and the configurations of ``entries``
+    that no survivor has.  From index 4 on each survivor's ``type`` is its
+    catalog type, by ``catalog_key_map``, or ``unexpected``; below, no
+    catalog is compared, the type stays None and nothing is missing."""
     outcomes = [search_cell(c) for c in cells]
     merged: dict[str, dict] = {}
     known = {r: k for o in outcomes for r, k in o.known.items()}
@@ -781,11 +777,11 @@ def _search_and_tag(a: int, cells: list[SearchCell], entries: list):
             merged.setdefault(s["key"], s)
     survivors = [merged[k] for k in sorted(merged)]
     if a < 4:
-        return outcomes, survivors, {}
-    key_map = catalog_key_map(a, entries, known)
+        return outcomes, survivors, []
+    key_map, missing = catalog_key_map(a, entries, known)
     for s in survivors:
         s["type"] = key_map.get(s["key"], "unexpected")
-    return outcomes, survivors, key_map
+    return outcomes, survivors, missing
 
 
 def classify(a: int) -> ClassificationReport:
@@ -809,7 +805,7 @@ def classify(a: int) -> ClassificationReport:
             "section-plus-fibers model and were not searched"
         )
     entries = catalog_entries(a)
-    outcomes, survivors, key_map = _search_and_tag(a, cells, entries)
+    outcomes, survivors, missing = _search_and_tag(a, cells, entries)
     configs = sum(o.configs for o in outcomes)
     candidates = sum(o.candidates for o in outcomes)
     for o in outcomes:
@@ -820,20 +816,14 @@ def classify(a: int) -> ClassificationReport:
             )
 
     rows: list[dict] = []
-    missing: list[dict] = []
     if a >= 4:
         for entry in entries:
-            found = {s["key"] for s in survivors if s["type"] == entry.name}
-            expected = {k for k, v in key_map.items() if v == entry.name}
-            row = {
+            rows.append({
                 "type": entry.name,
                 "volume": str(entry.volume),
                 "index": a,
-                "configurations": len(found),
-            }
-            rows.append(row)
-            for k in sorted(expected - found):
-                missing.append({"type": entry.name, "volume": row["volume"], "key": k})
+                "configurations": sum(s["type"] == entry.name for s in survivors),
+            })
     else:
         for s in survivors:
             s["type"] = "-"
@@ -860,8 +850,8 @@ class AuditReport:
     killed: dict
     searched: int
     rejected: dict
-    survivors_in_catalog: int
-    survivors_outside: list[dict]
+    survivors_in_catalog: int | None  # None below index 4, where no catalog is compared
+    survivors_outside: list[dict] | None
     inconsistencies: list[str]
 
     @property
@@ -890,9 +880,10 @@ class AuditReport:
             lines.append(f" killed by {reason}: {self.killed[reason]}")
         for reason in sorted(self.rejected):
             lines.append(f" candidates rejected by {reason}: {self.rejected[reason]}")
-        lines.append(f" survivors matching the catalog: {self.survivors_in_catalog}")
-        lines.append(f" survivors outside the catalog: {len(self.survivors_outside)}")
-        for s in self.survivors_outside:
+        tested = self.survivors_outside is not None
+        lines.append(f" survivors matching the catalog: {self.survivors_in_catalog if tested else 'not tested'}")
+        lines.append(f" survivors outside the catalog: {len(self.survivors_outside) if tested else 'not tested'}")
+        for s in self.survivors_outside or ():
             lines.append(f"  OUTSIDE {s['volume']} {s['key']}")
         for msg in self.inconsistencies:
             lines.append(f" inconsistency: {msg}")
@@ -922,13 +913,14 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     Unlike ``classify`` this does not discard the excluded region wholesale:
     kills are counted per constant piece of h (``_verdict_pieces``), with the
     counts of a per-h sweep, the cells left open are searched to exhaustion,
-    and every survivor must already be in the catalog.  The sweep stays one
-    (n, h0) window at a time on purpose: it is the independent route, which
-    takes every window's verdicts from ``_verdict_pieces`` without the row
-    blocks, the runs of n and the p6 prefix that ``generate_cells`` relies
-    on.  A sweep that ``check_audit_sweep`` refuses, such as one of more
-    than ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), raises ``ValueError``
-    before it starts.
+    and from index 4 on every survivor must be in the catalog (catalog
+    configurations the sweep does not reach are no fault).  The sweep stays
+    one (n, h0) window at a time on purpose: it is the independent route,
+    which takes every window's verdicts from ``_verdict_pieces`` without the
+    row blocks, the runs of n and the p6 prefix that ``generate_cells``
+    relies on.  A sweep that ``check_audit_sweep`` refuses, such as one of
+    more than ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), raises
+    ``ValueError`` before it starts.
     """
     check_audit_sweep(a, n_max, h0)
     h0_values = tuple(range(1, 2 * a)) if h0 is None else (h0,)
@@ -960,7 +952,7 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     for o in outcomes:
         for reason, count in o.rejected.items():
             rejected[reason] = rejected.get(reason, 0) + count
-    outside = [s for s in survivors if s["type"] in (None, "unexpected")]
+    outside = [s for s in survivors if s["type"] == "unexpected"] if a >= 4 else None
 
     return AuditReport(
         a,
@@ -970,7 +962,7 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
         killed,
         len(to_search),
         rejected,
-        len(survivors) - len(outside),
+        len(survivors) - len(outside) if a >= 4 else None,
         outside,
         inconsistencies,
     )

@@ -249,7 +249,7 @@ def test_dualgraph_config_selects_the_configuration(capsys, tmp_path, monkeypatc
 
     built = []
 
-    def recording(entry, a, config=0):
+    def recording(entry, a, config):
         built.append((entry.name, config))
         return build_entry_ladder(entry, a, config)
 
@@ -267,6 +267,22 @@ def test_audit_cli(capsys):
     code, out, _ = run(capsys, "audit", "--a", "4", "--nmax", "8")
     assert code == 0
     assert "clean: yes" in out
+
+
+def test_audit_cli_below_index_4(capsys, tmp_path):
+    # as in classify, no catalog comparison below index 4: the survivors are
+    # neither in nor outside the catalog, and only inconsistencies exit 1
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, "audit", "--a", "3", "--nmax", "6", "--json", str(out_path))
+    assert (code, err) == (0, "")
+    assert " survivors matching the catalog: not tested\n survivors outside the catalog: not tested\n" in out
+    assert "OUTSIDE" not in out and "clean: yes" in out
+    data = json.loads(out_path.read_text())
+    assert data["searched"] == 19 and data["inconsistencies"] == []
+    assert data["survivors_in_catalog"] is None and data["survivors_outside"] is None and data["clean"]
+    code, out, err = run(capsys, "audit", "--a", "2", "--nmax", "6")
+    assert (code, err) == (1, "")
+    assert out.count(" inconsistency: ") == 5 and "clean: no" in out
 
 
 def test_audit_with_h0(capsys):

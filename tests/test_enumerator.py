@@ -8,7 +8,7 @@ from math import isqrt
 
 import pytest
 
-from delpezzo import enumerator
+from delpezzo import catalog, enumerator
 from delpezzo.catalog import (
     _partitions,
     build_entry_ladder,
@@ -383,10 +383,24 @@ def test_classify_four_exact():
     assert all(s["index_certificate"] for s in rep.survivors)
 
 
+def _built_key_map(a):
+    """Entry name by canonical key, each catalog configuration at a built
+    with ``build_entry_ladder``, certified and keyed: the catalog's own
+    route, independent of the search."""
+    out = {}
+    for entry in catalog_entries(a):
+        for idx in range(len(entry.configs)):
+            ladder = build_entry_ladder(entry, a, idx)
+            assert certify_ladder(ladder).passed, (a, entry.name, idx)
+            key = canonical_form(ladder.bottom_pair)
+            assert out.setdefault(key, entry.name) == entry.name, (a, entry.name, idx)
+    return out
+
+
 def test_classify_reports_are_sound():
     rep = classify(5)
     keys = {s["key"] for s in rep.survivors}
-    assert keys == set(catalog_key_map(5, catalog_entries(5), {}))
+    assert keys == set(_built_key_map(5))
     assert rep.configs < 2_000_000  # explicit termination counter
 
 
@@ -398,8 +412,10 @@ def _ladder_recipe(ladder):
 
 def test_catalog_keys_reuse_exactly_the_survivors_ladders(monkeypatch):
     # classify and audit take a catalog configuration's key from the survivor
-    # with its recipe; that survivor is the configuration, built the same
-    # way, and the map equals the one that builds every configuration
+    # with its recipe, and build no catalog ladder, not even in a partial
+    # audit; that survivor is the configuration, built the same way, and
+    # wherever every configuration is reached the map equals the one that
+    # builds them all
     closed, built, calls = {}, [], []
 
     def closing(*args):
@@ -407,27 +423,28 @@ def test_catalog_keys_reuse_exactly_the_survivors_ladders(monkeypatch):
         closed[_ladder_recipe(ladder)] = ladder
         return ladder
 
-    def building(entry, a, config):
-        built.append((entry.name, config))
-        return build_entry_ladder(entry, a, config)
+    def building(*args):
+        built.append(args)
+        return build_ladder(*args)
 
     def key_map(a, entries, known):
-        calls.append((a, known, catalog_key_map(a, entries, known)))
-        return calls[-1][2]
+        calls.append((a, known, *catalog_key_map(a, entries, known)))
+        return calls[-1][2:]
 
+    assert not hasattr(enumerator, "build_entry_ladder")
     monkeypatch.setattr(enumerator, "close_ladder", closing)
-    monkeypatch.setattr(enumerator, "build_entry_ladder", building)
+    monkeypatch.setattr(catalog, "build_ladder", building)  # what build_entry_ladder calls
     monkeypatch.setattr(enumerator, "catalog_key_map", key_map)
-    runs = [(classify, (a,)) for a in [*range(4, 41), 64, 512]] + [(audit, (5, 14)), (audit, (28, 112))]
-    for run, args in runs:
+    full = [(classify, (a,)) for a in [*range(4, 41), 64, 512]] + [(audit, (5, 14)), (audit, (28, 112))]
+    partial = [(audit, (8, 4)), (audit, (5, 5)), (audit, (4, 4)), (audit, (12, 10, 13))]
+    for run, args in full + partial:
         for log in (closed, built, calls):
             log.clear()
         run(*args)
-        [(a, known, keys)] = calls
+        [(a, known, keys, missing)] = calls
         # the catalog lists its points as the search does, so nothing is built
         assert built == [], args
-        assert keys == catalog_key_map(a, catalog_entries(a), {}), args
-        reused = 0
+        reached, unreached = {}, []
         for entry in catalog_entries(a):
             for idx in range(len(entry.configs)):
                 recipe = entry_recipe(entry, a, idx)
@@ -435,8 +452,14 @@ def test_catalog_keys_reuse_exactly_the_survivors_ladders(monkeypatch):
                     ladder = build_entry_ladder(entry, a, idx)
                     assert ladder == closed[recipe], (args, entry.name, idx)
                     assert canonical_form(ladder.bottom_pair) == known[recipe]
-                    reused += 1
-        assert reused == sum(len(e.configs) for e in catalog_entries(a)), args
+                    reached[known[recipe]] = entry.name
+                else:
+                    unreached.append({"type": entry.name, "volume": str(entry.volume), "configuration": idx + 1})
+        assert (keys, missing) == (reached, unreached), args
+        # only a partial audit leaves configurations unreached
+        assert (missing == []) == ((run, args) in full), args
+        if not missing:
+            assert keys == _built_key_map(a), args
 
 
 def _recording_ladder_json(monkeypatch):
@@ -523,18 +546,60 @@ def test_pair_degrees_and_survivor_graphs_match_the_intersection_routes(monkeypa
             _check_pair_degrees(ladder.bottom_pair)
 
 
-def test_catalog_key_map_still_guards_the_configurations_it_builds(monkeypatch, capsys):
-    # a configuration that no survivor reproduces is built and certified;
-    # one that fails is an engine fault, numbered as verify-type numbers it
+def test_a_configuration_no_survivor_has_is_reported_missing(monkeypatch, capsys):
+    # the catalog check is a recipe check: a configuration whose recipe no
+    # survivor has is missing, numbered as verify-type numbers it, and no
+    # exception is raised
     entries = catalog_entries
 
     def with_a_bad_config(a):
-        out = entries(a)
         bad = {1: Subscheme((OnCurveDatum(0, 1, 2),))}  # E turns negative at level 0
-        return [replace(e, configs=e.configs + (bad,)) if e.name == "IV" else e for e in out]
+        return [replace(e, configs=e.configs + (bad,)) if e.name == "IV" else e for e in entries(a)]
 
     monkeypatch.setattr(enumerator, "catalog_entries", with_a_bad_config)
-    message = "catalog entry IV configuration 6 fails its own certificates"
+    rep = classify(5)
+    volume = str(entry_by_name(5, "IV").volume)
+    assert rep.missing == [{"type": "IV", "volume": volume, "configuration": 6}]
+    assert rep.catalog_match is False and rep.unexpected == []
+    assert rep.to_json()["missing"] == rep.missing
+    assert f" MISSING IV {volume}\n" in rep.to_text()
+    assert [r["configurations"] for r in rep.rows if r["type"] == "IV"] == [5]
+    from delpezzo.cli import main
+
+    assert main(["classify", "--a", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert "catalog match: no" in out and err == ""
+
+
+def test_survivors_of_a_dropped_entry_are_unexpected(monkeypatch, capsys):
+    # a survivor whose key no catalog configuration takes is unexpected
+    iii = {k for k, name in _built_key_map(5).items() if name == "III"}
+    assert len(iii) == 3
+    entries = catalog_entries
+    monkeypatch.setattr(enumerator, "catalog_entries", lambda a: [e for e in entries(a) if e.name != "III"])
+    rep = classify(5)
+    assert {s["key"] for s in rep.unexpected} == iii
+    assert all(s["volume"] == str(entry_by_name(5, "III").volume) for s in rep.unexpected)
+    assert rep.to_json()["unexpected"] == rep.unexpected and rep.to_json()["catalog_match"] is False
+    assert rep.missing == [] and "III" not in [r["type"] for r in rep.rows]
+    text = rep.to_text()
+    assert [line for line in text.splitlines() if "UNEXPECTED" in line] == [
+        f" UNEXPECTED {s['volume']} {s['key']}" for s in rep.unexpected
+    ]
+    from delpezzo.cli import main
+
+    assert main(["classify", "--a", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == text and err == ""
+
+
+def test_two_entries_sharing_a_key_are_a_consistency_error(monkeypatch, capsys):
+    # two entries whose configurations key to one survivor are an engine fault
+    entries = catalog_entries
+    monkeypatch.setattr(
+        enumerator, "catalog_entries", lambda a: [*entries(a), replace(entry_by_name(a, "O"), name="O_copy")]
+    )
+    message = "catalog key collision between O and O_copy"
     with pytest.raises(InternalConsistencyError, match=message):
         classify(5)
     from delpezzo.cli import main
@@ -556,10 +621,13 @@ def test_a_recipe_one_datum_away_lends_no_key():
         (n, top_divisor(4, (3,)), b, steps),
     ]
     entries = catalog_entries(a)
-    built = catalog_key_map(a, entries, {})
+    configs = [(e.name, idx + 1) for e in entries for idx in range(len(e.configs))]
     for other in near:
-        assert catalog_key_map(a, entries, {other: "borrowed"}) == built
-    assert catalog_key_map(a, entries, {recipe: "borrowed"})["borrowed"] == "A5"
+        keys, missing = catalog_key_map(a, entries, {other: "borrowed"})
+        assert keys == {} and [(m["type"], m["configuration"]) for m in missing] == configs
+    keys, missing = catalog_key_map(a, entries, {recipe: "borrowed"})
+    assert keys == {"borrowed": "A5"}
+    assert [(m["type"], m["configuration"]) for m in missing] == [c for c in configs if c != ("A5", 1)]
 
 
 @pytest.mark.parametrize("n, c0, fibers", [(0, 1, ()), (3, 2, (1,)), (8, 4, (2, 1, 3))])
@@ -1338,10 +1406,10 @@ def _audit_per_h(a, n_max, h0=None):
             rejected[reason] = rejected.get(reason, 0) + count
         for s in o.survivors:
             survivors.setdefault(s["key"], s)
-    outside = []
-    in_catalog = 0
+    outside = in_catalog = None  # below index 4 the catalog is not compared
     if a >= 4:
-        key_map = catalog_key_map(a, catalog_entries(a), {})
+        outside, in_catalog = [], 0
+        key_map = _built_key_map(a)
         for key in sorted(survivors):
             if key in key_map:
                 survivors[key]["type"] = key_map[key]
@@ -1349,8 +1417,6 @@ def _audit_per_h(a, n_max, h0=None):
             else:
                 survivors[key]["type"] = "unexpected"
                 outside.append(survivors[key])
-    else:
-        outside = [survivors[k] for k in sorted(survivors)]
     return AuditReport(
         a, n_max, h0_values, swept, killed, len(to_search), rejected, in_catalog, outside,
         inconsistencies,
