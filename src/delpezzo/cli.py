@@ -164,9 +164,7 @@ def _cmd_dualgraph(args) -> int:
             f"--config must be in 1..{len(configs)}"
         )
     entry, idx = configs[args.config - 1]
-    ladder = build_entry_ladder(entry, args.a, idx)
-    pair = ladder.bottom_pair
-    graph = pair.model.dual_graph(pair.E0.support, pair.E0.as_dict())
+    graph = build_entry_ladder(entry, args.a, idx).bottom_pair.divisor_graph
     if args.format == "dot":
         payload = graph.to_dot()
     else:

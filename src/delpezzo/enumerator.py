@@ -33,7 +33,6 @@ survivor has is reported missing (none at any index tested).
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -334,13 +333,14 @@ def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
     """Cells surviving the closed-form predicates, plus kill statistics.
 
     Rows h0 = 2..a die as one block when ``p5_region_killed`` holds.  Rows
-    h0 = a + k, 2 <= k <= a - 1, come in O(sqrt a) blocks of equal n-cap
+    h0 = a + k, 1 <= k <= a - 1, come in O(sqrt a) blocks of equal n-cap
     2a // k.  At fixed n the left side of ``p6_large_multiple_kill`` is
     affine in h0 and grows with n, so if p6 holds at the cap on a block's
     two end rows it kills the whole block.  Every other row is walked on
-    its own: p6 holds on a prefix of n, found by bisection, and the rest is
-    summed over runs of n and pieces of h (``_row_pieces``), with h one by
-    one only where the verdict is None.  Cells, kill counts and the order in
+    its own (from a = 5 on, only h0 = a + 1, where p6 never holds): p6
+    holds on a prefix of n, found by a forward scan, and the rest is summed
+    over runs of n and pieces of h (``_row_pieces``), with h one by one
+    only where the verdict is None.  Cells, kill counts and the order in
     which kill reasons first appear are those of a per-h sweep.
     """
     killed: dict[str, int] = {}
@@ -351,9 +351,7 @@ def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
 
     def row(h0: int, n_hi: int) -> None:
         # p6 holds on a prefix n < n_lo of the row: its left side grows with n
-        n_lo = n_hi + 1
-        if not p6_large_multiple_kill(a, n_hi, h0):
-            n_lo = bisect_left(range(n_hi), True, key=lambda n: not p6_large_multiple_kill(a, n, h0))
+        n_lo = next((n for n in range(n_hi + 1) if not p6_large_multiple_kill(a, n, h0)), n_hi + 1)
         if n_lo:
             kill("large_multiple_volume", n_lo)
         for n, h, reason, count in sorted(_row_pieces(a, h0, n_lo, n_hi), key=lambda p: p[:2]):
@@ -368,9 +366,10 @@ def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
     kill("length_zero", 1)  # h0 = 1
     if region_killed:
         kill("small_multiple_region", a - 1)
-    for h0 in range(a + 1 if region_killed else 2, a + 2):
-        row(h0, 2 * a)  # p7_degree_cap at h0 = a + 1
-    k = 2
+    else:
+        for h0 in range(2, a + 1):
+            row(h0, 2 * a)
+    k = 1
     while k < a:
         cap = p7_degree_cap(a, a + k)
         last = min(a - 1, 2 * a // cap)  # the last k with this cap
@@ -616,8 +615,6 @@ def search_cell(cell: SearchCell) -> CellOutcome:
         }
         record = ladder_json(ladder, certificates)
         key = canonical_form(pair)
-        # certified: E0's support is L0-orthogonal, so it is cut from the pair's graph
-        graph = pair.graph
         out.known[n, ladder.top.E, b, tuple((lv.i, lv.delta) for lv in ladder.levels[:-1])] = key
         out.survivors.append({
             "key": key,
@@ -626,7 +623,7 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             "index": a,
             "cell": (a, n, h0, h),
             "E0": record["E_0"],
-            "dual_graph": graph.induced([v for v, (_, c) in enumerate(graph.weights) if c]).to_dot(),
+            "dual_graph": pair.divisor_graph.to_dot(),
             "multiplet": record,
             "index_certificate": index_certificate,
         })
@@ -694,11 +691,11 @@ class ClassificationReport:
     unexpected: list[dict]
     missing: list[dict]
     cells_visited: int
-    configs: int
+    configurations: int
     candidates: int
     warnings: list[str]
     survivors: list[dict]
-    killed: dict
+    killed_cells: dict
 
     @property
     def catalog_match(self) -> bool | None:
@@ -708,19 +705,7 @@ class ClassificationReport:
         return not self.unexpected and not self.missing
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "cells_visited": self.cells_visited,
-            "configurations": self.configs,
-            "candidates": self.candidates,
-            "survivors": self.survivors,
-            "rows": self.rows,
-            "unexpected": self.unexpected,
-            "missing": self.missing,
-            "catalog_match": self.catalog_match,
-            "warnings": self.warnings,
-            "killed_cells": self.killed,
-        }
+        return {**vars(self), "catalog_match": self.catalog_match}
 
     def to_text(self) -> str:
         lines = [f"classification for index {self.a}"]
@@ -735,7 +720,7 @@ class ClassificationReport:
         for s in self.missing:
             lines.append(f" MISSING {s['type']} {s['volume']}")
         lines.append(
-            f" cells: {self.cells_visited}  configurations: {self.configs}  candidates: {self.candidates}"
+            f" cells: {self.cells_visited}  configurations: {self.configurations}  candidates: {self.candidates}"
         )
         match = {None: "not tested", True: "yes", False: "no"}[self.catalog_match]
         lines.append(f" catalog match: {match}")
@@ -849,7 +834,7 @@ class AuditReport:
     cells_swept: int
     killed: dict
     searched: int
-    rejected: dict
+    candidates_rejected: dict
     survivors_in_catalog: int | None  # None below index 4, where no catalog is compared
     survivors_outside: list[dict] | None
     inconsistencies: list[str]
@@ -859,27 +844,15 @@ class AuditReport:
         return not self.survivors_outside and not self.inconsistencies
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "n_max": self.n_max,
-            "h0_values": list(self.h0_values),
-            "cells_swept": self.cells_swept,
-            "killed": self.killed,
-            "searched": self.searched,
-            "candidates_rejected": self.rejected,
-            "survivors_in_catalog": self.survivors_in_catalog,
-            "survivors_outside": self.survivors_outside,
-            "inconsistencies": self.inconsistencies,
-            "clean": self.clean,
-        }
+        return {**vars(self), "clean": self.clean}
 
     def to_text(self) -> str:
         lines = [f"audit for index {self.a} with n <= {self.n_max}"]
         lines.append(f" cells swept: {self.cells_swept}  searched: {self.searched}")
         for reason in sorted(self.killed):
             lines.append(f" killed by {reason}: {self.killed[reason]}")
-        for reason in sorted(self.rejected):
-            lines.append(f" candidates rejected by {reason}: {self.rejected[reason]}")
+        for reason in sorted(self.candidates_rejected):
+            lines.append(f" candidates rejected by {reason}: {self.candidates_rejected[reason]}")
         tested = self.survivors_outside is not None
         lines.append(f" survivors matching the catalog: {self.survivors_in_catalog if tested else 'not tested'}")
         lines.append(f" survivors outside the catalog: {len(self.survivors_outside) if tested else 'not tested'}")

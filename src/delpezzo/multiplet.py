@@ -73,6 +73,13 @@ class BasicPair:
         return self.model.dual_graph(support, self.E0.as_dict())
 
     @cached_property
+    def divisor_graph(self) -> WeightedGraph:
+        """Dual graph of E0's support, cut from ``graph``: on a certified
+        pair that support is L0-orthogonal."""
+        graph = self.graph
+        return graph.induced([v for v, (_, c) in enumerate(graph.weights) if c])
+
+    @cached_property
     def volume(self) -> Fraction:
         """(L0^2)/a^2, the bottom route of ``volume``."""
         return Fraction(self.model.intersect(self.L0, self.L0), self.a * self.a)

@@ -5,9 +5,9 @@ import sys
 import pytest
 
 import delpezzo.cli as cli
-from delpezzo.catalog import TYPE_NAMES, build_entry_ladder
+from delpezzo.catalog import TYPE_NAMES, build_entry_ladder, entries_for_type
 from delpezzo.cli import main
-from delpezzo.enumerator import SearchExplosion
+from delpezzo.enumerator import SearchExplosion, canonical_form, classify
 from delpezzo.graphs import CanonicalizationError
 from delpezzo.multiplet import InternalConsistencyError
 
@@ -261,6 +261,26 @@ def test_dualgraph_config_selects_the_configuration(capsys, tmp_path, monkeypatc
         )
         assert code == 0
     assert built == [("II_1", 0), ("II_2", 0), ("III", 2), ("A5", 1)]
+
+
+def test_dualgraph_draws_the_graph_of_the_classified_survivor(capsys):
+    # the catalog route (dualgraph builds the entry's ladder) and the search
+    # route (classify's survivor record) draw the same graph of a configuration
+    for a in range(4, 25):
+        drawn = {s["key"]: s["dual_graph"] for s in classify(a).survivors}
+        for type_name in TYPE_NAMES:
+            try:
+                entries = entries_for_type(a, type_name)
+            except KeyError:
+                continue
+            configs = [(entry, idx) for entry in entries for idx in range(len(entry.configs))]
+            for number, (entry, idx) in enumerate(configs, 1):
+                key = canonical_form(build_entry_ladder(entry, a, idx).bottom_pair)
+                code, out, _ = run(
+                    capsys, "dualgraph", "--type", type_name, "--a", str(a),
+                    "--config", str(number), "--out", "-",
+                )
+                assert code == 0 and out == drawn[key], (a, type_name, number)
 
 
 def test_audit_cli(capsys):

@@ -3,7 +3,7 @@ import itertools
 import json
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import isqrt
 
 import pytest
@@ -221,7 +221,8 @@ def test_large_multiple_kill_is_monotone_in_h0_at_fixed_n():
 
 
 def test_large_multiple_kill_holds_on_a_prefix_of_each_row():
-    # generate_cells finds the end of the p6 kills of a row by bisection
+    # generate_cells finds the end of the p6 kills of a row by a forward scan,
+    # which stops at the first n where p6 fails
     for a in [*range(2, 65), 512]:
         for h0 in range(a + 2, 2 * a):
             kills = [p6_large_multiple_kill(a, n, h0) for n in range(p7_degree_cap(a, h0) + 1)]
@@ -286,7 +287,7 @@ def test_large_multiple_volume_is_a_floor_sum(a):
 @pytest.mark.parametrize("a", [4096, 65536])
 def test_generate_cells_makes_o_sqrt_a_p6_calls(monkeypatch, a):
     # one test per end row of each block of equal n-cap (about 2 sqrt(2a)
-    # blocks), plus the bisection of row a + 1; not one per row
+    # blocks), plus one scan step on row a + 1, the first block; not one per row
     calls = []
     p6 = enumerator.p6_large_multiple_kill
     monkeypatch.setattr(enumerator, "p6_large_multiple_kill", lambda *args: calls.append(args) or p6(*args))
@@ -401,7 +402,16 @@ def test_classify_reports_are_sound():
     rep = classify(5)
     keys = {s["key"] for s in rep.survivors}
     assert keys == set(_built_key_map(5))
-    assert rep.configs < 2_000_000  # explicit termination counter
+    assert rep.configurations < 2_000_000  # explicit termination counter
+
+
+def test_report_json_keys_are_the_report_fields():
+    # a report field has one name, its JSON key: to_json adds only the one
+    # derived key of each report
+    rep = classify(5)
+    assert set(rep.to_json()) == {f.name for f in fields(rep)} | {"catalog_match"}
+    rep = audit(4, 12)
+    assert set(rep.to_json()) == {f.name for f in fields(rep)} | {"clean"}
 
 
 def _ladder_recipe(ladder):
@@ -1282,6 +1292,7 @@ def test_fuzz_bottoms_key_into_the_classification():
     # classify(2), an open finding of ROADMAP.md.
     keys = {a: {s["key"] for s in classify(a).survivors} for a in range(4, 9)}
     tested = [0, 0]  # index a, and a proper divisor of a
+    reached = set()
     for seed in range(3):
         for lad in random_pseudo_fundamental_ladders(seed, 1000):
             pair = lad.bottom_pair
@@ -1293,9 +1304,17 @@ def test_fuzz_bottoms_key_into_the_classification():
             rescaled = BasicPair(pair.model, E0, pair.index, pair.model.fundamental_class(pair.index, E0))
             assert check_basic_pair(rescaled).passed
             assert (rescaled.index, rescaled.volume) == (pair.index, pair.volume)
-            assert canonical_form(rescaled) in keys[pair.index]
+            key = canonical_form(rescaled)
+            assert key in keys[pair.index]
+            reached.add(key)
             tested[r > 1] += 1
     assert tested == [1392, 71]
+    # the oracle's blind spot: no draw reaches A5's configuration 1 (one
+    # point of multiplicity 2 on the tracked fiber at level 3), whose bottoms
+    # all key as configuration 2; every other survivor is reached
+    assert set().union(*keys.values()) - reached == {
+        "a=5|v=54/5|i=5|g=(((-8, 4), (-2, 0), (-2, 2)), ((0, 2),))"
+    }
 
 
 @pytest.mark.parametrize(
