@@ -126,20 +126,16 @@ def _degrees_feasible(a: int, levels: int, weighted: int, cap: int) -> bool:
 def p1_plane_excluded(a: int) -> bool:
     """No candidate lives over the projective plane.
 
-    With L = h * line, the length and volume bounds confine h to a short
-    window, and inside it the weighted-degree budget h(3a - h) admits no
-    degree vector within the volume allowance.
+    With L = h * line, the length and volume bounds confine h to
+    ceil(2a^2/3) <= h <= 3a - 1, where the length b = h // 3 lies in
+    1..a-1, the allowance 3h - 2a^2 and the weighted-degree budget
+    h(3a - h) are nonnegative, and the budget admits no degree vector within
+    the allowance.  From a = 5 on that window is empty.
     """
     lo = -((-2 * a * a) // 3)  # ceil(2a^2/3)
-    for h in range(lo, 3 * (a - 1) + 2 + 1):
-        b = h // 3
-        if not 1 <= b <= a - 1:
-            continue
-        cap = 3 * h - 2 * a * a
-        weighted = h * (3 * a - h)
-        if cap >= 0 and weighted >= 0 and _degrees_feasible(a, b, weighted, cap):
-            return False
-    return True
+    return not any(
+        _degrees_feasible(a, h // 3, h * (3 * a - h), 3 * h - 2 * a * a) for h in range(lo, 3 * a)
+    )
 
 
 def p2_multiple_range(a: int, h0: int) -> bool:
@@ -509,6 +505,20 @@ def _subscheme_candidates(model, E, i, a, v_cap, budgets, forbid_sigma, keep=Non
     L.E / (a - 1), where the bound is an equality: each L.C is spent in
     full, and each option's last chain coefficient is 0, so a node enters
     only if e1 + k2 e2 = s m (on a curve e = s there, so k = m always).
+
+    The walks that descend through these subschemes, from a top F_n with
+    L = h0 sigma + h l, a < h0 < 2a and n h0 <= h, keep three invariants
+    that they use untested:
+
+    - E is nonzero and effective.  The shapes keep every new chain
+      coefficient in 0..a-1, and strict transforms keep E's coefficients.
+    - Every L.C is nonnegative, hence L.E too.  On top L.sigma = h - n h0
+      and L.l_k = h0; a subscheme spends at most L.C // i contacts on C,
+      which leaves L.C - i (contacts) >= 0, and a new chain curve meets L
+      in 0 or i.
+    - The allowance left, v_left, is nonnegative below the top: degree m
+      takes i m of it.  On a top with v_left < 0 the state's test
+      ``all(r <= v_left ...)`` fails, because sigma is in E with L.sigma >= 0.
     """
     m_cap = v_cap // i
     caps = {c: r // i for c, r in budgets.items()}  # the keys are E.support
@@ -551,8 +561,9 @@ def _subscheme_candidates(model, E, i, a, v_cap, budgets, forbid_sigma, keep=Non
             results.append((m_cap - m_left, tuple(points)))
 
 
-def _budgets(model: SurfaceModel, E: Divisor, L: DivisorClass) -> tuple[int, dict] | None:
-    """L.E and L.C for every component C of E, or None if any is negative.
+def _budgets(model: SurfaceModel, E: Divisor, L: DivisorClass) -> tuple[int, dict]:
+    """L.E and L.C for every component C of E; on every state of the walks
+    each L.C is nonnegative (see ``_subscheme_candidates``), so L.E is too.
 
     L.E is the sum of e_C (L.C) over E = sum e_C C, by bilinearity, so the
     class of E is never formed.
@@ -560,27 +571,26 @@ def _budgets(model: SurfaceModel, E: Divisor, L: DivisorClass) -> tuple[int, dic
     be = 0
     budgets = {}
     for cid, e in E.items:
-        budgets[cid] = model.intersect(L, model.curve(cid).cls)
-        if budgets[cid] < 0:
-            return None
-        be += e * budgets[cid]
-    if be < 0:
-        return None
+        budgets[cid] = r = model.intersect(L, model.curve(cid).cls)
+        be += e * r
     return be, budgets
 
 
 def search_cell(cell: SearchCell) -> CellOutcome:
-    """Exhaust the subscheme configurations of one cell."""
+    """Exhaust the subscheme configurations of one cell.
+
+    The search model needs a < h0 < 2a and n h0 <= h: the sigma coefficient
+    c0 = 2a - h0 of the top divisor in 1..a-1, and L nef on the top.  Both
+    callers search only such cells; any other raises
+    ``InternalConsistencyError``.
+    """
     a, n, h0, h = cell.a, cell.n, cell.h0, cell.h
+    if not (a < h0 < 2 * a and n * h0 <= h):
+        raise InternalConsistencyError(f"cell {cell} is outside the search model")
     b = p4_length(h0)
     out = CellOutcome(cell)
     c0 = 2 * a - h0
     f = (n + 2) * a - h
-    if not (1 <= c0 <= a - 1):
-        # divisors needing several disjoint sections are outside this model;
-        # the closed-form kills rule them out for a >= 3
-        out.rejected["top_coefficient_out_of_model"] = 1
-        return out
     v_max = _volume_cap(a, n, h0, h)
     forbid_top_sigma = _normalization_active(a, n, h0, h)
 
@@ -630,15 +640,18 @@ def search_cell(cell: SearchCell) -> CellOutcome:
 
     # Depth-first over ladder states (i, model, E, L, spent, levels), one per
     # prefix of nonempty eliminations (``levels``), from an explicit stack.
-    # E is nonzero effective: the top divisor by construction, the others by
-    # the test before they are pushed.  The empty subscheme keeps model, E
-    # and L, so a state walks its levels down in place: the state tests run
-    # once, the degree test per level until it fails.  Where no point fits
-    # (v_left < i or be < i(a-i)) its answer holds down to the highest level
-    # where one does, or 0, so the walk jumps there untested.  At level 1 the
-    # empty subscheme passes only when be == 0, where the jump lands on 0; a
-    # walk there has be = d(a - 1) > 0 and keeps the degree d alone, with no
-    # empty subscheme.  Children pushed per level pop lowest level first: the
+    # Every state keeps the invariants of ``_subscheme_candidates``: E is
+    # nonzero effective, every L.C >= 0, and v_left >= 0 below the top, so
+    # the one state test is a component budget over the allowance.  The
+    # empty subscheme keeps model, E and L, so a state walks its levels down
+    # in place: the state test runs once, the degree test per level until it
+    # fails.  Where no point fits (v_left < i or be < i(a-i)) its answer
+    # holds down to the highest level where one does, or 0, so the walk jumps
+    # there untested.  Level 0 is feasible only with be = 0, which makes
+    # every L.C zero: a bottom.  At level 1 the empty subscheme passes only
+    # when be == 0, where the jump lands on 0; a walk there has
+    # be = d(a - 1) > 0 and keeps the degree d alone, with no empty
+    # subscheme.  Children pushed per level pop lowest level first: the
     # preorder of one node per level, empty child first.  Each level walked
     # is a configuration; ``_CONFIG_CAP`` is checked once per state, after
     # its walk.
@@ -649,17 +662,15 @@ def search_cell(cell: SearchCell) -> CellOutcome:
     while stack:
         entry, model, E, L, spent, levels = stack.pop()
         i = entry
-        found = _budgets(model, E, L)
+        be, budgets = _budgets(model, E, L)
         v_left = v_max - spent
-        if found is not None and v_left >= 0 and all(r <= v_left for r in found[1].values()):
-            be, budgets = found
+        if all(r <= v_left for r in budgets.values()):
             while _degrees_feasible(a, i, be, v_left):
                 i = min(i, v_left)
                 if be < i * (a - i):
                     i = _level_below(a, be)
                 if i == 0:
-                    if be == 0 and all(r == 0 for r in budgets.values()):
-                        finish(close_ladder(a, b, levels, model, E, L))
+                    finish(close_ladder(a, b, levels, model, E, L))
                     break
                 forbid = forbid_top_sigma and i == b
                 children = []
@@ -667,10 +678,7 @@ def search_cell(cell: SearchCell) -> CellOutcome:
                 cands = _subscheme_candidates(model, E, i, a, v_left, budgets, forbid, keep)
                 for d, points in cands if keep else cands[1:]:
                     level, E2, L2 = descend_step(a, i, model, E, L, Subscheme(points))
-                    if E2.is_effective() and not E2.is_zero():
-                        children.append((
-                            i - 1, level.elim.model, E2, L2, spent + i * d, levels + [level]
-                        ))
+                    children.append((i - 1, level.elim.model, E2, L2, spent + i * d, levels + [level]))
                 stack.extend(reversed(children))
                 if i == 1 and be:
                     break
@@ -793,12 +801,6 @@ def classify(a: int) -> ClassificationReport:
     outcomes, survivors, missing = _search_and_tag(a, cells, entries)
     configs = sum(o.configs for o in outcomes)
     candidates = sum(o.candidates for o in outcomes)
-    for o in outcomes:
-        if o.rejected.get("top_coefficient_out_of_model"):
-            warnings.append(
-                f"cell (n={o.cell.n}, h0={o.cell.h0}, h={o.cell.h}) needs a divisor "
-                "shape outside the section-plus-fibers model and was not searched"
-            )
 
     rows: list[dict] = []
     if a >= 4:
@@ -954,10 +956,7 @@ def _fitting_draws(a: int, i: int, model, E, L, v_left: int) -> list:
     level 1, where no level is left, the one fit is d(a - 1) == be, and the
     walk takes only the options that spend exactly.
     """
-    found = _budgets(model, E, L)
-    if found is None:
-        return []
-    be, budgets = found
+    be, budgets = _budgets(model, E, L)
     unit = i * (a - i)
     fits = [
         d
@@ -976,10 +975,11 @@ def random_pseudo_fundamental_ladders(seed: int, count: int):
     length), walks random paths through the same candidate generator the
     classifier uses, and keeps the ladders whose certificates pass.  The
     walk's own tests do not imply the certificate: an occasional closed
-    path fails ``bottom_adjoint_positivity`` or ``top_minus_one_curve``
-    and is dropped.  Each level draws uniformly among the candidates whose
-    degree leaves the lower levels feasible, and builds a ``Subscheme`` for
-    the drawn one only.  Used by the identity test suite.
+    path fails ``bottom_adjoint_positivity``, sometimes together with
+    ``top_minus_one_curve``, and is dropped.  Each level draws uniformly
+    among the candidates whose degree leaves the lower levels feasible, and
+    builds a ``Subscheme`` for the drawn one only.  Used by the identity
+    test suite.
 
     Draws repeat: 1000 ladders take about 3000 attempts on about 500
     distinct tops.  So the draw paths form a trie, built once per call, with
@@ -1009,10 +1009,7 @@ def random_pseudo_fundamental_ladders(seed: int, count: int):
         h = (n + 2) * a - f
         if cell_verdict(a, n, h0, h) in ("window", "unresolved_sections"):
             continue  # h0 > a here, so every other kill implies sections excluded
-        b_top = p4_length(h0)
-        if b_top < 1:
-            continue
-        b = rng.randint(1, min(b_top, 4))
+        b = rng.randint(1, min(p4_length(h0), 4))
         if ("parts", f, a) not in memo:
             memo["parts", f, a] = _partitions(f, a - 1)
         parts = rng.choice(memo["parts", f, a])
@@ -1023,7 +1020,7 @@ def random_pseudo_fundamental_ladders(seed: int, count: int):
             L = model.fundamental_class(a, E)
             be_top = model.intersect(L, E.class_in(model))
             memo[top] = None
-            if 0 <= be_top <= 60:
+            if be_top <= 60:
                 memo[top] = len(states)
                 states.append((model, E, L, be_top))
         node = memo[top]
@@ -1045,13 +1042,9 @@ def random_pseudo_fundamental_ladders(seed: int, count: int):
                 continue  # nothing to eliminate: the state holds at level i-1
             if (node, i, k) not in memo:
                 level, E2, L2 = descend_step(a, i, model, E, L, Subscheme(points))
-                memo[node, i, k] = None
-                if E2.is_effective() and not E2.is_zero():
-                    memo[node, i, k] = len(states)
-                    states.append((level.elim.model, E2, L2, level))
+                memo[node, i, k] = len(states)
+                states.append((level.elim.model, E2, L2, level))
             node = memo[node, i, k]
-            if node is None:
-                break
             model, E, L, level = states[node]
             spent += i * d
             levels.append(level)

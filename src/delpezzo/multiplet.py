@@ -217,7 +217,8 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
     nonnegatively on its components.  Given that iK+L was nef one level up,
     that makes every jK+L with 0 <= j <= i nef below, all the way down; this
     descent is the only certificate that K+L_0 is nef.  Bottom:
-    ``check_basic_pair``.
+    ``check_basic_pair``, whatever failed above, so a ladder rejected at
+    the top still reports its bottom.
 
     The level checks run once per state below the top, named by the first
     level that holds it: b-1 for the top state when level b eliminates
@@ -258,9 +259,7 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
             failures.append(f"nef_level_{i}")
             break
 
-    if not failures:
-        bot = check_basic_pair(ladder.bottom_pair)
-        failures.extend("bottom_" + f for f in bot.failures)
+    failures.extend("bottom_" + f for f in check_basic_pair(ladder.bottom_pair).failures)
 
     return CertificateReport(not failures, tuple(failures))
 

@@ -596,23 +596,25 @@ def test_a_ladder_length_outside_one_to_a_minus_one_is_refused(b):
 def test_certify_ladder_names_the_level_where_the_divisor_fails():
     # a = 5, b = 3 on F_2 with E = 4 sigma + l_1: the top passes, the sigma
     # point at level 3 leaves E effective (only the bottom fails), and an
-    # l_1 point at level i gives its chain the coefficient 1 - (a - i) < 0
+    # l_1 point at level i gives its chain the coefficient 1 - (a - i) < 0.
+    # The bottom pair is checked whatever failed above it.
     F, fiber = SurfaceModel.hirzebruch(2).add_fiber()
     E = Divisor.from_dict({0: 4, fiber.id: 1})
     on_sigma = Subscheme((OnCurveDatum("sigma", 1, 1),))
     on_fiber = Subscheme((OnCurveDatum("l_1", 1, 1),))
+    bottom = ("bottom_effective", "bottom_coefficient_range", "bottom_orthogonality")
     assert certify_ladder(build_ladder(5, F, E, 3, {3: on_sigma})).failures == ("bottom_orthogonality",)
     lad = build_ladder(5, F, E, 3, {3: on_sigma, 2: on_fiber})
-    assert certify_ladder(lad).failures == ("effectivity_level_1",)
+    assert certify_ladder(lad).failures == ("effectivity_level_1", *bottom)
     lad = build_ladder(5, F, E, 3, {2: on_fiber})
-    assert certify_ladder(lad).failures == ("effectivity_level_1",)
+    assert certify_ladder(lad).failures == ("effectivity_level_1", *bottom)
     lad = build_ladder(5, F, E, 3, {3: on_fiber})
-    assert certify_ladder(lad).failures == ("effectivity_level_2",)
+    assert certify_ladder(lad).failures == ("effectivity_level_2", *bottom)
     # with E = 0 on top the state at level b - 1 is zero, whatever lies below
     zero = Divisor.from_dict({})
     lad = build_ladder(5, F, zero, 3, {1: on_sigma})
     failures = certify_ladder(lad, require_fundamental=False).failures
-    assert failures == ("top_divisor_not_effective", "nonzero_level_2")
+    assert failures == ("top_divisor_not_effective", "nonzero_level_2", *bottom)
 
 
 def test_volume_cross_check_runs():

@@ -1,6 +1,10 @@
-"""Mutation check of the cell stage: does a test fail for each small change?
+"""Mutation check of the cell and search stages: does a test fail for each
+small change?
 
-Each mutant changes one expression of ``src/delpezzo/enumerator.py``:
+Each mutant changes one expression or statement of
+``src/delpezzo/enumerator.py``.  There is one mutant table per stage.
+
+The cell stage (``cell_mutants``):
 
 - each bound of ``_rules`` moved by +1 and by -1;
 - each of the two cuts ``_row_pieces`` makes per line crossing dropped;
@@ -8,18 +12,30 @@ Each mutant changes one expression of ``src/delpezzo/enumerator.py``:
 - a row's p6 prefix ``n_lo`` moved by +1 and by -1;
 - the block loop started at k = 2, which skips the row h0 = a + 1.
 
+The search stage (``search_mutants``):
+
+- each test the walk of ``search_cell`` keeps, deleted: the entry
+  precondition, the state test ``all(r <= v_left ...)``, the loop condition
+  ``_degrees_feasible``, the clamp ``i = min(i, v_left)``, the
+  ``_level_below`` jump, level 1's degree filter ``keep`` and the level-1
+  stop ``if i == 1 and be: break``;
+- each bound of ``_on_curve_shapes``, ``_node_shapes``, ``_node_pairs`` and
+  ``_level_below`` moved by +1 and by -1.
+
 For each mutant the script copies the package to a temporary directory,
-writes the mutated module there and runs the cell-stage tests of
-``tests/test_enumerator.py`` against it, with a timeout per mutant (a block
-end moved down by one loops forever).  A mutant is killed when a test fails
-or the run times out.  The script prints each mutant's fate and the kill
-rate, and exits 1 if a mutant survives that is not a known equivalent one.
+writes the mutated module there and runs the stage's tests against it, with
+a timeout per mutant (a block end moved down by one loops forever) and a
+memory limit.  A mutant is killed when a test fails or the run times out.
+The script prints each mutant's fate and each stage's kill rate, and exits
+1 if a mutant survives that is not a known equivalent one.
 
-Run from the repository root, with pytest installed:
+Run from the repository root, with pytest installed, for both stages or
+for the ones named:
 
-    python tools/mutate_cells.py
+    python tools/mutate_cells.py [cells] [search]
 
-It takes about 3 minutes with Python 3.11 on one core of a 2-core x86-64 host.
+With Python 3.11 on one core of a 2-core x86-64 host the cell stage takes
+about 3 minutes and the search stage about 4.
 
 Stdlib only; the source is located with ``ast`` and spliced as text, so the
 rest of the module keeps its bytes.
@@ -35,10 +51,12 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = ROOT / "src" / "delpezzo" / "enumerator.py"
+MODULE = Path("src") / "delpezzo" / "enumerator.py"
 
 CELL_TESTS = (
     "test_small_multiple_kills",
@@ -62,9 +80,34 @@ CELL_TESTS = (
     "test_audit_matches_the_per_h_sweep",
 )
 
+SEARCH_TESTS = (
+    "test_plane_branch_excluded",
+    "test_level_below_is_where_the_level_walk_stops",
+    "test_classify_four_exact",
+    "test_classify_low_index_reports_are_byte_stable",
+    "test_search_cell_rejects_low_index_candidates",
+    "test_search_cell_refuses_a_cell_outside_the_search_model",
+    "test_volume_rejects_what_the_allowance_would_let_through",
+    "test_search_cell_matches_the_per_level_walk",
+    "test_search_cell_counts_the_levels_it_steps_over_against_the_cap",
+    "test_search_cost_does_not_depend_on_the_index",
+    "test_subscheme_candidates_match_the_recursive_reference",
+    "test_option_shapes_match_the_coefficient_lists",
+    "test_node_scan_from_the_support_matches_the_full_scan",
+    "test_budgets_take_l_dot_e_from_the_component_degrees",
+    "test_the_walk_builds_subschemes_only_where_a_point_fits",
+    "test_level_one_walk_spends_every_budget_exactly",
+    "test_fuzz_stream_is_pinned",
+    "test_fuzz_memo_matches_the_per_attempt_walk",
+    "test_fuzz_draws_stop_at_the_largest_fitting_degree",
+    "test_fuzz_bottoms_key_into_the_classification",
+    "test_audit_small_clean",
+    "test_audit_matches_the_per_h_sweep",
+)
+
 # Mutants no test can kill, because they change no output; label -> why.
 _BELOW = "no rule is asked about h < n h0, outside the window"
-EQUIVALENT = {
+CELL_EQUIVALENT = {
     "_rules: entry 1 (window) lo -1": _BELOW,
     "_rules: entry 2 (window) lo -1": _BELOW,
     "_rules: entry 4 (volume) lo -1": _BELOW,
@@ -78,7 +121,25 @@ EQUIVALENT = {
     "_row_pieces: drop cut 2 of 2": "the other cut alone gives the same runs under today's _rules",
 }
 
+SEARCH_EQUIVALENT = {
+    "_on_curve_shapes: e < s, bound s -1": (
+        "at e = s - 1 the k range starts at s m / e > m, so it is empty; the return only saves the loop"
+    ),
+    "_node_shapes: first coefficient's lower bound 0 -1": (
+        "_node_pairs passes no pair with e1 + e2 - s < 0, and at -1 the last coefficient"
+        " e1 + k2 e2 - s m >= 0 would need e1 >= k2 (e1 + 1)"
+    ),
+    "_node_shapes: m from -1": "at m = 0 the k2 range 1..min(m, k_cap) is empty",
+}
+
 MEMORY_LIMIT = 2 << 30  # bytes of address space per test run
+
+
+@dataclass(frozen=True)
+class Mutant:
+    label: str
+    node: ast.AST  # the expression or statement replaced
+    text: str  # its replacement
 
 
 def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
@@ -94,44 +155,137 @@ def _assigned(fn: ast.AST, target: str) -> list[ast.expr]:
     ]
 
 
-def mutants(source: str) -> list[tuple[str, ast.expr, str]]:
-    """(label, node, replacement text): each mutant replaces one node."""
-    tree = ast.parse(source)
-
-    def seg(node):
-        return ast.get_source_segment(source, node)
-
-    out = []
-
-    def shift(label, node):
-        out.append((f"{label} +1", node, f"({seg(node)}) + 1"))
-        out.append((f"{label} -1", node, f"({seg(node)}) - 1"))
-
-    rules = next(n for n in ast.walk(_function(tree, "_rules")) if isinstance(n, ast.Return)).value
-    for pos, entry in enumerate(rules.elts, 1):
-        name = entry.elts[0].value
-        shift(f"_rules: entry {pos} ({name}) lo", entry.elts[1])
-        shift(f"_rules: entry {pos} ({name}) hi", entry.elts[2])
-
-    cuts = next(
-        n.args[0]
-        for n in ast.walk(_function(tree, "_row_pieces"))
-        if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "update"
-    )
-    for pos, kept in ((1, cuts.elts[1]), (2, cuts.elts[0])):
-        out.append((f"_row_pieces: drop cut {pos} of 2", cuts, f"({seg(kept)},)"))
-
-    cells = _function(tree, "generate_cells")
-    (last,) = _assigned(cells, "last")
-    shift("generate_cells: block end last", last)
-    (n_lo,) = _assigned(_function(cells, "row"), "n_lo")
-    shift("generate_cells: row's p6 prefix n_lo", n_lo)
-    (k_start,) = [v for v in _assigned(cells, "k") if isinstance(v, ast.Constant)]
-    out.append(("generate_cells: blocks start at k = 2", k_start, "2"))
+def _own_nodes(fn: ast.FunctionDef) -> list[ast.AST]:
+    """The nodes of ``fn``'s body, not those of the functions it defines."""
+    out, todo = [], [fn]
+    while todo:
+        out.append(todo.pop())
+        todo.extend(c for c in ast.iter_child_nodes(out[-1]) if not isinstance(c, ast.FunctionDef))
     return out
 
 
-def splice(source: str, node: ast.expr, text: str) -> str:
+def _calls(fn: ast.FunctionDef, name: str) -> list[ast.Call]:
+    """The calls of the plain name ``name`` in ``fn``'s own body, in source order."""
+    calls = [n for n in _own_nodes(fn) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == name]
+    return sorted(calls, key=lambda n: (n.lineno, n.col_offset))
+
+
+class _Table:
+    """The mutants of one source, collected in order."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.tree = ast.parse(source)
+        self.out: list[Mutant] = []
+
+    def seg(self, node: ast.AST) -> str:
+        return ast.get_source_segment(self.source, node)
+
+    def shift(self, label: str, node: ast.expr) -> None:
+        self.out.append(Mutant(f"{label} +1", node, f"({self.seg(node)}) + 1"))
+        self.out.append(Mutant(f"{label} -1", node, f"({self.seg(node)}) - 1"))
+
+    def shift_range(self, label: str, call: ast.Call) -> None:
+        """Shift ``range(lo, hi + 1)``'s lo and its inclusive end hi."""
+        lo, stop = call.args
+        self.shift(f"{label} from", lo)
+        self.shift(f"{label} to", stop.left)
+
+
+def cell_mutants(source: str) -> list[Mutant]:
+    t = _Table(source)
+    rules = next(n for n in ast.walk(_function(t.tree, "_rules")) if isinstance(n, ast.Return)).value
+    for pos, entry in enumerate(rules.elts, 1):
+        name = entry.elts[0].value
+        t.shift(f"_rules: entry {pos} ({name}) lo", entry.elts[1])
+        t.shift(f"_rules: entry {pos} ({name}) hi", entry.elts[2])
+
+    cuts = next(
+        n.args[0]
+        for n in ast.walk(_function(t.tree, "_row_pieces"))
+        if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "update"
+    )
+    for pos, kept in ((1, cuts.elts[1]), (2, cuts.elts[0])):
+        t.out.append(Mutant(f"_row_pieces: drop cut {pos} of 2", cuts, f"({t.seg(kept)},)"))
+
+    cells = _function(t.tree, "generate_cells")
+    (last,) = _assigned(cells, "last")
+    t.shift("generate_cells: block end last", last)
+    (n_lo,) = _assigned(_function(cells, "row"), "n_lo")
+    t.shift("generate_cells: row's p6 prefix n_lo", n_lo)
+    (k_start,) = [v for v in _assigned(cells, "k") if isinstance(v, ast.Constant)]
+    t.out.append(Mutant("generate_cells: blocks start at k = 2", k_start, "2"))
+    return t.out
+
+
+def search_mutants(source: str) -> list[Mutant]:
+    t = _Table(source)
+    search = _function(t.tree, "search_cell")
+    own = _own_nodes(search)
+    ifs = [n for n in own if isinstance(n, ast.If)]
+    (entry,) = [n for n in search.body if isinstance(n, ast.If)]
+    t.out.append(Mutant("search_cell: delete the entry precondition", entry, "pass"))
+    (state,) = [n for n in ifs if n.test in _calls(search, "all")]
+    t.out.append(Mutant("search_cell: delete the state test", state.test, "True"))
+    (walk,) = [n for n in own if isinstance(n, ast.While) and n.test in _calls(search, "_degrees_feasible")]
+    t.out.append(Mutant("search_cell: delete the degree test of the level walk", walk.test, "True"))
+    (clamp,) = [n for n in own if isinstance(n, ast.Assign) and n.value in _calls(search, "min")]
+    t.out.append(Mutant("search_cell: delete the clamp i = min(i, v_left)", clamp, "pass"))
+    (jump,) = [n for n in ifs if getattr(n.body[0], "value", None) in _calls(search, "_level_below")]
+    t.out.append(Mutant("search_cell: delete the _level_below jump", jump, "pass"))
+    (keep,) = _assigned(search, "keep")
+    t.out.append(Mutant("search_cell: delete level 1's degree filter", keep, "None"))
+    (stop,) = [n for n in ifs if isinstance(n.body[0], ast.Break) and isinstance(n.test, ast.BoolOp)]
+    t.out.append(Mutant("search_cell: delete the level-1 stop", stop, "pass"))
+    return t.out + shape_bound_mutants(source)
+
+
+def shape_bound_mutants(source: str) -> list[Mutant]:
+    """The search stage's bounds: those of the option shapes, the node
+    pairs and the level jump."""
+    t = _Table(source)
+    curve = _function(t.tree, "_on_curve_shapes")
+    early = next(n for n in ast.walk(curve) if isinstance(n, ast.If)).test
+    t.shift("_on_curve_shapes: e < s, bound s", early.comparators[0])
+    t.shift("_on_curve_shapes: k_top's (a - 1) // (e - s)", _calls(curve, "min")[0].args[1])
+    m_range, k_range = _calls(curve, "range")
+    t.shift_range("_on_curve_shapes: m", m_range)
+    t.shift_range("_on_curve_shapes: k", k_range)
+
+    node = _function(t.tree, "_node_shapes")
+    early = next(n for n in ast.walk(node) if isinstance(n, ast.If)).test.operand
+    t.shift("_node_shapes: first coefficient's lower bound 0", early.left)
+    t.shift("_node_shapes: first coefficient's upper bound a", early.comparators[1])
+    t.shift("_node_shapes: k_cap's (a - 1 - e1) // (e2 - s)", _calls(node, "min")[0].args[1])
+    m_range, k_range = _calls(node, "range")
+    t.shift_range("_node_shapes: m", m_range)
+    (k_lo,) = _assigned(node, "k_lo")
+    t.shift("_node_shapes: k2 from, need > 0", k_lo.body)
+    t.shift("_node_shapes: k2 from, need <= 0", k_lo.orelse)
+    t.shift("_node_shapes: k2 to", k_range.args[1].left)
+
+    pairs = next(n for n in ast.walk(_function(t.tree, "_node_pairs")) if isinstance(n, ast.Compare) and len(n.ops) == 2)
+    t.shift("_node_pairs: first coefficient's lower bound 0", pairs.left)
+    t.shift("_node_pairs: first coefficient's upper bound a", pairs.comparators[1])
+
+    t.shift("_level_below: the level", _calls(_function(t.tree, "_level_below"), "max")[0].args[1])
+    return t.out
+
+
+@dataclass(frozen=True)
+class Stage:
+    mutants: Callable[[str], list[Mutant]]  # the module's source -> its mutants
+    tests: tuple[str, ...]  # test names in tests/test_enumerator.py
+    equivalent: dict[str, str]
+
+
+STAGES = {
+    "cells": Stage(cell_mutants, CELL_TESTS, CELL_EQUIVALENT),
+    "search": Stage(search_mutants, SEARCH_TESTS, SEARCH_EQUIVALENT),
+}
+
+
+def splice(source: str, node: ast.AST, text: str) -> str:
     """``source`` with ``node``'s text replaced by ``text``."""
     lines = source.splitlines(keepends=True)
 
@@ -146,16 +300,16 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_tests(package: Path, timeout: float) -> str:
-    """'pass', 'fail' or 'timeout' for the cell-stage tests on ``package``."""
+def run_tests(root: Path, package: Path, tests: tuple[str, ...], timeout: float) -> str:
+    """'pass', 'fail' or 'timeout' for ``tests`` of ``root`` on ``package``."""
     env = {**os.environ, "PYTHONPATH": str(package.parent), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [
         sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-        "tests/test_enumerator.py", "-k", " or ".join(CELL_TESTS),
+        "tests/test_enumerator.py", "-k", " or ".join(tests),
     ]
     try:
         done = subprocess.run(
-            argv, cwd=ROOT, env=env, timeout=timeout, preexec_fn=_limit_memory,
+            argv, cwd=root, env=env, timeout=timeout, preexec_fn=_limit_memory,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     except subprocess.TimeoutExpired:
@@ -163,39 +317,57 @@ def run_tests(package: Path, timeout: float) -> str:
     return "pass" if done.returncode == 0 else "fail"
 
 
-def main() -> int:
-    source = MODULE.read_text()
-    todo = mutants(source)
-    with tempfile.TemporaryDirectory(prefix="mutate_cells_") as tmp:
+def run_stage(name: str, stage: Stage, root: Path = ROOT) -> list[str] | None:
+    """Run every mutant of ``stage`` on the checkout at ``root``; return the
+    labels of the survivors without an equivalence note, or None if the
+    stage's tests fail on the unmutated module."""
+    source = (root / MODULE).read_text()
+    todo = stage.mutants(source)
+    with tempfile.TemporaryDirectory(prefix=f"mutate_{name}_") as tmp:
         package = Path(tmp) / "delpezzo"
-        shutil.copytree(MODULE.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree((root / MODULE).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
         t0 = time.perf_counter()
-        if run_tests(package, timeout=600) != "pass":
-            print("the cell-stage tests fail on the unmutated module", file=sys.stderr)
-            return 2
+        if run_tests(root, package, stage.tests, timeout=600) != "pass":
+            print(f"the {name}-stage tests fail on the unmutated module", file=sys.stderr)
+            return None
         timeout = max(30.0, 5 * (time.perf_counter() - t0))
-        print(f"unmutated run passes in {time.perf_counter() - t0:.1f} s; timeout {timeout:.0f} s")
+        print(f"{name}: unmutated run passes in {time.perf_counter() - t0:.1f} s; timeout {timeout:.0f} s")
 
         killed, unexplained = 0, []
-        for label, node, text in todo:
-            (package / "enumerator.py").write_text(splice(source, node, text))
-            fate = run_tests(package, timeout)
-            change = f"{ast.get_source_segment(source, node)!r} -> {text!r}"
+        for m in todo:
+            (package / "enumerator.py").write_text(splice(source, m.node, m.text))
+            fate = run_tests(root, package, stage.tests, timeout)
+            change = f"{ast.get_source_segment(source, m.node)!r} -> {m.text!r}"
             if fate == "pass":
-                note = EQUIVALENT.get(label)
+                note = stage.equivalent.get(m.label)
                 if note is None:
-                    unexplained.append(label)
-                print(f"SURVIVED  {label}: {change}" + (f"  (equivalent: {note})" if note else ""))
+                    unexplained.append(m.label)
+                print(f"SURVIVED  {m.label}: {change}" + (f"  (equivalent: {note})" if note else ""))
             else:
                 killed += 1
-                print(f"killed    {label}: {change}  ({'test failed' if fate == 'fail' else 'timed out'})")
+                print(f"killed    {m.label}: {change}  ({'test failed' if fate == 'fail' else 'timed out'})")
             sys.stdout.flush()
 
-    print(f"killed {killed} of {len(todo)} mutants ({killed / len(todo):.0%})")
+    print(f"{name}: killed {killed} of {len(todo)} mutants ({killed / len(todo):.0%})")
     for label in unexplained:
         print(f"survivor without a test or an equivalence note: {label}")
-    return 1 if unexplained else 0
+    return unexplained
+
+
+def main(argv: list[str]) -> int:
+    names = argv or list(STAGES)
+    unknown = [n for n in names if n not in STAGES]
+    if unknown:
+        print(f"unknown stage {unknown[0]!r}; expected one of {', '.join(STAGES)}", file=sys.stderr)
+        return 2
+    code = 0
+    for name in names:
+        unexplained = run_stage(name, STAGES[name])
+        if unexplained is None:
+            return 2
+        code = code or int(bool(unexplained))
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
