@@ -411,16 +411,14 @@ def _on_curve_shapes(a: int, s: int, e: int, m_cap: int, k_cap: int):
 def _node_shapes(a: int, s: int, e1: int, e2: int, m_cap: int, k_cap: int):
     """Yield the (m, k2), k2 <= min(m, k_cap) and m <= m_cap, for which every
     coefficient of ``node_coefficients(e1, e2, s, m, k2)`` lies in 0..a-1,
-    in (m, k2) order.
+    in (m, k2) order.  The caller passes a pair whose first coefficient,
+    e1 + e2 - s, lies in 0..a-1, as ``_node_pairs`` does.
 
-    With s >= 1 the coefficients move by e2 - s from the first,
-    e1 + e2 - s, to the k2-th, e1 + k2(e2 - s), then fall by s to the last,
-    e1 + k2 e2 - s m; so the first and the k2-th lie in 0..a-1 and the last
-    is nonnegative.  The last bounds the k2-th from below, as m >= k2, and
-    stops m at (e1 + k_cap e2) // s.
+    With s >= 1 the coefficients move by e2 - s from the first to the k2-th,
+    e1 + k2(e2 - s), then fall by s to the last, e1 + k2 e2 - s m; so the
+    k2-th lies in 0..a-1 and the last is nonnegative.  The last bounds the
+    k2-th from below, as m >= k2, and stops m at (e1 + k_cap e2) // s.
     """
-    if not 0 <= e1 + e2 - s < a:
-        return
     if e2 > s:
         k_cap = min(k_cap, (a - 1 - e1) // (e2 - s))
     for m in range(1, min(m_cap, (e1 + k_cap * e2) // s) + 1):
@@ -993,8 +991,10 @@ def random_pseudo_fundamental_ladders(seed: int, count: int):
     rng = random.Random(seed)
     # (a, n, c0, parts) -> top node, (node, i) -> draw list at level i,
     # (node, i, k) -> the node draw k descends to, ("ladder", node, b) and
-    # ("parts", f, a); None where an attempt stops.  states[node] is
-    # (model, E, L) and the top's v_cap or the level descended to.
+    # ("parts", f, a).  Only a top (be_top > 60) or a ladder that fails its
+    # certificate maps to None; an empty draw list stops the walk.
+    # states[node] is (model, E, L) and the top's v_cap or the level
+    # descended to.
     memo: dict = {}
     states: list = []
     out = []

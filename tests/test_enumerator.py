@@ -991,7 +991,8 @@ def test_partitions_match_the_recursive_reference():
 def test_option_shapes_match_the_coefficient_lists():
     # the closed bounds against the chain coefficients themselves, for every
     # multiplicity cap up to 6 and every contact cap below it; coefficients
-    # run one past a - 1, since the bounds do not assume them in range
+    # run one past a - 1, since the bounds do not assume them in range, but a
+    # node's pair has its first coefficient in range, as ``_node_pairs`` passes
     shapes = 0
     for a in range(4, 13):
         for s in range(1, a):
@@ -1008,6 +1009,8 @@ def test_option_shapes_match_the_coefficient_lists():
                         got = list(enumerator._on_curve_shapes(a, s, e, m_cap, k_cap))
                         assert got == [x for x in want if x[0] <= m_cap and x[1] <= k_cap], (a, s, e)
             for e1, e2 in itertools.product(range(a + 1), repeat=2):
+                if not 0 <= e1 + e2 - s < a:
+                    continue
                 want = [
                     (m, k2)
                     for m in range(1, 7)
@@ -1054,8 +1057,11 @@ def test_node_scan_from_the_support_matches_the_full_scan(monkeypatch):
             (c1, c2) for c1, c2 in full if 0 <= coeff.get(c1, 0) + coeff.get(c2, 0) - s < a
         ]
         for c1, c2 in set(full) - set(scanned):
-            assert not list(
-                enumerator._node_shapes(a, s, coeff.get(c1, 0), coeff.get(c2, 0), m_cap, m_cap)
+            e1, e2 = coeff.get(c1, 0), coeff.get(c2, 0)
+            assert not any(
+                all(0 <= c < a for c in node_coefficients(e1, e2, s, m, k2))
+                for m in range(1, m_cap + 1)
+                for k2 in range(1, m + 1)
             )
             dropped[not (c1 in coeff or c2 in coeff)] += 1
     assert min(dropped) > 10, dropped

@@ -29,10 +29,9 @@ memory limit.  A mutant is killed when a test fails or the run times out.
 The script prints each mutant's fate and each stage's kill rate, and exits
 1 if a mutant survives that is not a known equivalent one.
 
-Run from the repository root, with pytest installed, for both stages or
-for the ones named:
+Run from the repository root, with pytest installed:
 
-    python tools/mutate_cells.py [cells] [search]
+    python tools/mutate_cells.py
 
 With Python 3.11 on one core of a 2-core x86-64 host the cell stage takes
 about 3 minutes and the search stage about 4.
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = Path("src") / "delpezzo" / "enumerator.py"
+MODULE = ROOT / "src" / "delpezzo" / "enumerator.py"
 
 CELL_TESTS = (
     "test_small_multiple_kills",
@@ -124,10 +123,6 @@ CELL_EQUIVALENT = {
 SEARCH_EQUIVALENT = {
     "_on_curve_shapes: e < s, bound s -1": (
         "at e = s - 1 the k range starts at s m / e > m, so it is empty; the return only saves the loop"
-    ),
-    "_node_shapes: first coefficient's lower bound 0 -1": (
-        "_node_pairs passes no pair with e1 + e2 - s < 0, and at -1 the last coefficient"
-        " e1 + k2 e2 - s m >= 0 would need e1 >= k2 (e1 + 1)"
     ),
     "_node_shapes: m from -1": "at m = 0 the k2 range 1..min(m, k_cap) is empty",
 }
@@ -237,13 +232,7 @@ def search_mutants(source: str) -> list[Mutant]:
     t.out.append(Mutant("search_cell: delete level 1's degree filter", keep, "None"))
     (stop,) = [n for n in ifs if isinstance(n.body[0], ast.Break) and isinstance(n.test, ast.BoolOp)]
     t.out.append(Mutant("search_cell: delete the level-1 stop", stop, "pass"))
-    return t.out + shape_bound_mutants(source)
 
-
-def shape_bound_mutants(source: str) -> list[Mutant]:
-    """The search stage's bounds: those of the option shapes, the node
-    pairs and the level jump."""
-    t = _Table(source)
     curve = _function(t.tree, "_on_curve_shapes")
     early = next(n for n in ast.walk(curve) if isinstance(n, ast.If)).test
     t.shift("_on_curve_shapes: e < s, bound s", early.comparators[0])
@@ -253,9 +242,6 @@ def shape_bound_mutants(source: str) -> list[Mutant]:
     t.shift_range("_on_curve_shapes: k", k_range)
 
     node = _function(t.tree, "_node_shapes")
-    early = next(n for n in ast.walk(node) if isinstance(n, ast.If)).test.operand
-    t.shift("_node_shapes: first coefficient's lower bound 0", early.left)
-    t.shift("_node_shapes: first coefficient's upper bound a", early.comparators[1])
     t.shift("_node_shapes: k_cap's (a - 1 - e1) // (e2 - s)", _calls(node, "min")[0].args[1])
     m_range, k_range = _calls(node, "range")
     t.shift_range("_node_shapes: m", m_range)
@@ -300,8 +286,8 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_tests(root: Path, package: Path, tests: tuple[str, ...], timeout: float) -> str:
-    """'pass', 'fail' or 'timeout' for ``tests`` of ``root`` on ``package``."""
+def run_tests(package: Path, tests: tuple[str, ...], timeout: float) -> str:
+    """'pass', 'fail' or 'timeout' for ``tests`` on ``package``."""
     env = {**os.environ, "PYTHONPATH": str(package.parent), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [
         sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -309,7 +295,7 @@ def run_tests(root: Path, package: Path, tests: tuple[str, ...], timeout: float)
     ]
     try:
         done = subprocess.run(
-            argv, cwd=root, env=env, timeout=timeout, preexec_fn=_limit_memory,
+            argv, cwd=ROOT, env=env, timeout=timeout, preexec_fn=_limit_memory,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     except subprocess.TimeoutExpired:
@@ -317,17 +303,17 @@ def run_tests(root: Path, package: Path, tests: tuple[str, ...], timeout: float)
     return "pass" if done.returncode == 0 else "fail"
 
 
-def run_stage(name: str, stage: Stage, root: Path = ROOT) -> list[str] | None:
-    """Run every mutant of ``stage`` on the checkout at ``root``; return the
-    labels of the survivors without an equivalence note, or None if the
-    stage's tests fail on the unmutated module."""
-    source = (root / MODULE).read_text()
+def run_stage(name: str, stage: Stage) -> list[str] | None:
+    """Run every mutant of ``stage``; return the labels of the survivors
+    without an equivalence note, or None if the stage's tests fail on the
+    unmutated module."""
+    source = MODULE.read_text()
     todo = stage.mutants(source)
     with tempfile.TemporaryDirectory(prefix=f"mutate_{name}_") as tmp:
         package = Path(tmp) / "delpezzo"
-        shutil.copytree((root / MODULE).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(MODULE.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
         t0 = time.perf_counter()
-        if run_tests(root, package, stage.tests, timeout=600) != "pass":
+        if run_tests(package, stage.tests, timeout=600) != "pass":
             print(f"the {name}-stage tests fail on the unmutated module", file=sys.stderr)
             return None
         timeout = max(30.0, 5 * (time.perf_counter() - t0))
@@ -336,7 +322,7 @@ def run_stage(name: str, stage: Stage, root: Path = ROOT) -> list[str] | None:
         killed, unexplained = 0, []
         for m in todo:
             (package / "enumerator.py").write_text(splice(source, m.node, m.text))
-            fate = run_tests(root, package, stage.tests, timeout)
+            fate = run_tests(package, stage.tests, timeout)
             change = f"{ast.get_source_segment(source, m.node)!r} -> {m.text!r}"
             if fate == "pass":
                 note = stage.equivalent.get(m.label)
@@ -354,15 +340,10 @@ def run_stage(name: str, stage: Stage, root: Path = ROOT) -> list[str] | None:
     return unexplained
 
 
-def main(argv: list[str]) -> int:
-    names = argv or list(STAGES)
-    unknown = [n for n in names if n not in STAGES]
-    if unknown:
-        print(f"unknown stage {unknown[0]!r}; expected one of {', '.join(STAGES)}", file=sys.stderr)
-        return 2
+def main() -> int:
     code = 0
-    for name in names:
-        unexplained = run_stage(name, STAGES[name])
+    for name, stage in STAGES.items():
+        unexplained = run_stage(name, stage)
         if unexplained is None:
             return 2
         code = code or int(bool(unexplained))
@@ -370,4 +351,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
