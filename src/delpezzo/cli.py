@@ -10,7 +10,7 @@ written, 3 on a ``SearchExplosion``, ``InternalConsistencyError`` or
 errors 2 and 3 go to stderr, as JSON under --json, and keep their exit
 code when stderr's reader has closed it.  ``audit`` refuses, as a flag
 error, a sweep of more than ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0),
-which would take about 10 s or more.  ``classify`` refuses, as a flag
+which would take about 5 s or more.  ``classify`` refuses, as a flag
 error, an index above ``CLASSIFY_INDEX_CAP`` (2^18 = 262,144), where it
 takes about 0.2 s and 30 MB, and 2 s and 75 MB with --json.
 Volumes are always printed as exact fractions.

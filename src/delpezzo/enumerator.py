@@ -63,7 +63,8 @@ _CONFIG_CAP = 2_000_000
 # Attempts per ``random_pseudo_fundamental_ladders`` call before it returns
 # what it has; 1000 ladders take about 3000.
 _FUZZ_ATTEMPT_CAP = 200_000
-# At 2.0-2.6 us per (n, h0) window (a = 4..512), a sweep at the cap takes 8-11 s.
+# At 1.3-2.0 us per (n, h0) window (a = 4..512; Python 3.11, one core of a
+# 2-core x86-64 host), a sweep at the cap takes 5.5-8.5 s.
 AUDIT_WINDOW_CAP = 1 << 22
 
 
@@ -205,25 +206,41 @@ def cell_verdict(a: int, n: int, h0: int, h: int) -> str | None:
     return _first_rule(_rules(a, n, h0), h)
 
 
-def _verdict_pieces(a: int, n: int, h0: int):
-    """Yield (start, stop, verdict) over the window n h0 <= h <= (n + 2) a.
+def _verdict_pieces(a: int, n: int, h0: int) -> list[tuple[int, int, str | None]]:
+    """The pieces (start, stop, verdict) that tile the window
+    n h0 <= h <= (n + 2) a, sorted by start.
 
-    The window is cut at every bound of ``_rules`` inside it, so the verdict
-    at a piece's start holds on all of range(start, stop).
+    The rules of ``_rules`` paint the window in table order: each claims
+    the part of the window still unclaimed that lies in its [lo, hi), and
+    whatever no rule claims gets verdict None.  So ``verdict`` is that of
+    ``cell_verdict`` at every h in range(start, stop).  Neighbouring pieces
+    may share a verdict.
     """
-    lo, hi = n * h0, (n + 2) * a
-    if lo > hi:
-        return
-    rules = _rules(a, n, h0)
-    cuts = {lo, hi + 1}
-    for _, r_lo, r_hi in rules:
-        if lo < r_lo <= hi:
-            cuts.add(r_lo)
-        if lo < r_hi <= hi:
-            cuts.add(r_hi)
-    edges = sorted(cuts)
-    for start, stop in zip(edges, edges[1:]):
-        yield start, stop, _first_rule(rules, start)
+    lo, top = n * h0, (n + 2) * a + 1
+    if lo >= top:
+        return []
+    free, pieces = [(lo, top)], []
+    for name, r_lo, r_hi in _rules(a, n, h0):
+        if r_lo >= r_hi:
+            continue
+        left = []
+        for start, stop in free:
+            s = r_lo if r_lo > start else start
+            e = r_hi if r_hi < stop else stop
+            if s < e:
+                pieces.append((s, e, name))
+                if start < s:
+                    left.append((start, s))
+                if e < stop:
+                    left.append((e, stop))
+            else:
+                left.append((start, stop))
+        free = left
+        if not free:
+            break
+    pieces += [(start, stop, None) for start, stop in free]
+    pieces.sort()  # the pieces are disjoint, so no two starts tie
+    return pieces
 
 
 def p5_region_killed(a: int) -> bool:
@@ -884,16 +901,17 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     running the full search on whatever they leave open.
 
     Unlike ``classify`` this does not discard the excluded region wholesale:
-    kills are counted per constant piece of h (``_verdict_pieces``), with the
-    counts of a per-h sweep, the cells left open are searched to exhaustion,
-    and from index 4 on every survivor must be in the catalog (catalog
-    configurations the sweep does not reach are no fault).  The sweep stays
-    one (n, h0) window at a time on purpose: it is the independent route,
-    which takes every window's verdicts from ``_verdict_pieces`` without the
-    row blocks, the runs of n and the p6 prefix that ``generate_cells``
-    relies on.  A sweep that ``check_audit_sweep`` refuses, such as one of
-    more than ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), raises
-    ``ValueError`` before it starts.
+    kills are counted per piece of a window that ``_verdict_pieces`` gives
+    one verdict, with the counts of a per-h sweep, the cells left open are
+    searched to exhaustion, and from index 4 on every survivor must be in
+    the catalog (catalog configurations the sweep does not reach are no
+    fault).  The sweep stays one (n, h0) window at a time on purpose: it is
+    the independent route, which takes every window's verdicts from
+    ``_verdict_pieces`` without the row blocks, the runs of n and the p6
+    prefix that ``generate_cells`` relies on.  A sweep that
+    ``check_audit_sweep`` refuses, such as one of more than
+    ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), raises ``ValueError``
+    before it starts.
     """
     check_audit_sweep(a, n_max, h0)
     h0_values = tuple(range(1, 2 * a)) if h0 is None else (h0,)

@@ -182,10 +182,14 @@ def _cells_per_h(a):
 
 def test_cell_verdict_is_constant_between_breakpoints():
     # over the wider sweep audit makes (h0 <= a, n beyond the n-cap), the
-    # pieces tile the window and each one's verdict holds at every h in it
-    for a in range(2, 9):
+    # pieces tile the window in order and each one's verdict holds at every
+    # h in it; at a = 16 and 28 (the audit-sweep index) it samples n, up to
+    # and past 2a, where generate_cells ends the rows h0 <= a
+    sweeps = [(a, range(0, 3 * a + 1)) for a in range(2, 9)]
+    sweeps += [(a, (0, 1, a, *range(2 * a - 5, 2 * a + 1), 4 * a)) for a in (16, 28)]
+    for a, ns in sweeps:
         for h0 in range(1, 2 * a):
-            for n in range(0, 3 * a + 1):
+            for n in ns:
                 h = n * h0
                 for start, stop, verdict in _verdict_pieces(a, n, h0):
                     assert start == h < stop, (a, n, h0, start)

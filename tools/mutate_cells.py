@@ -7,6 +7,10 @@ Each mutant changes one expression or statement of
 The cell stage (``cell_mutants``):
 
 - each bound of ``_rules`` moved by +1 and by -1;
+- in ``_verdict_pieces``, each clamp of a rule's interval to a free
+  interval (a piece's start and its stop) moved by +1 and by -1, the None
+  pieces of the unclaimed remainder dropped, and the empty-window return,
+  the skip of empty rules and the early stop deleted;
 - each of the two cuts ``_row_pieces`` makes per line crossing dropped;
 - a block's ``last`` row in ``generate_cells`` moved by +1 and by -1;
 - a row's p6 prefix ``n_lo`` moved by +1 and by -1;
@@ -106,6 +110,7 @@ SEARCH_TESTS = (
 
 # Mutants no test can kill, because they change no output; label -> why.
 _BELOW = "no rule is asked about h < n h0, outside the window"
+_SAVES_WORK = "it only saves work: a rule that meets no free interval leaves them as they are"
 CELL_EQUIVALENT = {
     "_rules: entry 1 (window) lo -1": _BELOW,
     "_rules: entry 2 (window) lo -1": _BELOW,
@@ -116,6 +121,8 @@ CELL_EQUIVALENT = {
     "_rules: entry 6 (sigma_budget) lo +1": (
         "at h = n h0, h + n h0 < -c0 gives h < -(c0 // 2): volume kills the cell first"
     ),
+    "_verdict_pieces: delete the skip of empty rules": _SAVES_WORK,
+    "_verdict_pieces: delete the early stop": _SAVES_WORK,
     "_row_pieces: drop cut 1 of 2": "the other cut alone gives the same runs under today's _rules",
     "_row_pieces: drop cut 2 of 2": "the other cut alone gives the same runs under today's _rules",
 }
@@ -194,6 +201,19 @@ def cell_mutants(source: str) -> list[Mutant]:
         name = entry.elts[0].value
         t.shift(f"_rules: entry {pos} ({name}) lo", entry.elts[1])
         t.shift(f"_rules: entry {pos} ({name}) hi", entry.elts[2])
+
+    pieces = _function(t.tree, "_verdict_pieces")
+    (start,) = _assigned(pieces, "s")
+    (stop,) = _assigned(pieces, "e")
+    t.shift("_verdict_pieces: clamp of a piece's start", start)
+    t.shift("_verdict_pieces: clamp of a piece's stop", stop)
+    (rest,) = [n for n in _own_nodes(pieces) if isinstance(n, ast.AugAssign)]
+    t.out.append(Mutant("_verdict_pieces: drop the None pieces", rest, "pass"))
+    ifs = [n for n in _own_nodes(pieces) if isinstance(n, ast.If)]
+    for what, kind in (("the empty-window return", ast.Return), ("the skip of empty rules", ast.Continue),
+                       ("the early stop", ast.Break)):
+        (node,) = [n for n in ifs if isinstance(n.body[0], kind)]
+        t.out.append(Mutant(f"_verdict_pieces: delete {what}", node, "pass"))
 
     cuts = next(
         n.args[0]
