@@ -37,8 +37,8 @@ Run from the repository root, with pytest installed:
 
     python tools/mutate_cells.py
 
-With Python 3.11 on one core of a 2-core x86-64 host the cell stage takes
-about 3 minutes and the search stage about 4.
+With Python 3.11 on one core of a 2-core x86-64 host the two stages take
+about 5 minutes together.
 
 Stdlib only; the source is located with ``ast`` and spliced as text, so the
 rest of the module keeps its bytes.
