@@ -111,11 +111,10 @@ class EliminationResult:
         return DivisorClass(cls.base, cls.exc + (-s,) * (self.model.exc_count - self.base_exc_count))
 
     def relative_canonical(self) -> Divisor:
-        """The relative canonical divisor in terms of strict transforms."""
-        coeffs: dict[int, int] = {}
-        for step in self.steps:
-            coeffs[step.new_curve] = 1 + sum(coeffs.get(c, 0) for c in step.incident)
-        return Divisor.from_dict(coeffs)
+        """The relative canonical divisor in terms of strict transforms: the
+        transform of the zero divisor with s = -1, since each new curve
+        carries 1 plus the coefficients of the curves through its centre."""
+        return Divisor.from_dict(_push_through(self.steps, {}, -1))
 
 
 def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
@@ -130,22 +129,28 @@ def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
     host's strict transform; the remaining ones at general points of the
     last exceptional curve.  The centres of all points are listed first and
     blown up by one ``SurfaceModel.blow_up_all``, so each elimination builds
-    one model and each curve class once.
+    one model and each curve class once.  The result's subscheme names its
+    curves by id; a datum, or a whole subscheme, that already does is kept.
     """
     resolved = []
     plans = []  # (first centre, host, k, m) per point
     for datum in subscheme.points:
         if isinstance(datum, OnCurveDatum):
             c = model.resolve(datum.curve)
-            datum = OnCurveDatum(c, datum.k, datum.m)
+            if c != datum.curve:
+                datum = OnCurveDatum(c, datum.k, datum.m)
             plans.append(((c,), c, datum.k, datum.m))
         elif isinstance(datum, NodeDatum):
             c1, c2 = model.resolve(datum.curve1), model.resolve(datum.curve2)
-            datum = NodeDatum(c1, c2, datum.k2, datum.m)
+            if (c1, c2) != (datum.curve1, datum.curve2):
+                datum = NodeDatum(c1, c2, datum.k2, datum.m)
             plans.append(((c1, c2), c2, datum.k2, datum.m))
         else:
             raise StructuralError(f"unknown local datum {datum!r}")
         resolved.append(datum)
+    resolved = tuple(resolved)
+    if resolved != subscheme.points:
+        subscheme = Subscheme(resolved)
 
     centres = []  # (through, name) per blow-up, for one ``blow_up_all``
     chains: list[tuple[int, ...]] = []
@@ -162,7 +167,7 @@ def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
 
     return EliminationResult(
         model.blow_up_all(centres, len(plans)),
-        Subscheme(tuple(resolved)),
+        subscheme,
         tuple(chains),
         tuple(steps),
         model.exc_count,
@@ -173,18 +178,26 @@ def transform(E: Divisor, result: EliminationResult, s: int) -> Divisor:
     """Transform a divisor through an elimination: pullback minus ``s`` times
     the relative canonical divisor.
 
-    Coefficients on strict transforms persist; the coefficient a new
-    exceptional curve picks up in the pullback is the sum of the coefficients
-    of the curves through its centre.  Negative output coefficients are
-    allowed, callers test effectivity.
+    Coefficients on strict transforms persist.  A new exceptional curve
+    takes the sum of the coefficients of the curves through its centre in
+    the pullback, and 1 plus that sum in K_rel, so its transformed
+    coefficient is the sum of the transformed coefficients through its
+    centre, minus s: one integer pass over the steps, with no K_rel
+    divisor.  Negative output coefficients are allowed, callers test
+    effectivity.
     """
-    coeffs = E.as_dict()
-    for step in result.steps:
-        coeffs[step.new_curve] = sum(coeffs.get(c, 0) for c in step.incident)
-    kyx = result.relative_canonical()
-    for c, v in kyx.items:
-        coeffs[c] = coeffs.get(c, 0) - s * v
-    return Divisor.from_dict(coeffs)
+    return Divisor.from_dict(_push_through(result.steps, E.as_dict(), s))
+
+
+def _push_through(
+    steps: tuple[EliminationStep, ...], coeffs: dict[int, int], s: int
+) -> dict[int, int]:
+    """Give each step's new curve the sum of ``coeffs`` over the curves
+    through its centre, minus s, in creation order; ``coeffs`` is updated
+    in place and returned."""
+    for step in steps:
+        coeffs[step.new_curve] = sum(coeffs.get(c, 0) for c in step.incident) - s
+    return coeffs
 
 
 # Closed-form chain coefficients for the transform of a divisor supported on

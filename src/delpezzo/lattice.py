@@ -39,6 +39,13 @@ class InvalidPointError(StructuralError):
     """Raised for a blow-up centre that the incidence conventions forbid."""
 
 
+def base_nef(n: int, p: int, q: int) -> bool:
+    """The class p sigma + q l on F_n is nef iff p >= 0 and q >= n p: it
+    meets sigma in q - n p and the fiber in p, and these span the cone of
+    curves."""
+    return p >= 0 and q >= n * p
+
+
 @dataclass(frozen=True, slots=True)
 class DivisorClass:
     """Integer vector in the lattice basis: base part plus exceptional part."""
@@ -295,8 +302,7 @@ class SurfaceModel:
         self._check_class(d)
         if any(a != 0 for a in d.exc):
             raise StructuralError("nef criterion only applies to pullback-free classes")
-        p, q = d.base
-        return p >= 0 and q >= self.n * p
+        return base_nef(self.n, *d.base)
 
     # -- dual graphs ---------------------------------------------------------
 

@@ -37,7 +37,7 @@ from .elimination import (
     transform,
 )
 from .graphs import WeightedGraph
-from .lattice import Divisor, DivisorClass, StructuralError, SurfaceModel
+from .lattice import Divisor, DivisorClass, StructuralError, SurfaceModel, base_nef
 
 
 class InternalConsistencyError(RuntimeError):
@@ -210,9 +210,13 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
     """Check every defining condition of a (pseudo-)fundamental multiplet;
     the one verdict on a ladder, whose length b lies in 1..a-1.
 
-    Top level: bK+L_b nef by the closed criterion (the top surface must be
-    minimal), plus the extra (-1)-curve condition on F_1; with
-    ``require_fundamental`` also (b+1)K+L_b not nef.  Each elimination step:
+    Top level: the top surface must be minimal, F_n, and the tests run on
+    the base coordinates (p, q) of L_b, whose shape is checked.  Since
+    K = (-2, -(n+2)), jK+L_b = (p - 2j, q - (n+2)j).  bK+L_b must be nef
+    by the closed criterion ``lattice.base_nef``; on F_1, whose minimal
+    section is a (-1)-curve, (b+1)K+L_b = (p'', q'') must meet it
+    nonnegatively, -n p'' + q'' >= 0; with ``require_fundamental``
+    (b+1)K+L_b must also not be nef.  Each elimination step:
     the transformed divisor stays nonzero effective and meets L
     nonnegatively on its components.  Given that iK+L was nef one level up,
     that makes every jK+L with 0 <= j <= i nef below, all the way down; this
@@ -231,16 +235,16 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
     if top.model.exc_count != 0:
         failures.append("top_not_minimal")
     else:
-        K = top.model.canonical_class
-        if not top.model.nef_on_base(b * K + top.L):
+        n = top.model.n
+        top.model._check_class(top.L)
+        p, q = top.L.base
+        if not base_nef(n, p - 2 * b, q - (n + 2) * b):
             failures.append("top_nef")
-        cls = (b + 1) * K + top.L
-        if require_fundamental and top.model.nef_on_base(cls):
+        p, q = p - 2 * (b + 1), q - (n + 2) * (b + 1)  # now (b+1)K+L_b
+        if require_fundamental and base_nef(n, p, q):
             failures.append("top_fundamental")
-        if top.model.n == 1:
-            # F_1 carries a (-1)-curve, the minimal section itself.
-            if top.model.intersect(cls, top.model.sigma_class()) < 0:
-                failures.append("top_minus_one_curve")
+        if n == 1 and -n * p + q < 0:
+            failures.append("top_minus_one_curve")
 
     if top.E.is_zero() or not top.E.is_effective():
         failures.append("top_divisor_not_effective")
@@ -259,7 +263,7 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
             failures.append(f"nef_level_{i}")
             break
 
-    failures.extend("bottom_" + f for f in check_basic_pair(ladder.bottom_pair).failures)
+    failures.extend("bottom_" + f for f in _basic_pair_failures(ladder.bottom_pair))
 
     return CertificateReport(not failures, tuple(failures))
 
@@ -269,12 +273,19 @@ def check_basic_pair(pair: BasicPair) -> CertificateReport:
     data, not errors.
 
     E nonzero and effective with coefficients in 1..a-1, (L.C) = 0 on every
-    component of E, and (K+L.L) > 0.  Nefness of K+L is not checked here: for a pair at the
-    bottom of a ladder of length 1..a-1 the descent certifies it, and
-    ``certify_ladder`` checks the descent.  The simple-normal-crossing
-    requirement holds for every configuration the point blow-ups can
-    produce, so it is passed by construction.
+    component of E, and (K+L.L) > 0, taken as K.L + L.L.  Nefness of K+L
+    is not checked here: for a pair at the bottom of a ladder of length
+    1..a-1 the descent certifies it, and ``certify_ladder`` checks the
+    descent.  The simple-normal-crossing requirement holds for every
+    configuration the point blow-ups can produce, so it is passed by
+    construction.
     """
+    failures = _basic_pair_failures(pair)
+    return CertificateReport(not failures, tuple(failures))
+
+
+def _basic_pair_failures(pair: BasicPair) -> list[str]:
+    """The failed conditions of ``check_basic_pair``, in its order."""
     model, E, a, L = pair.model, pair.E0, pair.a, pair.L0
     failures = []
 
@@ -293,7 +304,7 @@ def check_basic_pair(pair: BasicPair) -> CertificateReport:
     if model.intersect(model.canonical_class, L) + model.intersect(L, L) <= 0:
         failures.append("adjoint_positivity")
 
-    return CertificateReport(not failures, tuple(failures))
+    return failures
 
 
 # -- numerical invariants ----------------------------------------------------
@@ -324,12 +335,13 @@ def identities_check(ladder: Ladder) -> bool:
     running totals of the degree side over the subschemes at and below
     each level, contacts per curve included.  A level with no step holds
     the state of the stored level below it and adds nothing to the degree
-    side, so it needs no check of its own.  All four tests are in integers.
+    side, so it needs no check of its own.  All four tests are in integers,
+    and (K0+L0).L0 is taken as K0.L0 + L0.L0, with no K0+L0 class.
     """
     a = ladder.a
     bot = ladder.bottom
-    k0l0 = bot.model.intersect(bot.model.canonical_class + bot.L, bot.L)
     l0sq = bot.model.intersect(bot.L, bot.L)
+    k0l0 = bot.model.intersect(bot.model.canonical_class, bot.L) + l0sq
 
     weighted = genus = linear = 0  # sums of j(a-j) deg, j(j-1) deg, j deg
     contacts: dict[int, int] = {}  # curve -> sum of j (contact) so far

@@ -11,6 +11,7 @@ from delpezzo.lattice import Divisor, DivisorClass, StructuralError, SurfaceMode
 from delpezzo.multiplet import (
     BasicPair,
     InternalConsistencyError,
+    Ladder,
     LadderLevel,
     build_ladder,
     certificate_index_is_a,
@@ -166,6 +167,85 @@ def test_top_minus_one_curve_rejects_an_f1_top_that_meets_sigma_b_times():
     assert certify_ladder(lad, require_fundamental=False).failures == ("top_minus_one_curve",)
     # the bottom checks, which certify_ladder skips once a check has failed
     assert check_basic_pair(lad.bottom_pair).passed
+
+
+def test_top_nef_rejects_every_catalog_ladder_one_level_long():
+    # with b + 1 levels, the top level b + 1 eliminates nothing and
+    # (b + 1) K + L is not nef on top; nothing else fails
+    checked = 0
+    for a in (4, 5, 6, 8):
+        for entry in catalog_entries(a):
+            top = top_model(entry.base_n, entry.c0, entry.fibers)
+            lad = build_ladder(a, *top, _length(a) + 1, entry.configs[0])
+            assert certify_ladder(lad).failures == ("top_nef",), (a, entry.name)
+            assert certify_ladder(lad, require_fundamental=False).failures == ("top_nef",)
+            checked += 1
+    assert checked == 27
+
+
+def test_top_not_minimal_rejects_a_catalog_top_with_one_more_point_blown_up():
+    # a general point away from E, blown up on top: the curve ids stay, so
+    # the same steps descend, and only the top's minimality fails
+    for a in (4, 5):
+        for entry in catalog_entries(a):
+            model, E = top_model(entry.base_n, entry.c0, entry.fibers)
+            model, _ = model.blow_up()
+            lad = build_ladder(a, model, E, _length(a), entry.configs[0])
+            for require in (True, False):
+                report = certify_ladder(lad, require_fundamental=require)
+                assert report.failures == ("top_not_minimal",), (a, entry.name)
+
+
+def _top_failures_by_classes(model, b, L, require_fundamental):
+    """The top tests of ``certify_ladder`` on the classes bK+L and (b+1)K+L."""
+    K = model.canonical_class
+    out = []
+    if not model.nef_on_base(b * K + L):
+        out.append("top_nef")
+    cls = (b + 1) * K + L
+    if require_fundamental and model.nef_on_base(cls):
+        out.append("top_fundamental")
+    if model.n == 1 and model.intersect(cls, model.sigma_class()) < 0:
+        out.append("top_minus_one_curve")
+    return out
+
+
+def test_top_tests_in_integers_match_the_class_route():
+    # a one-level ladder whose top is also its bottom, with L = (p, q) over
+    # a box around the thresholds p' = 0 and q' = n p' of bK+L and of
+    # (b+1)K+L; the top failures are those the classes give, and the
+    # closed nef criterion is that of meeting sigma and the fiber
+    # nonnegatively
+    top_names = {"top_nef", "top_fundamental", "top_minus_one_curve"}
+    checked = collections.Counter()
+    for n in range(7):
+        model = SurfaceModel.hirzebruch(n)
+        sigma, fiber = model.sigma_class(), model.fiber_class()
+        E = Divisor.from_dict({0: 1})
+        for b in range(1, 6):
+            for p in range(2 * b - 1, 2 * b + 6):
+                for q in range((n + 2) * b - 2, (n + 2) * (b + 1) + 5 * n + 3):
+                    L = model.base_class(p, q)
+                    for cls in (b * model.canonical_class + L, (b + 1) * model.canonical_class + L):
+                        nef = model.intersect(cls, sigma) >= 0 and model.intersect(cls, fiber) >= 0
+                        assert model.nef_on_base(cls) == nef
+                    lad = Ladder(b + 1, b, (LadderLevel(0, model, E, L, None, None),))
+                    for require in (True, False):
+                        failures = certify_ladder(lad, require_fundamental=require).failures
+                        got = [f for f in failures if f in top_names]
+                        assert got == _top_failures_by_classes(model, b, L, require), (n, b, p, q)
+                        checked.update(got)
+    assert checked == {"top_nef": 5740, "top_fundamental": 1890, "top_minus_one_curve": 350}
+
+
+def test_top_tests_check_the_shape_of_the_top_class():
+    # B4 eliminates at its top level, so no level check reads the top class
+    lad = _entry_ladder(4, "B4")
+    top = lad.top
+    assert top.i == lad.b
+    bad = dataclasses.replace(top, L=DivisorClass(top.L.base, (0,)))
+    with pytest.raises(StructuralError, match="does not live on this model"):
+        certify_ladder(dataclasses.replace(lad, levels=(bad, *lad.levels[1:])))
 
 
 def test_basic_pair_positivity_value():
