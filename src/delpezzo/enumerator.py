@@ -11,9 +11,10 @@ of h0 and n die by ``length_zero``, ``small_multiple_region``,
 verdict from one rule table, ``_rules`` (``window``,
 ``coefficient_persistence``, ``volume``, ``section_budget``,
 ``sigma_budget``, ``unresolved_sections``).  ``generate_cells`` kills the
-rows h0 >= a + 2 in O(sqrt a) blocks of equal n-cap and sums the other
-rows' verdicts over runs of n and pieces of h, on which they stay the
-same; ``audit`` re-derives them one (n, h0) window at a time.  The cells
+rows h0 >= a + 2 in O(sqrt a) blocks of equal n-cap; on the other rows it
+kills the windows that ``volume`` claims whole as one block and takes the
+few others from the table piece by piece; ``audit`` re-derives every
+verdict one (n, h0) window at a time.  The cells
 with no verdict run a depth-first search over ladder states, one per
 prefix of nonempty eliminations: the empty subscheme changes nothing, so a
 state walks its own levels down in place and pushes a child state for each
@@ -35,7 +36,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from math import isqrt
 
 from .catalog import _partitions, catalog_entries, entry_recipe, top_model
@@ -172,10 +172,14 @@ def _rules(a: int, n: int, h0: int) -> tuple[tuple[str, int, int], ...]:
     outside the search model (``unresolved_sections``).  The two rules that
     need h0 <= a get empty intervals otherwise.
 
-    For fixed (a, h0) every bound is affine in n on each parity class of n
-    (the floor-halves are the only reason for the split), and so are the
-    window ends; ``generate_cells`` sums kills over runs of n on that
-    contract, which ``test_rules_are_affine_in_n_on_each_parity`` enforces.
+    ``generate_cells`` relies on one property of the table: the windows
+    n >= 2 that ``volume`` claims whole are a prefix of n, because for
+    h0 > a the first three entries are empty there and ``volume`` starts at
+    n h0, and for h0 <= a ``coefficient_persistence`` claims the end of
+    every window n >= 1
+    (``test_volume_claims_whole_windows_on_a_prefix_of_each_row``).  Every
+    other window it takes from ``_verdict_pieces``, so no bound needs to be
+    affine in n.
     """
     lo, top = n * h0, (n + 2) * a + 1
     b = h0 // 2
@@ -283,65 +287,6 @@ def _normalization_active(a: int, n: int, h0: int, h: int) -> bool:
     return h0 == 2 * b and h != (n + 2) * b and n >= 2
 
 
-def _lines(a: int, n: int, h0: int) -> tuple[int, ...]:
-    """The window ends n h0 and (n + 2) a, then every bound of ``_rules``."""
-    return (n * h0, (n + 2) * a, *(x for _, lo, hi in _rules(a, n, h0) for x in (lo, hi)))
-
-
-def _row_pieces(a: int, h0: int, n_lo: int, n_hi: int):
-    """Yield (n, h, verdict, count) covering the windows n_lo <= n <= n_hi
-    of row h0: ``count`` cells with that verdict, the first at (n, h).
-
-    On each parity class n = n0 + 2j the lines of ``_lines`` are affine in j.
-    The class is cut into runs of j where two distinct lines cross, at the
-    first j on or past the crossing and at the first j past it.  On a run
-    the order of the lines, ties included, is fixed, so each verdict's count
-    per window is affine in j and sums to (first + last) * length / 2; it is
-    yielded at the run's first n and first h.  Either cut alone gives the
-    same output under today's ``_rules``; the proof needs both.  A run with
-    open cells yields every window of it.  A run of more than one window
-    whose far end leaves the lines raises ``InternalConsistencyError``
-    instead of miscounting.
-    """
-
-    def tally(pieces):
-        out = {}
-        for start, stop, verdict in pieces:
-            h, count = out.get(verdict, (start, 0))
-            out[verdict] = h, count + stop - start
-        return out
-
-    for n0 in (n_lo, n_lo + 1):
-        last = (n_hi - n0) // 2
-        if last < 0:
-            continue
-        base = _lines(a, n0, h0)
-        step = [y - x for x, y in zip(base, _lines(a, n0 + 2, h0))]
-        starts = {0}
-        for (b1, s1), (b2, s2) in combinations(set(zip(base, step)), 2):
-            if s1 != s2:
-                q, r = divmod(b2 - b1, s1 - s2)  # they meet at j = q + r / (s1 - s2)
-                starts.update((q + (r != 0), q + 1))
-        starts = sorted(j for j in starts if 0 <= j <= last)
-        for j0, stop in zip(starts, [*starts[1:], last + 1]):
-            j1 = stop - 1
-            if j1 > j0 and _lines(a, n0 + 2 * j1, h0) != tuple(x + s * j1 for x, s in zip(base, step)):
-                raise InternalConsistencyError(
-                    f"the bounds of _rules are not affine in n on row h0={h0} "
-                    f"(a={a}, n={n0 + 2 * j1})"
-                )
-            first = list(_verdict_pieces(a, n0 + 2 * j0, h0))
-            if any(verdict is None for *_, verdict in first):
-                for j in range(j0, stop):
-                    pieces = _verdict_pieces(a, n0 + 2 * j, h0) if j > j0 else first
-                    yield from ((n0 + 2 * j, start, v, end - start) for start, end, v in pieces)
-                continue
-            near = tally(first)
-            far = tally(_verdict_pieces(a, n0 + 2 * j1, h0)) if j1 > j0 else near
-            for verdict, (h, count) in near.items():
-                yield n0 + 2 * j0, h, verdict, (count + far[verdict][1]) * (stop - j0) // 2
-
-
 def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
     """Cells surviving the closed-form predicates, plus kill statistics.
 
@@ -351,10 +296,12 @@ def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
     affine in h0 and grows with n, so if p6 holds at the cap on a block's
     two end rows it kills the whole block.  Every other row is walked on
     its own (from a = 5 on, only h0 = a + 1, where p6 never holds): p6
-    holds on a prefix of n, found by a forward scan, and the rest is summed
-    over runs of n and pieces of h (``_row_pieces``), with h one by one
-    only where the verdict is None.  Cells, kill counts and the order in
-    which kill reasons first appear are those of a per-h sweep.
+    holds on a prefix of n, found by a forward scan, and from n = 2 on the
+    windows that ``volume`` claims whole are one block, found by walking
+    down from the n-cap.  The few windows outside both are taken piece by
+    piece from ``_verdict_pieces``, with h one by one only where the
+    verdict is None.  Cells, kill counts and the order in which kill
+    reasons first appear are those of a per-h sweep.
     """
     killed: dict[str, int] = {}
     cells = []
@@ -362,16 +309,41 @@ def generate_cells(a: int) -> tuple[list[SearchCell], dict[str, int]]:
     def kill(reason: str, count: int) -> None:
         killed[reason] = killed.get(reason, 0) + count
 
+    def emit(n: int, h0: int, pieces) -> None:
+        for start, stop, reason in pieces:
+            if reason:
+                kill(reason, stop - start)
+            else:
+                cells.extend(SearchCell(a, n, h0, h) for h in range(start, stop))
+
     def row(h0: int, n_hi: int) -> None:
         # p6 holds on a prefix n < n_lo of the row: its left side grows with n
         n_lo = next((n for n in range(n_hi + 1) if not p6_large_multiple_kill(a, n, h0)), n_hi + 1)
         if n_lo:
             kill("large_multiple_volume", n_lo)
-        for n, h, reason, count in sorted(_row_pieces(a, h0, n_lo, n_hi), key=lambda p: p[:2]):
-            if reason:
-                kill(reason, count)
-            else:
-                cells.extend(SearchCell(a, n, h0, h + k) for k in range(count))
+        # For h0 > a and n >= 2 both window rules end at or below n h0 and
+        # coefficient_persistence is empty, so volume is the first rule and
+        # starts at the window's start n h0.  Each step of n raises volume's
+        # end -(c0 // 2) by at most ceil(h0 / 2) <= a and the window's end
+        # (n + 2) a + 1 by exactly a, so the windows that volume claims whole
+        # are a prefix n_vol..top of n >= 2, killed as one block.  For
+        # h0 <= a coefficient_persistence claims the end of every window
+        # n >= 1, so no window is one volume piece and the walk down takes
+        # the whole row.
+        n_vol = max(n_lo, 2)
+        for n in range(n_lo, n_vol):
+            emit(n, h0, _verdict_pieces(a, n, h0))
+        top, tail = n_hi, []
+        while top >= n_vol:
+            pieces = _verdict_pieces(a, top, h0)
+            if pieces == [(top * h0, (top + 2) * a + 1, "volume")]:
+                break
+            tail.append(pieces)
+            top -= 1
+        if top >= n_vol:  # each window n holds n (a - h0) + 2a + 1 cells
+            kill("volume", (top - n_vol + 1) * ((n_vol + top) * (a - h0) + 4 * a + 2) // 2)
+        for n in range(top + 1, n_hi + 1):
+            emit(n, h0, tail.pop())
 
     region_killed = p5_region_killed(a)
     if not region_killed:
@@ -907,8 +879,8 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     the catalog (catalog configurations the sweep does not reach are no
     fault).  The sweep stays one (n, h0) window at a time on purpose: it is
     the independent route, which takes every window's verdicts from
-    ``_verdict_pieces`` without the row blocks, the runs of n and the p6
-    prefix that ``generate_cells`` relies on.  A sweep that
+    ``_verdict_pieces`` without the row blocks, the ``volume`` block and
+    the p6 prefix that ``generate_cells`` relies on.  A sweep that
     ``check_audit_sweep`` refuses, such as one of more than
     ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), raises ``ValueError``
     before it starts.

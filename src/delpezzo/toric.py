@@ -215,8 +215,7 @@ def gorenstein_index(fan: Fan2D) -> int:
         # Solve m . v = -1, m . w = -1 by Cramer's rule.
         mx = Fraction(-w[1] + v[1], d)
         my = Fraction(-v[0] + w[0], d)
-        q = (mx.denominator * my.denominator) // math.gcd(mx.denominator, my.denominator)
-        result = result * q // math.gcd(result, q)
+        result = math.lcm(result, mx.denominator, my.denominator)
     return result
 
 

@@ -200,9 +200,9 @@ def test_cell_verdict_is_constant_between_breakpoints():
 
 
 def test_rules_are_affine_in_n_on_each_parity():
-    # generate_cells sums kills over runs of n on each parity class: the
-    # window ends and every bound of _rules need zero second difference at
-    # step 2 in n
+    # generate_cells does not rely on this, but a closed-form count of the
+    # kills for all a would: the window ends and every bound of _rules have
+    # zero second difference at step 2 in n
     def lines(a, n, h0):
         bounds = (x for _, lo, hi in enumerator._rules(a, n, h0) for x in (lo, hi))
         return (n * h0, (n + 2) * a, *bounds)
@@ -233,9 +233,32 @@ def test_large_multiple_kill_holds_on_a_prefix_of_each_row():
             assert kills == sorted(kills, reverse=True), (a, h0)
 
 
-def test_generate_cells_refuses_a_rule_that_is_not_affine(monkeypatch):
-    # a run's kills are summed from its two ends, so a bound that leaves its
-    # line inside a run must fail loudly instead of miscounting
+def test_volume_claims_whole_windows_on_a_prefix_of_each_row():
+    # generate_cells kills the windows n >= 2 that volume claims whole as one
+    # block and finds its end by walking down from the n-cap: on the rows
+    # h0 > a rules 1-3 are empty there, volume starts at n h0, and the
+    # windows it claims whole come first in n
+    for a in [*range(2, 65), 512]:
+        for h0 in range(a + 1, 2 * a):
+            whole = []
+            for n in range(2, p7_degree_cap(a, h0) + 1):
+                rules = enumerator._rules(a, n, h0)
+                lo, top = n * h0, (n + 2) * a + 1
+                assert all(max(r_lo, lo) >= min(r_hi, top) for _, r_lo, r_hi in rules[:3]), (a, n, h0)
+                assert rules[3][:2] == ("volume", lo), (a, n, h0)
+                whole.append(_verdict_pieces(a, n, h0) == [(lo, top, "volume")])
+            assert whole == sorted(whole, reverse=True), (a, h0)
+    # on the rows h0 <= a, which only a = 2 walks, coefficient_persistence
+    # claims the end of every window n >= 1: none is one volume piece
+    for a in range(2, 13):
+        for h0 in range(1, a + 1):
+            for n in range(1, 2 * a + 1):
+                assert _verdict_pieces(a, n, h0)[-1][2] == "coefficient_persistence", (a, n, h0)
+
+
+def test_generate_cells_needs_no_affine_rule(monkeypatch):
+    # a bound that is not affine in n changes no count: generate_cells takes
+    # every window it does not kill whole from _verdict_pieces
     rules = enumerator._rules
 
     def bent(a, n, h0):
@@ -243,8 +266,11 @@ def test_generate_cells_refuses_a_rule_that_is_not_affine(monkeypatch):
         return (*head, (name, lo, hi + n * n))
 
     monkeypatch.setattr(enumerator, "_rules", bent)
-    with pytest.raises(InternalConsistencyError, match="not affine in n"):
-        generate_cells(16)
+    for a in (5, 16):
+        cells, killed = generate_cells(a)
+        ref_cells, ref_killed = _cells_per_h(a)
+        assert cells == ref_cells
+        assert list(killed.items()) == list(ref_killed.items())
 
 
 @pytest.mark.parametrize("a", [*range(2, 65), 127, 129, 255, 256, 257, 384, 512])
@@ -297,6 +323,18 @@ def test_generate_cells_makes_o_sqrt_a_p6_calls(monkeypatch, a):
     monkeypatch.setattr(enumerator, "p6_large_multiple_kill", lambda *args: calls.append(args) or p6(*args))
     generate_cells(a)
     assert len(calls) <= 6 * isqrt(a)
+
+
+@pytest.mark.parametrize("a", [8, 512, 4096, 65536])
+def test_generate_cells_reads_a_fixed_handful_of_windows(monkeypatch, a):
+    # from a = 5 on only the row h0 = a + 1 is walked: the windows n = 0 and 1,
+    # the top windows that volume does not claim whole (five from a = 8 on)
+    # and the first one it does, not one window per n
+    calls = []
+    pieces = enumerator._verdict_pieces
+    monkeypatch.setattr(enumerator, "_verdict_pieces", lambda *args: calls.append(args) or pieces(*args))
+    generate_cells(a)
+    assert len(calls) <= 8
 
 
 def test_level_below_is_where_the_level_walk_stops():

@@ -11,10 +11,13 @@ The cell stage (``cell_mutants``):
   interval (a piece's start and its stop) moved by +1 and by -1, the None
   pieces of the unclaimed remainder dropped, and the empty-window return,
   the skip of empty rules and the early stop deleted;
-- each of the two cuts ``_row_pieces`` makes per line crossing dropped;
 - a block's ``last`` row in ``generate_cells`` moved by +1 and by -1;
 - a row's p6 prefix ``n_lo`` moved by +1 and by -1;
-- the block loop started at k = 2, which skips the row h0 = a + 1.
+- the block loop started at k = 2, which skips the row h0 = a + 1;
+- in a row's walk, the 2 of the ``volume`` block's first window
+  ``n_vol = max(n_lo, 2)``, the block sum's ``4 * a + 2`` and
+  ``n_vol + top``, and the start of the loop over the windows above the
+  block, each moved by +1 and by -1.
 
 The search stage (``search_mutants``):
 
@@ -72,11 +75,13 @@ CELL_TESTS = (
     "test_rules_are_affine_in_n_on_each_parity",
     "test_large_multiple_kill_is_monotone_in_h0_at_fixed_n",
     "test_large_multiple_kill_holds_on_a_prefix_of_each_row",
-    "test_generate_cells_refuses_a_rule_that_is_not_affine",
+    "test_volume_claims_whole_windows_on_a_prefix_of_each_row",
+    "test_generate_cells_needs_no_affine_rule",
     "test_generate_cells_matches_the_per_h_sweep",
     "test_a_block_killed_at_one_end_only_is_walked_row_by_row",
     "test_large_multiple_volume_is_a_floor_sum",
     "test_generate_cells_makes_o_sqrt_a_p6_calls",
+    "test_generate_cells_reads_a_fixed_handful_of_windows",
     "test_cells_deterministic",
     "test_classify_four_exact",
     "test_classify_low_index_reports_are_byte_stable",
@@ -114,7 +119,6 @@ _SAVES_WORK = "it only saves work: a rule that meets no free interval leaves the
 CELL_EQUIVALENT = {
     "_rules: entry 1 (window) lo -1": _BELOW,
     "_rules: entry 2 (window) lo -1": _BELOW,
-    "_rules: entry 4 (volume) lo -1": _BELOW,
     "_rules: entry 5 (section_budget) lo -1": _BELOW,
     "_rules: entry 6 (sigma_budget) lo -1": _BELOW,
     "_rules: entry 3 (coefficient_persistence) hi +1": "(n + 2) a + 1 is past the window's end already",
@@ -123,8 +127,6 @@ CELL_EQUIVALENT = {
     ),
     "_verdict_pieces: delete the skip of empty rules": _SAVES_WORK,
     "_verdict_pieces: delete the early stop": _SAVES_WORK,
-    "_row_pieces: drop cut 1 of 2": "the other cut alone gives the same runs under today's _rules",
-    "_row_pieces: drop cut 2 of 2": "the other cut alone gives the same runs under today's _rules",
 }
 
 SEARCH_EQUIVALENT = {
@@ -215,21 +217,25 @@ def cell_mutants(source: str) -> list[Mutant]:
         (node,) = [n for n in ifs if isinstance(n.body[0], kind)]
         t.out.append(Mutant(f"_verdict_pieces: delete {what}", node, "pass"))
 
-    cuts = next(
-        n.args[0]
-        for n in ast.walk(_function(t.tree, "_row_pieces"))
-        if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "update"
-    )
-    for pos, kept in ((1, cuts.elts[1]), (2, cuts.elts[0])):
-        t.out.append(Mutant(f"_row_pieces: drop cut {pos} of 2", cuts, f"({t.seg(kept)},)"))
-
     cells = _function(t.tree, "generate_cells")
     (last,) = _assigned(cells, "last")
     t.shift("generate_cells: block end last", last)
-    (n_lo,) = _assigned(_function(cells, "row"), "n_lo")
+    row = _function(cells, "row")
+    (n_lo,) = _assigned(row, "n_lo")
     t.shift("generate_cells: row's p6 prefix n_lo", n_lo)
     (k_start,) = [v for v in _assigned(cells, "k") if isinstance(v, ast.Constant)]
     t.out.append(Mutant("generate_cells: blocks start at k = 2", k_start, "2"))
+
+    (n_vol,) = _assigned(row, "n_vol")
+    t.shift("generate_cells: n_vol's 2", n_vol.args[1])
+    (block,) = [c.args[1] for c in _calls(row, "kill") if getattr(c.args[0], "value", None) == "volume"]
+    sums = [n for n in ast.walk(block) if isinstance(n, ast.BinOp)]
+    (size,) = [n for n in sums if t.seg(n).endswith("4 * a + 2")]  # (... + 4 * a) + 2
+    t.shift("generate_cells: the volume block sum's 4 * a + 2", size.right)
+    (ends,) = [n for n in sums if t.seg(n) == "n_vol + top"]
+    t.shift("generate_cells: the volume block sum's n_vol + top", ends)
+    (upper,) = [c for c in _calls(row, "range") if t.seg(c.args[0]) == "top + 1"]
+    t.shift("generate_cells: start of the windows above the volume block", upper.args[0])
     return t.out
 
 
