@@ -10,7 +10,7 @@ written, 3 on a ``SearchExplosion``, ``InternalConsistencyError`` or
 errors 2 and 3 go to stderr, as JSON under --json, and keep their exit
 code when stderr's reader has closed it.  ``audit`` refuses, as a flag
 error, a sweep of more than ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0),
-which would take about 5 s or more.  ``classify`` refuses, as a flag
+which would take about 4.5 s or more.  ``classify`` refuses, as a flag
 error, an index above ``CLASSIFY_INDEX_CAP`` (2^18 = 262,144), where it
 takes about 0.2 s and 30 MB, and 2 s and 75 MB with --json.
 Volumes are always printed as exact fractions.
@@ -24,7 +24,8 @@ import os
 import sys
 
 from .catalog import TYPE_NAMES, build_entry_ladder, entries_for_type
-from .enumerator import SearchExplosion, audit, canonical_form, check_audit_sweep, classify
+from .enumerator import SearchExplosion, audit, canonical_form, check_audit_sweep, check_classify_index, classify
+from .enumerator import CLASSIFY_INDEX_CAP  # not used here; named in the docstring and tests
 from .graphs import CanonicalizationError
 from .multiplet import (
     InternalConsistencyError,
@@ -40,15 +41,6 @@ from .toric import (
     hj_resolve,
     family_fan,
 )
-
-
-# Every level without a step shares one empty delta list, but the JSON text
-# still has b (about a / 2) delta entries for each of the twelve survivors,
-# so --json time and memory grow with a: measured cold on one core (Python
-# 3.11), 2 s and 75 MB at the cap, against 0.2 s and 30 MB without --json.
-# A sparse JSON record, which lists only the nonempty levels, would let the
-# cap rise.
-CLASSIFY_INDEX_CAP = 1 << 18
 
 
 class FlagError(Exception):
@@ -75,8 +67,10 @@ def _to_devnull(stream) -> None:
 
 
 def _cmd_classify(args) -> int:
-    if args.a > CLASSIFY_INDEX_CAP:
-        raise FlagError(f"classify takes an index of at most {CLASSIFY_INDEX_CAP}")
+    try:
+        check_classify_index(args.a)
+    except ValueError as exc:
+        raise FlagError(str(exc)) from None
     report = classify(args.a)
     sys.stdout.write(report.to_text())
     if args.json:

@@ -60,12 +60,22 @@ from .elimination import eliminate
 from .multiplet import build_ladder
 
 _CONFIG_CAP = 2_000_000
-# Attempts per ``random_pseudo_fundamental_ladders`` call before it returns
-# what it has; 1000 ladders take about 3000.
+# Attempts (turns of the draw loop) per ``random_pseudo_fundamental_ladders``
+# call before it returns what it has; 1000 ladders take 4,136-4,526 on seeds
+# 0, 1, 2 and 4242, of which 2,788-3,042 get past ``cell_verdict``.
 _FUZZ_ATTEMPT_CAP = 200_000
-# At 1.3-2.0 us per (n, h0) window (a = 4..512; Python 3.11, one core of a
-# 2-core x86-64 host), a sweep at the cap takes 5.5-8.5 s.
+# A sweep at the cap takes 4.5-5.3 s, 1.1-1.3 us per (n, h0) window of the
+# sweep (a = 4, 28 and 512; Python 3.11, one core of a 2-core x86-64 host),
+# of which it reads little more than half: the rows h0 <= a whole, the rest
+# up to their first empty window.
 AUDIT_WINDOW_CAP = 1 << 22
+# Every level without a step shares one empty delta list, but the JSON text
+# still has b (about a / 2) delta entries for each of the twelve survivors,
+# so JSON time and memory grow with a: measured cold on one core (Python
+# 3.11), 2 s and 75 MB at the cap, against 0.2 s and 30 MB for the text
+# report.  A sparse JSON record, which lists only the nonempty levels, would
+# let the cap rise.
+CLASSIFY_INDEX_CAP = 1 << 18
 
 
 class SearchExplosion(RuntimeError):
@@ -242,7 +252,11 @@ def _verdict_pieces(a: int, n: int, h0: int) -> list[tuple[int, int, str | None]
         free = left
         if not free:
             break
-    pieces += [(start, stop, None) for start, stop in free]
+    # A plain loop, not a comprehension: on Python 3.11 each evaluation of a
+    # comprehension builds a function object and a frame, and ``free`` is
+    # empty in nearly every window that audit reads.
+    for start, stop in free:
+        pieces.append((start, stop, None))
     pieces.sort()  # the pieces are disjoint, so no two starts tie
     return pieces
 
@@ -764,11 +778,21 @@ def _search_and_tag(a: int, cells: list[SearchCell], entries: list):
     return outcomes, survivors, missing
 
 
-def classify(a: int) -> ClassificationReport:
-    """Enumerate all index-a surfaces of volume at least 2a and compare the
-    survivors against the built-in catalog."""
+def check_classify_index(a: int) -> None:
+    """Raise ``ValueError`` for an index below 2 or above
+    ``CLASSIFY_INDEX_CAP`` (2^18)."""
     if a < 2:
         raise ValueError("classification starts at index 2")
+    if a > CLASSIFY_INDEX_CAP:
+        raise ValueError(f"classify takes an index of at most {CLASSIFY_INDEX_CAP}")
+
+
+def classify(a: int) -> ClassificationReport:
+    """Enumerate all index-a surfaces of volume at least 2a and compare the
+    survivors against the built-in catalog.  An index that
+    ``check_classify_index`` refuses raises ``ValueError`` before the
+    search starts."""
+    check_classify_index(a)
     warnings = []
     if a < 4:
         warnings.append(
@@ -880,7 +904,11 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     fault).  The sweep stays one (n, h0) window at a time on purpose: it is
     the independent route, which takes every window's verdicts from
     ``_verdict_pieces`` without the row blocks, the ``volume`` block and
-    the p6 prefix that ``generate_cells`` relies on.  A sweep that
+    the p6 prefix that ``generate_cells`` relies on.  Each row h0 > a ends
+    at its first empty window: n h0 <= h <= (n + 2) a is empty exactly
+    when n (h0 - a) > 2a, which then holds for every larger n, and a row
+    h0 <= a has no empty window.  Empty windows hold no cell, so stopping
+    there changes no count.  A sweep that
     ``check_audit_sweep`` refuses, such as one of more than
     ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), raises ``ValueError``
     before it starts.
@@ -895,7 +923,12 @@ def audit(a: int, n_max: int, h0: int | None = None) -> AuditReport:
     for h0v in h0_values:
         b = p4_length(h0v)
         for n in range(0, n_max + 1):
-            for start, stop, reason in _verdict_pieces(a, n, h0v):
+            pieces = _verdict_pieces(a, n, h0v)
+            if not pieces:
+                # n h0 <= h <= (n + 2) a is empty exactly when n (h0 - a) > 2a:
+                # never for h0 <= a, and for h0 > a for every larger n too
+                break
+            for start, stop, reason in pieces:
                 swept += stop - start
                 if b < 1:
                     reason = "length_zero"
@@ -969,7 +1002,8 @@ def random_pseudo_fundamental_ladders(seed: int, count: int):
     builds a ``Subscheme`` for the drawn one only.  Used by the identity
     test suite.
 
-    Draws repeat: 1000 ladders take about 3000 attempts on about 500
+    Draws repeat: 1000 ladders take about 4,400 attempts (turns of the
+    loop), about 3,000 of which get past ``cell_verdict``, on about 500
     distinct tops.  So the draw paths form a trie, built once per call, with
     integer node ids: a top (a, n, c0, parts), then one node per nonempty
     elimination.  Its draw lists, descents and closed ladders are built and

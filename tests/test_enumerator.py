@@ -256,6 +256,20 @@ def test_volume_claims_whole_windows_on_a_prefix_of_each_row():
                 assert _verdict_pieces(a, n, h0)[-1][2] == "coefficient_persistence", (a, n, h0)
 
 
+def test_empty_windows_are_the_tail_of_each_row():
+    # audit ends a row at its first empty window: n h0 <= h <= (n + 2) a is
+    # empty exactly when n (h0 - a) > 2a, past the n-cap for h0 > a and
+    # never for h0 <= a
+    for a in [*range(2, 65), 512]:
+        for h0 in range(a + 1, 2 * a):
+            cap = p7_degree_cap(a, h0)
+            for n in range(cap + 4):
+                assert (_verdict_pieces(a, n, h0) == []) == (n > cap), (a, n, h0)
+        for h0 in range(1, a + 1):
+            for n in range(3 * a + 1):
+                assert _verdict_pieces(a, n, h0), (a, n, h0)
+
+
 def test_generate_cells_needs_no_affine_rule(monkeypatch):
     # a bound that is not affine in n changes no count: generate_cells takes
     # every window it does not kill whole from _verdict_pieces
@@ -406,6 +420,19 @@ def test_canonical_key_is_relabeling_invariant():
             {(perm.index(i), perm.index(j)) for i, j in edges},
         )
         assert canonical_key(g) == canonical_key(g2)
+
+
+def test_classify_refuses_an_index_over_the_cap_before_it_starts(monkeypatch):
+    # the library refuses what the command line refuses, before any cell is made
+    def unreachable(a):
+        raise AssertionError("generate_cells ran")
+
+    monkeypatch.setattr(enumerator, "generate_cells", unreachable)
+    message = f"classify takes an index of at most {enumerator.CLASSIFY_INDEX_CAP}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        classify(enumerator.CLASSIFY_INDEX_CAP + 1)
+    with pytest.raises(ValueError, match="starts at index 2"):
+        classify(1)
 
 
 def test_classify_four_exact():
@@ -1458,6 +1485,22 @@ def test_audit_rejects_sweeps_over_the_window_cap(monkeypatch):
         audit(4, 2)
     with pytest.raises(ValueError, match="the sweep has 15 "):
         audit(4, 14, h0=5)
+
+
+@pytest.mark.parametrize(
+    "a, n_max, h0, windows", [(4, 20, None, 104), (12, 60, None, 824), (12, 60, 13, 26), (28, 112, None, 3427)]
+)
+def test_audit_reads_one_empty_window_per_row(monkeypatch, a, n_max, h0, windows):
+    # every row h0 <= a is read whole; a row h0 > a stops after its first
+    # empty window, n = 2a // (h0 - a) + 1, not at n_max
+    calls = []
+    pieces = enumerator._verdict_pieces
+    monkeypatch.setattr(enumerator, "_verdict_pieces", lambda *args: calls.append(args) or pieces(*args))
+    audit(a, n_max, h0)
+    rows = range(1, 2 * a) if h0 is None else [h0]
+    assert len(calls) == windows == sum(
+        n_max + 1 if r <= a else min(n_max + 1, 2 * a // (r - a) + 2) for r in rows
+    )
 
 
 def _audit_per_h(a, n_max, h0=None):

@@ -17,7 +17,9 @@ The cell stage (``cell_mutants``):
 - in a row's walk, the 2 of the ``volume`` block's first window
   ``n_vol = max(n_lo, 2)``, the block sum's ``4 * a + 2`` and
   ``n_vol + top``, and the start of the loop over the windows above the
-  block, each moved by +1 and by -1.
+  block, each moved by +1 and by -1;
+- in ``audit``, the stop at a row's first empty window deleted, and
+  turned into a stop at its first nonempty window.
 
 The search stage (``search_mutants``):
 
@@ -82,6 +84,8 @@ CELL_TESTS = (
     "test_large_multiple_volume_is_a_floor_sum",
     "test_generate_cells_makes_o_sqrt_a_p6_calls",
     "test_generate_cells_reads_a_fixed_handful_of_windows",
+    "test_empty_windows_are_the_tail_of_each_row",
+    "test_audit_reads_one_empty_window_per_row",
     "test_cells_deterministic",
     "test_classify_four_exact",
     "test_classify_low_index_reports_are_byte_stable",
@@ -209,7 +213,7 @@ def cell_mutants(source: str) -> list[Mutant]:
     (stop,) = _assigned(pieces, "e")
     t.shift("_verdict_pieces: clamp of a piece's start", start)
     t.shift("_verdict_pieces: clamp of a piece's stop", stop)
-    (rest,) = [n for n in _own_nodes(pieces) if isinstance(n, ast.AugAssign)]
+    (rest,) = [n for n in pieces.body if isinstance(n, ast.For) and getattr(n.iter, "id", None) == "free"]
     t.out.append(Mutant("_verdict_pieces: drop the None pieces", rest, "pass"))
     ifs = [n for n in _own_nodes(pieces) if isinstance(n, ast.If)]
     for what, kind in (("the empty-window return", ast.Return), ("the skip of empty rules", ast.Continue),
@@ -236,6 +240,11 @@ def cell_mutants(source: str) -> list[Mutant]:
     t.shift("generate_cells: the volume block sum's n_vol + top", ends)
     (upper,) = [c for c in _calls(row, "range") if t.seg(c.args[0]) == "top + 1"]
     t.shift("generate_cells: start of the windows above the volume block", upper.args[0])
+
+    sweep = _function(t.tree, "audit")
+    (stop,) = [n for n in _own_nodes(sweep) if isinstance(n, ast.If) and isinstance(n.body[0], ast.Break)]
+    t.out.append(Mutant("audit: delete the stop at a row's first empty window", stop, "pass"))
+    t.out.append(Mutant("audit: stop at a row's first nonempty window", stop.test, "pieces"))
     return t.out
 
 
