@@ -8,11 +8,15 @@ configuration), 2 on flag errors and on an output file that cannot be
 written, 3 on a ``SearchExplosion``, ``InternalConsistencyError`` or
 ``CanonicalizationError``, 141 when the reader of stdout closes it early;
 errors 2 and 3 go to stderr, as JSON under --json, and keep their exit
-code when stderr's reader has closed it.  ``audit`` refuses, as a flag
-error, a sweep of more than ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0),
-which would take about 4.5 s or more.  ``classify`` refuses, as a flag
-error, an index above ``CLASSIFY_INDEX_CAP`` (2^18 = 262,144), where it
-takes about 0.2 s and 30 MB, and 2 s and 75 MB with --json.
+code when stderr's reader has closed it.  ``classify`` and ``verify-type``
+certify a surface with ``certify_survivor``: ``verify-type`` exits 1 when
+a check fails, and ``classify`` exits 3 on a survivor that passes the
+ladder certificate, the volume and the index but fails a later check.
+``audit`` refuses, as a flag error, a sweep of more than
+``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), which would take about 4.5 s
+or more.  ``classify`` refuses, as a flag error, an index above
+``CLASSIFY_INDEX_CAP`` (2^18 = 262,144), where it takes about 0.2 s and
+30 MB, and 2 s and 75 MB with --json.
 Volumes are always printed as exact fractions.
 """
 
@@ -25,15 +29,8 @@ import sys
 
 from .catalog import TYPE_NAMES, build_entry_ladder, entries_for_type
 from .enumerator import SearchExplosion, audit, canonical_form, check_audit_sweep, check_classify_index, classify
-from .enumerator import CLASSIFY_INDEX_CAP  # not used here; named in the docstring and tests
 from .graphs import CanonicalizationError
-from .multiplet import (
-    InternalConsistencyError,
-    certificate_index_is_a,
-    certify_ladder,
-    identities_check,
-    local_lemma_checks,
-)
+from .multiplet import InternalConsistencyError, certify_survivor
 from .toric import (
     _FAMILIES,
     anticanonical_square,
@@ -87,38 +84,33 @@ def _type_entries(args):
         raise FlagError(f"type {args.type} does not exist at index {args.a}") from None
 
 
+def _status(checks: dict[str, tuple[str, ...]], name: str, passed: object = "pass") -> str:
+    """One check of ``certify_survivor`` on a ``verify-type`` line: ``passed``,
+    FAIL with its failures, or ``not run`` after an earlier check failed."""
+    if name not in checks:
+        return "not run"
+    return "FAIL " + "; ".join(checks[name]) if checks[name] else str(passed)
+
+
 def _cmd_verify_type(args) -> int:
     entries = _type_entries(args)
     all_ok = True
     for entry in entries:
         for idx in range(len(entry.configs)):
             ladder = build_entry_ladder(entry, args.a, idx)
-            report = certify_ladder(ladder)
-            vol = ladder.volume
             pair = ladder.bottom_pair
-            idx_val = pair.index
-            lemma_violations = local_lemma_checks(ladder)
-            idents = identities_check(ladder)
-            index_certificate = certificate_index_is_a(pair)
-            ok = (
-                report.passed
-                and idents
-                and not lemma_violations
-                and vol == entry.volume
-                and idx_val == args.a
-                and index_certificate
-            )
-            all_ok = all_ok and ok
+            checks = certify_survivor(ladder)
+            # the catalog volume is a check of the catalog, not a certificate
+            all_ok = all_ok and not any(checks.values()) and ladder.volume == entry.volume
+            vol = ladder.volume if "volume" in checks else None  # can raise on a failed ladder
             print(f"{entry.name} configuration {idx + 1}/{len(entry.configs)}")
-            print(f"  volume {vol}  index {idx_val}")
-            print(f"  certificates: {'pass' if report.passed else 'FAIL ' + ','.join(report.failures)}")
-            print(f"  identities: {'pass' if idents else 'FAIL'}")
-            print(f"  index certificate: {'pass' if index_certificate else 'FAIL'}")
-            if lemma_violations:
-                for v in lemma_violations:
-                    print(f"  local check FAIL: {v}")
-            else:
-                print("  local checks: pass")
+            print(f"  volume {_status(checks, 'volume', vol)}  index {_status(checks, 'index', pair.index)}")
+            print(f"  certificates: {_status(checks, 'ladder')}")
+            print(f"  identities: {_status(checks, 'identities')}")
+            if checks.get("degrees"):  # a line only on failure, so passing text keeps its bytes
+                print(f"  degrees: {_status(checks, 'degrees')}")
+            print(f"  index certificate: {_status(checks, 'index_certificate')}")
+            print(f"  local checks: {_status(checks, 'local')}")
             print(f"  canonical key: {canonical_form(pair)}")
     return 0 if all_ok else 1
 

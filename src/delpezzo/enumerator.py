@@ -19,10 +19,14 @@ with no verdict run a depth-first search over ladder states, one per
 prefix of nonempty eliminations: the empty subscheme changes nothing, so a
 state walks its own levels down in place and pushes a child state for each
 nonempty subscheme of each level, drawn against one degree allowance.
-Every configuration that reaches the bottom is certified from scratch:
-effectivity and nefness down the ladder, the basic-pair conditions, exact
-volume, exact Gorenstein index, and the intersection identities on an
-independent code path.
+Every configuration that reaches the bottom is certified from scratch by
+the seven checks of ``certify_survivor``.  A candidate that fails one of the
+first three is rejected: the ladder certificate (effectivity and nefness
+down the ladder, the basic-pair conditions), exact volume at least 2a,
+exact Gorenstein index a.  One that passes them and fails a later check
+raises ``InternalConsistencyError``: the intersection identities on an
+independent code path, L0 nonnegative on every tracked curve, the index
+certificate and the local checks.
 
 Candidates are deduplicated by a canonical form: the weighted dual graph of
 the contracted configuration together with (a, volume, index).  Isomorphic
@@ -47,11 +51,10 @@ from .multiplet import (
     InternalConsistencyError,
     Ladder,
     LadderLevel,
-    certificate_index_is_a,
     certify_ladder,
+    certify_survivor,
     close_ladder,
     descend_step,
-    identities_check,
     ladder_json,
 )
 
@@ -577,6 +580,18 @@ def _budgets(model: SurfaceModel, E: Divisor, L: DivisorClass) -> tuple[int, dic
     return be, budgets
 
 
+# The keys of a survivor's ``certificates`` record, each with the check of
+# ``certify_survivor`` that vouches for it.
+_CERTIFICATE_KEYS = {
+    "ladder": "ladder",
+    "basic_pair": "ladder",
+    "identities": "identities",
+    "volume_at_least_2a": "volume",
+    "index_is_a": "index",
+    "index_certificate": "index_certificate",
+}
+
+
 def search_cell(cell: SearchCell) -> CellOutcome:
     """Exhaust the subscheme configurations of one cell.
 
@@ -600,30 +615,15 @@ def search_cell(cell: SearchCell) -> CellOutcome:
 
     def finish(ladder: Ladder) -> None:
         out.candidates += 1
-        report = certify_ladder(ladder)
-        if not report.passed:
-            reject("certificates:" + ",".join(report.failures))
-            return
-        if ladder.volume < 2 * a:
-            reject("volume")
+        checks = certify_survivor(ladder)
+        check, failures = next(reversed(checks.items()))
+        if failures:
+            if check not in ("ladder", "volume", "index"):
+                raise InternalConsistencyError("; ".join(failures) + " on a survivor")
+            reject("certificates:" + ",".join(failures) if check == "ladder" else check)
             return
         pair = ladder.bottom_pair
-        if pair.index != a:
-            reject("index")
-            return
-        if not identities_check(ladder):
-            raise InternalConsistencyError("identity re-verification failed on a survivor")
-        if any(d < 0 for d in pair.degrees):
-            raise InternalConsistencyError("fundamental class negative on a tracked curve")
-        index_certificate = certificate_index_is_a(pair)
-        certificates = {
-            "ladder": True,
-            "basic_pair": True,
-            "identities": True,
-            "volume_at_least_2a": True,
-            "index_is_a": True,
-            "index_certificate": index_certificate,
-        }
+        certificates = {key: not checks[name] for key, name in _CERTIFICATE_KEYS.items()}
         record = ladder_json(ladder, certificates)
         key = canonical_form(pair)
         out.known[n, ladder.top.E, b, tuple((lv.i, lv.delta) for lv in ladder.levels[:-1])] = key
@@ -636,7 +636,7 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             "E0": record["E_0"],
             "dual_graph": pair.divisor_graph.to_dot(),
             "multiplet": record,
-            "index_certificate": index_certificate,
+            "index_certificate": certificates["index_certificate"],
         })
 
     # Depth-first over ladder states (i, model, E, L, spent, levels), one per

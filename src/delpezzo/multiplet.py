@@ -17,7 +17,11 @@ eliminations: a level without one holds the state of the nearest stored
 level below it.  The machinery here descends ladders, certifies every
 defining condition with exact integer arithmetic, evaluates the
 intersection-number identities that tie the levels together, and computes
-volumes and Gorenstein indices.
+volumes and Gorenstein indices.  ``certify_survivor`` is the one certificate
+of a surface, for ``classify`` and ``verify-type`` alike: seven checks in
+order, up to the first that fails (the ladder certificate, volume at least
+2a, index a, the identities, L0 nonnegative on every tracked curve, the
+index certificate, the local checks).
 """
 
 from __future__ import annotations
@@ -263,7 +267,7 @@ def certify_ladder(ladder: Ladder, *, require_fundamental: bool = True) -> Certi
             failures.append(f"nef_level_{i}")
             break
 
-    failures.extend("bottom_" + f for f in _basic_pair_failures(ladder.bottom_pair))
+    failures.extend("bottom_" + f for f in check_basic_pair(ladder.bottom_pair).failures)
 
     return CertificateReport(not failures, tuple(failures))
 
@@ -280,12 +284,6 @@ def check_basic_pair(pair: BasicPair) -> CertificateReport:
     configuration the point blow-ups can produce, so it is passed by
     construction.
     """
-    failures = _basic_pair_failures(pair)
-    return CertificateReport(not failures, tuple(failures))
-
-
-def _basic_pair_failures(pair: BasicPair) -> list[str]:
-    """The failed conditions of ``check_basic_pair``, in its order."""
     model, E, a, L = pair.model, pair.E0, pair.a, pair.L0
     failures = []
 
@@ -304,7 +302,7 @@ def _basic_pair_failures(pair: BasicPair) -> list[str]:
     if model.intersect(model.canonical_class, L) + model.intersect(L, L) <= 0:
         failures.append("adjoint_positivity")
 
-    return failures
+    return CertificateReport(not failures, tuple(failures))
 
 
 # -- numerical invariants ----------------------------------------------------
@@ -493,6 +491,37 @@ def local_lemma_checks(ladder: Ladder) -> list[str]:
                             f"(a, m) in {{(5, 2), (4, 3)}} with full contact on the small branch"
                         )
     return violations
+
+
+# -- the survivor certificate --------------------------------------------------
+
+
+def certify_survivor(ladder: Ladder) -> dict[str, tuple[str, ...]]:
+    """The one certificate of a surface of index a and volume at least 2a,
+    for ``classify`` and ``verify-type``: runs ``checks`` in order up to the
+    first that fails, and returns the checks that ran, each with its
+    failures (empty when it passed).  The order matters: on a ladder that
+    fails ``certify_ladder``, the cross-check in ``volume`` can raise.
+    """
+    a, pair = ladder.a, ladder.bottom_pair
+    checks = (
+        ("ladder", lambda: certify_ladder(ladder).failures),
+        ("volume", lambda: () if ladder.volume >= 2 * a else (f"{ladder.volume} is below 2a = {2 * a}",)),
+        ("index", lambda: () if pair.index == a else (f"{pair.index} is not a = {a}",)),
+        ("identities", lambda: () if identities_check(ladder) else ("identity re-verification failed",)),
+        ("degrees", lambda: tuple(
+            f"fundamental class meets curve {rec.name} in {d}"
+            for rec, d in zip(pair.model.curves, pair.degrees) if d < 0
+        )),
+        ("index_certificate", lambda: () if certificate_index_is_a(pair) else ("index certificate failed",)),
+        ("local", lambda: tuple(f"local check failed at {v}" for v in local_lemma_checks(ladder))),
+    )
+    ran = {}
+    for name, check in checks:
+        ran[name] = failures = tuple(check())
+        if failures:
+            break
+    return ran
 
 
 # -- serialization -------------------------------------------------------------

@@ -1,14 +1,18 @@
 import json
 import os
+import re
 import sys
+from dataclasses import replace
 
 import pytest
 
 import delpezzo.cli as cli
+from delpezzo import enumerator, multiplet
 from delpezzo.catalog import TYPE_NAMES, build_entry_ladder, entries_for_type
 from delpezzo.cli import main
 from delpezzo.enumerator import SearchExplosion, canonical_form, classify
 from delpezzo.graphs import CanonicalizationError
+from delpezzo.lattice import CurveRecord
 from delpezzo.multiplet import InternalConsistencyError
 
 
@@ -368,8 +372,8 @@ def test_classify_refuses_an_index_over_the_cap_before_it_starts(capsys, monkeyp
         raise AssertionError("classify ran")
 
     monkeypatch.setattr(cli, "classify", unreachable)
-    a = str(cli.CLASSIFY_INDEX_CAP + 1)
-    message = f"classify takes an index of at most {cli.CLASSIFY_INDEX_CAP}"
+    a = str(enumerator.CLASSIFY_INDEX_CAP + 1)
+    message = f"classify takes an index of at most {enumerator.CLASSIFY_INDEX_CAP}"
     assert run(capsys, "classify", "--a", a) == (2, "", f"error: {message}\n")
     out_path = tmp_path / "r.json"
     code, out, err = run(capsys, "classify", "--a", a, "--json", str(out_path))
@@ -384,15 +388,119 @@ def test_missing_flags_exit_two(capsys):
 
 def test_verification_failure_exits_one(capsys, monkeypatch):
     # force a certificate failure to exercise the nonzero verification path
-    import delpezzo.cli as cli
     from delpezzo.multiplet import CertificateReport
 
     monkeypatch.setattr(
-        cli, "certify_ladder", lambda ladder: CertificateReport(False, ("forced",))
+        multiplet, "certify_ladder", lambda ladder: CertificateReport(False, ("forced",))
     )
     code, out, _ = run(capsys, "verify-type", "--type", "O", "--a", "4")
     assert code == 1
     assert "FAIL forced" in out
+
+
+_O_AT_4_KEY = "  canonical key: a=4|v=25/2|i=4|g=(((-8, 3),), ())"
+
+
+def test_verify_type_reads_not_run_after_a_failed_check(capsys, monkeypatch):
+    # a failed ladder certificate stops certify_survivor: no volume is taken
+    # from a ladder whose descent failed
+    from delpezzo.multiplet import CertificateReport
+
+    monkeypatch.setattr(
+        multiplet, "certify_ladder", lambda ladder: CertificateReport(False, ("forced",))
+    )
+    lines = [
+        "O configuration 1/1",
+        "  volume not run  index not run",
+        "  certificates: FAIL forced",
+        "  identities: not run",
+        "  index certificate: not run",
+        "  local checks: not run",
+        _O_AT_4_KEY,
+    ]
+    assert run(capsys, "verify-type", "--type", "O", "--a", "4") == (1, "\n".join(lines) + "\n", "")
+
+
+def _fail_alone(monkeypatch, check):
+    """Make one check of ``certify_survivor`` after the index fail on its own."""
+    if check == "degrees":
+        # the bottom model gains a tracked curve of class -L0, which L0 meets
+        # in -L0^2 < 0; it is not L0-orthogonal, so the contracted graph, the
+        # volume, the index and every other check keep their values
+        real = multiplet.Ladder.bottom_pair.func
+
+        def bottom_pair(ladder):
+            pair = real(ladder)
+            bad = CurveRecord(len(pair.model.curves), "tampered", -pair.L0)
+            return replace(pair, model=replace(pair.model, curves=(*pair.model.curves, bad)))
+
+        monkeypatch.setattr(multiplet.Ladder, "bottom_pair", property(bottom_pair))
+        return
+    name, value = {
+        "identities": ("identities_check", False),
+        "index_certificate": ("certificate_index_is_a", False),
+        "local": ("local_lemma_checks", ["level 1: forced"]),
+    }[check]
+    monkeypatch.setattr(multiplet, name, lambda _: value)
+
+
+@pytest.mark.parametrize(
+    "check, message, lines",
+    [
+        (
+            "identities",
+            "identity re-verification failed on a survivor",
+            [
+                "  identities: FAIL identity re-verification failed",
+                "  index certificate: not run",
+                "  local checks: not run",
+            ],
+        ),
+        (
+            "degrees",
+            "fundamental class meets curve tampered in -",
+            [
+                "  identities: pass",
+                "  degrees: FAIL fundamental class meets curve tampered in -200",
+                "  index certificate: not run",
+                "  local checks: not run",
+            ],
+        ),
+        (
+            "index_certificate",
+            "index certificate failed on a survivor",
+            [
+                "  identities: pass",
+                "  index certificate: FAIL index certificate failed",
+                "  local checks: not run",
+            ],
+        ),
+        (
+            "local",
+            "local check failed at level 1: forced on a survivor",
+            [
+                "  identities: pass",
+                "  index certificate: pass",
+                "  local checks: FAIL local check failed at level 1: forced",
+            ],
+        ),
+    ],
+    ids=["identities", "degrees", "index_certificate", "local"],
+)
+def test_a_survivor_that_fails_a_check_after_the_index_is_an_engine_fault(
+    capsys, monkeypatch, check, message, lines
+):
+    # classify rejects a candidate only on the ladder certificate, the volume
+    # or the index; a later failure is a fault of the engine, exit 3, while
+    # verify-type prints the failure, "not run" after it, and exits 1
+    _fail_alone(monkeypatch, check)
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        classify(4)
+    code, out, err = run(capsys, "classify", "--a", "4")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {message}")
+    expected = ["O configuration 1/1", "  volume 25/2  index 4", "  certificates: pass", *lines, _O_AT_4_KEY]
+    assert run(capsys, "verify-type", "--type", "O", "--a", "4") == (1, "\n".join(expected) + "\n", "")
 
 
 @pytest.mark.parametrize("error", [SearchExplosion, InternalConsistencyError, CanonicalizationError])

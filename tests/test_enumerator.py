@@ -8,7 +8,7 @@ from math import isqrt
 
 import pytest
 
-from delpezzo import catalog, enumerator
+from delpezzo import catalog, enumerator, multiplet
 from delpezzo.catalog import (
     _partitions,
     build_entry_ladder,
@@ -747,7 +747,7 @@ def test_classify_low_index_reports_are_byte_stable(a, text_sha, json_sha):
 def test_failed_identity_reverification_is_a_consistency_error(monkeypatch):
     # a survivor whose identities do not re-verify is an engine fault, not a
     # search explosion
-    monkeypatch.setattr(enumerator, "identities_check", lambda ladder: False)
+    monkeypatch.setattr(multiplet, "identities_check", lambda ladder: False)
     with pytest.raises(InternalConsistencyError, match="identity re-verification failed"):
         classify(4)
 

@@ -16,6 +16,7 @@ from delpezzo.multiplet import (
     build_ladder,
     certificate_index_is_a,
     certify_ladder,
+    certify_survivor,
     check_basic_pair,
     close_ladder,
     identities_check,
@@ -121,6 +122,10 @@ def test_series_volumes(a, name, vol):
     assert volume(_entry_ladder(a, name)) == vol
 
 
+# The checks of ``certify_survivor``, in the order it runs them.
+SURVIVOR_CHECKS = ("ladder", "volume", "index", "identities", "degrees", "index_certificate", "local")
+
+
 def test_every_catalog_config_passes_certificates():
     for a in (4, 5, 6, 7, 8):
         for entry in catalog_entries(a):
@@ -131,6 +136,7 @@ def test_every_catalog_config_passes_certificates():
                 assert identities_check(lad)
                 assert not local_lemma_checks(lad)
                 assert volume(lad) == entry.volume
+                assert certify_survivor(lad) == dict.fromkeys(SURVIVOR_CHECKS, ()), (a, entry.name, idx)
 
 
 def test_top_fundamental_rejects_every_catalog_ladder_one_level_short():

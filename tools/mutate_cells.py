@@ -1,8 +1,10 @@
-"""Mutation check of the cell and search stages: does a test fail for each
-small change?
+"""Mutation check of the cell, search and survivor stages: does a test fail
+for each small change?
 
-Each mutant changes one expression or statement of
-``src/delpezzo/enumerator.py``.  There is one mutant table per stage.
+Each mutant changes one expression or statement of one module:
+``src/delpezzo/enumerator.py`` for the cell and search stages,
+``src/delpezzo/multiplet.py`` for the survivor stage.  There is one mutant
+table per stage.
 
 The cell stage (``cell_mutants``):
 
@@ -31,6 +33,15 @@ The search stage (``search_mutants``):
 - each bound of ``_on_curve_shapes``, ``_node_shapes``, ``_node_pairs`` and
   ``_level_below`` moved by +1 and by -1.
 
+The survivor stage (``survivor_mutants``), in ``certify_survivor``:
+
+- each of the seven checks deleted;
+- each check's test flipped: the volume's ``>=``, the index's ``==``, the
+  degrees' ``d < 0``, and the ``identities_check`` and
+  ``certificate_index_is_a`` verdicts negated;
+- the stop at the first failure deleted, and moved above the line that
+  records the failed check.
+
 For each mutant the script copies the package to a temporary directory,
 writes the mutated module there and runs the stage's tests against it, with
 a timeout per mutant (a block end moved down by one loops forever) and a
@@ -42,7 +53,7 @@ Run from the repository root, with pytest installed:
 
     python tools/mutate_cells.py
 
-With Python 3.11 on one core of a 2-core x86-64 host the two stages take
+With Python 3.11 on one core of a 2-core x86-64 host the three stages take
 about 5 minutes together.
 
 Stdlib only; the source is located with ``ast`` and spliced as text, so the
@@ -64,7 +75,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = ROOT / "src" / "delpezzo" / "enumerator.py"
+PACKAGE = ROOT / "src" / "delpezzo"
 
 CELL_TESTS = (
     "test_small_multiple_kills",
@@ -139,6 +150,19 @@ SEARCH_EQUIVALENT = {
     ),
     "_node_shapes: m from -1": "at m = 0 the k2 range 1..min(m, k_cap) is empty",
 }
+
+SURVIVOR_TESTS = (
+    "test_every_catalog_config_passes_certificates",
+    "test_verification_failure_exits_one",
+    "test_verify_type_reads_not_run_after_a_failed_check",
+    "test_a_survivor_that_fails_a_check_after_the_index_is_an_engine_fault",
+    "test_multi_point_configurations_print_stable_bytes",
+    "test_failed_identity_reverification_is_a_consistency_error",
+    "test_search_cell_rejects_low_index_candidates",
+    "test_volume_rejects_what_the_allowance_would_let_through",
+    "test_classify_four_exact",
+    "test_classify_low_index_reports_are_byte_stable",
+)
 
 MEMORY_LIMIT = 2 << 30  # bytes of address space per test run
 
@@ -293,16 +317,50 @@ def search_mutants(source: str) -> list[Mutant]:
     return t.out
 
 
+def survivor_mutants(source: str) -> list[Mutant]:
+    t = _Table(source)
+    survivor = _function(t.tree, "certify_survivor")
+    (checks,) = _assigned(survivor, "checks")
+    for entry in checks.elts:
+        kept = ", ".join(t.seg(e) for e in checks.elts if e is not entry)
+        t.out.append(Mutant(f"certify_survivor: delete the {entry.elts[0].value} check", checks, f"({kept})"))
+    for entry in checks.elts:  # the ladder and local checks have no test of their own
+        name, body = entry.elts[0].value, entry.elts[1].body
+        if isinstance(body, ast.IfExp):
+            tests = [body.test]
+        else:
+            tests = [n.ifs[0] for n in ast.walk(body) if getattr(n, "ifs", None)]
+        for test in tests:
+            t.out.append(Mutant(f"certify_survivor: flip the {name} check's test", test, f"not ({t.seg(test)})"))
+    (loop,) = [n for n in survivor.body if isinstance(n, ast.For)]
+    record, stop = loop.body
+    t.out.append(Mutant("certify_survivor: delete the stop at the first failure", stop, "pass"))
+    (entry, failures), indent = record.targets, " " * record.col_offset  # ran[name] = failures = ...
+    failures = t.seg(failures)
+    moved = f"{failures} = {t.seg(record.value)}\n{indent}{t.seg(stop)}\n{indent}{t.seg(entry)} = {failures}"
+    t.out.append(Mutant("certify_survivor: stop before the failed check is recorded", record, moved))
+    return t.out
+
+
 @dataclass(frozen=True)
 class Stage:
+    module: str  # the mutated module's file name in src/delpezzo
     mutants: Callable[[str], list[Mutant]]  # the module's source -> its mutants
-    tests: tuple[str, ...]  # test names in tests/test_enumerator.py
+    files: tuple[str, ...]  # the test files that hold ``tests``
+    tests: tuple[str, ...]  # test names
     equivalent: dict[str, str]
 
 
 STAGES = {
-    "cells": Stage(cell_mutants, CELL_TESTS, CELL_EQUIVALENT),
-    "search": Stage(search_mutants, SEARCH_TESTS, SEARCH_EQUIVALENT),
+    "cells": Stage("enumerator.py", cell_mutants, ("tests/test_enumerator.py",), CELL_TESTS, CELL_EQUIVALENT),
+    "search": Stage("enumerator.py", search_mutants, ("tests/test_enumerator.py",), SEARCH_TESTS, SEARCH_EQUIVALENT),
+    "survivor": Stage(
+        "multiplet.py",
+        survivor_mutants,
+        ("tests/test_multiplet.py", "tests/test_cli.py", "tests/test_enumerator.py"),
+        SURVIVOR_TESTS,
+        {},
+    ),
 }
 
 
@@ -321,12 +379,12 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_tests(package: Path, tests: tuple[str, ...], timeout: float) -> str:
-    """'pass', 'fail' or 'timeout' for ``tests`` on ``package``."""
+def run_tests(package: Path, stage: Stage, timeout: float) -> str:
+    """'pass', 'fail' or 'timeout' for ``stage``'s tests on ``package``."""
     env = {**os.environ, "PYTHONPATH": str(package.parent), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [
         sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-        "tests/test_enumerator.py", "-k", " or ".join(tests),
+        *stage.files, "-k", " or ".join(stage.tests),
     ]
     try:
         done = subprocess.run(
@@ -342,13 +400,13 @@ def run_stage(name: str, stage: Stage) -> list[str] | None:
     """Run every mutant of ``stage``; return the labels of the survivors
     without an equivalence note, or None if the stage's tests fail on the
     unmutated module."""
-    source = MODULE.read_text()
+    source = (PACKAGE / stage.module).read_text()
     todo = stage.mutants(source)
     with tempfile.TemporaryDirectory(prefix=f"mutate_{name}_") as tmp:
         package = Path(tmp) / "delpezzo"
-        shutil.copytree(MODULE.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
         t0 = time.perf_counter()
-        if run_tests(package, stage.tests, timeout=600) != "pass":
+        if run_tests(package, stage, timeout=600) != "pass":
             print(f"the {name}-stage tests fail on the unmutated module", file=sys.stderr)
             return None
         timeout = max(30.0, 5 * (time.perf_counter() - t0))
@@ -356,8 +414,8 @@ def run_stage(name: str, stage: Stage) -> list[str] | None:
 
         killed, unexplained = 0, []
         for m in todo:
-            (package / "enumerator.py").write_text(splice(source, m.node, m.text))
-            fate = run_tests(package, stage.tests, timeout)
+            (package / stage.module).write_text(splice(source, m.node, m.text))
+            fate = run_tests(package, stage, timeout)
             change = f"{ast.get_source_segment(source, m.node)!r} -> {m.text!r}"
             if fate == "pass":
                 note = stage.equivalent.get(m.label)
