@@ -10,6 +10,11 @@ Two kinds of local data cover everything this engine needs:
 * ``NodeDatum(curve1, curve2, k2, m)``: a point at the node of two tracked
   curves, contact 1 along the first branch and ``k2`` along the second.
 
+Each point lists its contacts, ``contacts``: ((curve, contact order), ...),
+the host curve that its chain follows last.  The search, the elimination
+and the certificates read only that list; the kinds differ only in the
+paper's local rules and in their JSON fields.
+
 A point on no tracked curve has no datum, because no certified ladder
 holds one: eliminated at level i <= a-1, it gives the first curve of its
 chain the coefficient -(a-i) < 0 in the transformed divisor, which is then
@@ -39,6 +44,10 @@ class OnCurveDatum:
         if not (1 <= self.k <= self.m):
             raise StructuralError(f"contact order must satisfy 1 <= k <= m, got k={self.k}, m={self.m}")
 
+    @property
+    def contacts(self) -> tuple[tuple[int | str, int], ...]:
+        return ((self.curve, self.k),)
+
 
 @dataclass(frozen=True, slots=True)
 class NodeDatum:
@@ -50,6 +59,10 @@ class NodeDatum:
     def __post_init__(self) -> None:
         if not (1 <= self.k2 <= self.m):
             raise StructuralError(f"contact order must satisfy 1 <= k2 <= m, got k2={self.k2}, m={self.m}")
+
+    @property
+    def contacts(self) -> tuple[tuple[int | str, int], ...]:
+        return ((self.curve1, 1), (self.curve2, self.k2))
 
 
 LocalDatum = OnCurveDatum | NodeDatum
@@ -68,16 +81,7 @@ class Subscheme:
 
     def contact(self, curve_id: int) -> int:
         """Total contact order against one tracked curve, summed over points."""
-        total = 0
-        for p in self.points:
-            if isinstance(p, OnCurveDatum) and p.curve == curve_id:
-                total += p.k
-            elif isinstance(p, NodeDatum):
-                if p.curve1 == curve_id:
-                    total += 1
-                if p.curve2 == curve_id:
-                    total += p.k2
-        return total
+        return sum(k for p in self.points for c, k in p.contacts if c == curve_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,10 +125,10 @@ def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
     """Realize the elimination of a curvilinear subscheme as a chain of point
     blow-ups per point.
 
-    Points are processed in order.  Each kind of datum fixes the first
-    centre, a host curve and a contact order k: an on-curve datum starts on
-    its curve and follows it, a node datum starts at the node and follows
-    the second branch.
+    Points are processed in order, each through its ``contacts``: the first
+    centre lies on the curves listed there, and the last entry names the
+    host curve and its contact order k, so an on-curve point follows its
+    curve and a node follows its second branch.
     Blow-ups 2..k sit at the node of the last exceptional curve with the
     host's strict transform; the remaining ones at general points of the
     last exceptional curve.  The centres of all points are listed first and
@@ -135,18 +139,15 @@ def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
     resolved = []
     plans = []  # (first centre, host, k, m) per point
     for datum in subscheme.points:
-        if isinstance(datum, OnCurveDatum):
-            c = model.resolve(datum.curve)
-            if c != datum.curve:
-                datum = OnCurveDatum(c, datum.k, datum.m)
-            plans.append(((c,), c, datum.k, datum.m))
-        elif isinstance(datum, NodeDatum):
-            c1, c2 = model.resolve(datum.curve1), model.resolve(datum.curve2)
-            if (c1, c2) != (datum.curve1, datum.curve2):
-                datum = NodeDatum(c1, c2, datum.k2, datum.m)
-            plans.append(((c1, c2), c2, datum.k2, datum.m))
-        else:
+        if not isinstance(datum, (OnCurveDatum, NodeDatum)):
             raise StructuralError(f"unknown local datum {datum!r}")
+        named = first = ()
+        for c, k in datum.contacts:  # k ends as the host's contact, the last
+            named += (c,)
+            first += (model.resolve(c),)
+        if first != named:  # both kinds take their curves first, then k and m
+            datum = type(datum)(*first, k, datum.m)
+        plans.append((first, first[-1], k, datum.m))
         resolved.append(datum)
     resolved = tuple(resolved)
     if resolved != subscheme.points:

@@ -459,20 +459,23 @@ def _datum_options(model, E, i, a, m_cap, caps, forbid_sigma):
     Effectivity of the transformed divisor and the coefficient cap a-1
     (coefficients persist to the bottom) are enforced through the closed
     chain-coefficient bounds of ``_on_curve_shapes`` and ``_node_shapes``.
-    ``spend`` lists the contacts the datum takes from each divisor
-    component, ((curve, contact), ...); component C takes at most
-    ``caps[C]`` contacts in all, its exact orthogonality allowance L.C
-    divided by i.  Points away from every tracked curve are never
-    admissible: their leading chain coefficient would be negative.
+    ``spend`` is the datum's ``contacts`` on the divisor's components,
+    ((curve, contact), ...); component C takes at most ``caps[C]`` contacts
+    in all, its exact orthogonality allowance L.C divided by i.  Points
+    away from every tracked curve are never admissible: their leading chain
+    coefficient would be negative.  With ``forbid_sigma`` no datum lies on
+    sigma, curve id 0 as ``SurfaceModel.hirzebruch`` and ``catalog.top_model``
+    give it.
     """
     s = a - i
     coeff = dict(E.items)
-    sigma = model.curve_by_name("sigma").id if forbid_sigma else None
+    sigma = 0 if forbid_sigma else None
     options = []
     for cid, e in E.items:
         if cid != sigma:
             for m, k in _on_curve_shapes(a, s, e, m_cap, caps[cid]):
-                options.append((OnCurveDatum(cid, k, m), None, ((cid, k),)))
+                d = OnCurveDatum(cid, k, m)
+                options.append((d, None, d.contacts))  # cid is in E's support
 
     for c1, c2 in _node_pairs(model, coeff, a, s):
         if sigma in (c1, c2) or caps.get(c1, 1) < 1:  # c1 takes one contact
@@ -482,8 +485,8 @@ def _datum_options(model, E, i, a, m_cap, caps, forbid_sigma):
         for m, k2 in shapes:
             if k2 == 1 and c1 > c2:
                 continue  # the two orientations agree at transverse contact
-            spend = tuple((c, k) for c, k in ((c1, 1), (c2, k2)) if c in caps)
-            options.append((NodeDatum(c1, c2, k2, m), pair, spend))
+            d = NodeDatum(c1, c2, k2, m)
+            options.append((d, pair, tuple([(c, k) for c, k in d.contacts if c in caps])))
     return options
 
 

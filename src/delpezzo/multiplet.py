@@ -350,8 +350,7 @@ def identities_check(ladder: Ladder) -> bool:
             genus += j * (j - 1) * d
             linear += j * d
             for p in lv.delta.points:
-                on_curve = isinstance(p, OnCurveDatum)
-                for c, k in ((p.curve, p.k),) if on_curve else ((p.curve1, 1), (p.curve2, p.k2)):
+                for c, k in p.contacts:
                     contacts[c] = contacts.get(c, 0) + j * k
 
         # L.E is the sum of e_C (L.C), by bilinearity
@@ -399,20 +398,6 @@ def certificate_index_is_a(pair: BasicPair) -> bool:
 # -- local structure checks ---------------------------------------------------
 
 
-def _local_components(lv: LadderLevel, datum) -> list[tuple[int, int]]:
-    """(curve id, coefficient) of the E-components through the datum's point."""
-    out = []
-    if isinstance(datum, OnCurveDatum):
-        candidates = [datum.curve]
-    else:
-        candidates = [datum.curve1, datum.curve2]
-    for c in candidates:
-        v = lv.E.coeff(c)
-        if v > 0:
-            out.append((c, v))
-    return out
-
-
 def local_lemma_checks(ladder: Ladder) -> list[str]:
     """Evaluate the local multiplicity and contact constraints level by level.
 
@@ -421,7 +406,9 @@ def local_lemma_checks(ladder: Ladder) -> list[str]:
     (for the (-1)-end) or 0 (for the (-2)-curves).  The conditional ones fire
     only when their hypotheses hold and then require the stated conclusions.
     Returns a list of human-readable violations, empty for valid ladders.
-    Each step reads the state below it from the next stored level.
+    Each step reads the state below it from the next stored level, and each
+    point reads, from its ``contacts``, the (coefficient, contact) of every
+    component of E through it.
     """
     a = ladder.a
     violations = []
@@ -439,14 +426,14 @@ def local_lemma_checks(ladder: Ladder) -> list[str]:
                     )
 
         for datum in lv.delta.points:
-            comps = _local_components(lv, datum)
-            mult = sum(v for _, v in comps)
+            comps = [(e, k) for c, k in datum.contacts if (e := lv.E.coeff(c)) > 0]
+            mult = sum(e for e, _ in comps)
             if mult < a - i:
                 violations.append(
                     f"level {i}: point multiplicity {mult} of the divisor is below {a - i}"
                 )
             if isinstance(datum, OnCurveDatum) and len(comps) == 1:
-                e = comps[0][1]
+                e = comps[0][0]
                 if e <= a - i and not (e == a - i and datum.k == datum.m):
                     violations.append(
                         f"level {i}: coefficient {e} forces full contact at coefficient {a - i}"
@@ -474,17 +461,10 @@ def local_lemma_checks(ladder: Ladder) -> list[str]:
                         f"(m, k) = ({a - i + 1}, {a - i}), got ({datum.m}, {datum.k})"
                     )
             if isinstance(datum, NodeDatum) and i == 1 and a >= 4 and len(comps) == 2:
-                coeffs = {datum.curve1: lv.E.coeff(datum.curve1), datum.curve2: lv.E.coeff(datum.curve2)}
-                big = [c for c, v in coeffs.items() if v == a - 1]
-                small = [c for c, v in coeffs.items() if 1 <= v <= 2]
-                if big and small and big[0] != small[0]:
-                    e = coeffs[small[0]]
-                    contact_small = datum.k2 if datum.curve2 == small[0] else 1
-                    ok = (
-                        e == 2
-                        and contact_small == datum.m
-                        and (a, datum.m) in ((5, 2), (4, 3))
-                    )
+                small = [(e, k) for e, k in comps if 1 <= e <= 2]
+                if small and any(e == a - 1 for e, _ in comps):  # a >= 4: not the small branch
+                    e, k = small[0]
+                    ok = e == 2 and k == datum.m and (a, datum.m) in ((5, 2), (4, 3))
                     if not ok:
                         violations.append(
                             f"level 1: node on coefficient ({a - 1}, {e}) branches admits only "

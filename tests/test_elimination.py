@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import pytest
 
 from delpezzo.elimination import (
@@ -111,6 +113,20 @@ def test_invalid_data_rejected():
         NodeDatum("sigma", "l_1", 0, 2)
     with pytest.raises(StructuralError):
         eliminate(F3, Subscheme((OnCurveDatum("no_such_curve", 1, 1),)))
+
+
+@dataclass(frozen=True)
+class _NeitherKind:
+    """Lists contacts like a datum, but is neither an on-curve point nor a node."""
+
+    m: int = 1
+    contacts: tuple = ((0, 1),)
+
+
+def test_eliminate_refuses_a_point_of_neither_kind():
+    F3 = SurfaceModel.hirzebruch(3)
+    with pytest.raises(StructuralError, match="unknown local datum"):
+        eliminate(F3, Subscheme((_NeitherKind(),)))
 
 
 def test_node_requires_meeting_curves():

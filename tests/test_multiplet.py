@@ -776,6 +776,39 @@ def test_local_checks_boundary_case():
     assert any("2i = a+1" in v for v in local_lemma_checks(lad))
 
 
+_NODE_RULE = "node on coefficient (3, 2) branches admits only"
+_MULTIPLICITY_RULE = "point multiplicity 2 of the divisor is below 3"
+
+
+@pytest.mark.parametrize(
+    "datum, fired",
+    [
+        # C4 as built: sigma (coefficient 3) and l_1 (coefficient 2) meet at
+        # the node, full contact 3 = m on the small branch l_1
+        (NodeDatum(0, 1, 3, 3), None),
+        (NodeDatum(0, 1, 2, 3), _NODE_RULE),  # contact 2 on the small branch
+        (NodeDatum(0, 1, 3, 4), _NODE_RULE),  # m = 4
+        (NodeDatum(1, 0, 1, 3), _NODE_RULE),  # branches swapped: contact 1 on l_1
+        # Gamma_P1_1, the level-2 exceptional curve, has coefficient 0 here
+        (NodeDatum(1, 2, 1, 1), _MULTIPLICITY_RULE),
+        (NodeDatum(2, 1, 2, 2), _MULTIPLICITY_RULE),
+        (OnCurveDatum(1, 2, 2), _MULTIPLICITY_RULE),
+    ],
+)
+def test_local_checks_fire_the_multiplicity_and_level_one_node_rules(datum, fired):
+    # C4 at a = 4 with its level-1 node replaced: each rule against the reference
+    lad = _entry_ladder(4, "C4")
+    step2, step1, _ = lad.levels
+    assert step1.delta == Subscheme((NodeDatum(0, 1, 3, 3),))
+    bad = build_ladder(4, lad.top.model, lad.top.E, lad.b, {2: step2.delta, 1: Subscheme((datum,))})
+    violations = local_lemma_checks(bad)
+    assert violations == _local_checks_per_level(bad.a, _dense_levels(bad))
+    if fired:
+        assert any(v.startswith(f"level 1: {fired}") for v in violations)
+    else:
+        assert violations == []
+
+
 def test_volume_mismatch_raises():
     import dataclasses
 

@@ -1,9 +1,10 @@
-"""Mutation check of the cell, search and survivor stages: does a test fail
-for each small change?
+"""Mutation check of the cell, search, survivor and datum stages: does a
+test fail for each small change?
 
 Each mutant changes one expression or statement of one module:
 ``src/delpezzo/enumerator.py`` for the cell and search stages,
-``src/delpezzo/multiplet.py`` for the survivor stage.  There is one mutant
+``src/delpezzo/multiplet.py`` for the survivor stage and
+``src/delpezzo/elimination.py`` for the datum stage.  There is one mutant
 table per stage.
 
 The cell stage (``cell_mutants``):
@@ -42,6 +43,14 @@ The survivor stage (``survivor_mutants``), in ``certify_survivor``:
 - the stop at the first failure deleted, and moved above the line that
   records the failed check.
 
+The datum stage (``datum_mutants``), in the ``contacts`` of each kind of
+subscheme point, which the search, the elimination and the certificates
+read:
+
+- an on-curve point's contact k moved by +1 and by -1;
+- a node's first-branch contact 1 made 0 and 2, its second-branch contact
+  k2 moved by +1 and by -1, and its two entries swapped.
+
 For each mutant the script copies the package to a temporary directory,
 writes the mutated module there and runs the stage's tests against it, with
 a timeout per mutant (a block end moved down by one loops forever) and a
@@ -53,8 +62,8 @@ Run from the repository root, with pytest installed:
 
     python tools/mutate_cells.py
 
-With Python 3.11 on one core of a 2-core x86-64 host the three stages take
-about 5 minutes together.
+With Python 3.11 on one core of a 2-core x86-64 host the four stages take
+about 5.5 minutes together.
 
 Stdlib only; the source is located with ``ast`` and spliced as text, so the
 rest of the module keeps its bytes.
@@ -162,6 +171,25 @@ SURVIVOR_TESTS = (
     "test_volume_rejects_what_the_allowance_would_let_through",
     "test_classify_four_exact",
     "test_classify_low_index_reports_are_byte_stable",
+)
+
+DATUM_TESTS = (
+    "test_chain_shape_on_curve",
+    "test_node_chain_attachments",
+    "test_transform_node_example",
+    "test_eliminate_matches_the_per_kind_reference",
+    "test_eliminate_refuses_a_point_of_neither_kind",
+    "test_batched_blow_up_matches_the_incidence",
+    "test_identity_values_on_c4",
+    "test_identities_check_matches_the_per_level_rescan",
+    "test_identities_check_rejects_a_tampered_subscheme",
+    "test_local_checks_boundary_case",
+    "test_local_checks_fire_the_multiplicity_and_level_one_node_rules",
+    "test_every_catalog_config_passes_certificates",
+    "test_subscheme_candidates_match_the_recursive_reference",
+    "test_search_cell_matches_the_per_level_walk",
+    "test_level_one_walk_spends_every_budget_exactly",
+    "test_classify_four_exact",
 )
 
 MEMORY_LIMIT = 2 << 30  # bytes of address space per test run
@@ -342,6 +370,24 @@ def survivor_mutants(source: str) -> list[Mutant]:
     return t.out
 
 
+def datum_mutants(source: str) -> list[Mutant]:
+    t = _Table(source)
+
+    def contacts(kind: str) -> ast.Tuple:
+        cls = next(n for n in ast.walk(t.tree) if isinstance(n, ast.ClassDef) and n.name == kind)
+        return next(n for n in ast.walk(_function(cls, "contacts")) if isinstance(n, ast.Return)).value
+
+    (on_curve,) = contacts("OnCurveDatum").elts
+    t.shift("OnCurveDatum.contacts: k", on_curve.elts[1])
+    node = contacts("NodeDatum")
+    first, second = node.elts
+    for value in ("0", "2"):
+        t.out.append(Mutant(f"NodeDatum.contacts: first-branch contact {value}", first.elts[1], value))
+    t.shift("NodeDatum.contacts: k2", second.elts[1])
+    t.out.append(Mutant("NodeDatum.contacts: entries swapped", node, f"({t.seg(second)}, {t.seg(first)})"))
+    return t.out
+
+
 @dataclass(frozen=True)
 class Stage:
     module: str  # the mutated module's file name in src/delpezzo
@@ -359,6 +405,13 @@ STAGES = {
         survivor_mutants,
         ("tests/test_multiplet.py", "tests/test_cli.py", "tests/test_enumerator.py"),
         SURVIVOR_TESTS,
+        {},
+    ),
+    "datum": Stage(
+        "elimination.py",
+        datum_mutants,
+        ("tests/test_elimination.py", "tests/test_lattice.py", "tests/test_multiplet.py", "tests/test_enumerator.py"),
+        DATUM_TESTS,
         {},
     ),
 }
