@@ -10,10 +10,11 @@ Two kinds of local data cover everything this engine needs:
 * ``NodeDatum(curve1, curve2, k2, m)``: a point at the node of two tracked
   curves, contact 1 along the first branch and ``k2`` along the second.
 
-Each point lists its contacts, ``contacts``: ((curve, contact order), ...),
-the host curve that its chain follows last.  The search, the elimination
-and the certificates read only that list; the kinds differ only in the
-paper's local rules and in their JSON fields.
+A datum names curves only by id, in the model that its subscheme is
+eliminated from.  Each point lists its contacts, ``contacts``: ((curve,
+contact order), ...), the host curve that its chain follows last.  The
+search, the elimination and the certificates read only that list; the
+kinds differ only in the paper's local rules and in their JSON fields.
 
 A point on no tracked curve has no datum, because no certified ladder
 holds one: eliminated at level i <= a-1, it gives the first curve of its
@@ -36,7 +37,7 @@ from .lattice import Divisor, DivisorClass, StructuralError, SurfaceModel
 
 @dataclass(frozen=True, slots=True)
 class OnCurveDatum:
-    curve: int | str
+    curve: int
     k: int
     m: int
 
@@ -45,14 +46,14 @@ class OnCurveDatum:
             raise StructuralError(f"contact order must satisfy 1 <= k <= m, got k={self.k}, m={self.m}")
 
     @property
-    def contacts(self) -> tuple[tuple[int | str, int], ...]:
+    def contacts(self) -> tuple[tuple[int, int], ...]:
         return ((self.curve, self.k),)
 
 
 @dataclass(frozen=True, slots=True)
 class NodeDatum:
-    curve1: int | str
-    curve2: int | str
+    curve1: int
+    curve2: int
     k2: int
     m: int
 
@@ -61,7 +62,7 @@ class NodeDatum:
             raise StructuralError(f"contact order must satisfy 1 <= k2 <= m, got k2={self.k2}, m={self.m}")
 
     @property
-    def contacts(self) -> tuple[tuple[int | str, int], ...]:
+    def contacts(self) -> tuple[tuple[int, int], ...]:
         return ((self.curve1, 1), (self.curve2, self.k2))
 
 
@@ -85,40 +86,36 @@ class Subscheme:
 
 
 @dataclass(frozen=True, slots=True)
-class EliminationStep:
-    incident: tuple[int, ...]  # tracked-curve ids through the centre
-    new_curve: int  # id of the new exceptional curve record
-
-
-@dataclass(frozen=True, slots=True)
 class EliminationResult:
     """The blown-up model together with the chain bookkeeping.
 
     ``chains`` lists, per subscheme point, the curve ids of its exceptional
     chain in creation order (the last entry is the (-1)-curve).
+    ``centres`` lists, per blow-up in creation order, the tracked-curve ids
+    through its centre; the k-th blow-up (from 0) made the curve of id
+    ``len(model.curves) - len(centres) + k``.
     """
 
     model: SurfaceModel
-    subscheme: Subscheme
     chains: tuple[tuple[int, ...], ...]
-    steps: tuple[EliminationStep, ...]
-    base_exc_count: int  # exceptional classes before the elimination
+    centres: tuple[tuple[int, ...], ...]
 
     def transform_class(self, cls: DivisorClass, s: int) -> DivisorClass:
         """Pull the class back and subtract ``s`` times the relative canonical
         class, which is the sum of the new exceptional classes."""
-        if len(cls.base) != 2 or len(cls.exc) != self.base_exc_count:
+        below = self.model.exc_count - len(self.centres)
+        if len(cls.base) != 2 or len(cls.exc) != below:
             raise StructuralError(
                 f"class of shape ({len(cls.base)},{len(cls.exc)}) does not live below "
-                f"this elimination, of shape (2,{self.base_exc_count})"
+                f"this elimination, of shape (2,{below})"
             )
-        return DivisorClass(cls.base, cls.exc + (-s,) * (self.model.exc_count - self.base_exc_count))
+        return DivisorClass(cls.base, cls.exc + (-s,) * len(self.centres))
 
     def relative_canonical(self) -> Divisor:
         """The relative canonical divisor in terms of strict transforms: the
         transform of the zero divisor with s = -1, since each new curve
         carries 1 plus the coefficients of the curves through its centre."""
-        return Divisor.from_dict(_push_through(self.steps, {}, -1))
+        return Divisor.from_dict(_push_through(self, {}, -1))
 
 
 def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
@@ -128,50 +125,36 @@ def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
     Points are processed in order, each through its ``contacts``: the first
     centre lies on the curves listed there, and the last entry names the
     host curve and its contact order k, so an on-curve point follows its
-    curve and a node follows its second branch.
+    curve and a node follows its second branch.  Every curve a point names
+    must be a curve of ``model``, not one that the elimination makes.
     Blow-ups 2..k sit at the node of the last exceptional curve with the
     host's strict transform; the remaining ones at general points of the
     last exceptional curve.  The centres of all points are listed first and
     blown up by one ``SurfaceModel.blow_up_all``, so each elimination builds
-    one model and each curve class once.  The result's subscheme names its
-    curves by id; a datum, or a whole subscheme, that already does is kept.
+    one model and each curve class once.
     """
-    resolved = []
-    plans = []  # (first centre, host, k, m) per point
-    for datum in subscheme.points:
-        if not isinstance(datum, (OnCurveDatum, NodeDatum)):
-            raise StructuralError(f"unknown local datum {datum!r}")
-        named = first = ()
-        for c, k in datum.contacts:  # k ends as the host's contact, the last
-            named += (c,)
-            first += (model.resolve(c),)
-        if first != named:  # both kinds take their curves first, then k and m
-            datum = type(datum)(*first, k, datum.m)
-        plans.append((first, first[-1], k, datum.m))
-        resolved.append(datum)
-    resolved = tuple(resolved)
-    if resolved != subscheme.points:
-        subscheme = Subscheme(resolved)
-
+    count = len(model.curves)
     centres = []  # (through, name) per blow-up, for one ``blow_up_all``
     chains: list[tuple[int, ...]] = []
-    steps: list[EliminationStep] = []
-    for index, (first, host, k, m) in enumerate(plans, model.next_point_index):
+    for index, datum in enumerate(subscheme.points, model.next_point_index):
+        if not isinstance(datum, (OnCurveDatum, NodeDatum)):
+            raise StructuralError(f"unknown local datum {datum!r}")
+        first = tuple(c for c, _ in datum.contacts)
+        for c in first:
+            if not (isinstance(c, int) and 0 <= c < count):
+                raise StructuralError(f"no tracked curve with id {c!r}")
+        host, k = datum.contacts[-1]
         chain: list[int] = []
-        for j in range(1, m + 1):
+        for j in range(1, datum.m + 1):
             through = first if j == 1 else (chain[-1], host) if j <= k else (chain[-1],)
-            new_id = len(model.curves) + len(centres)  # the id blow_up_all gives it
+            chain.append(count + len(centres))  # the id blow_up_all gives it
             centres.append((through, f"Gamma_P{index}_{j}"))
-            steps.append(EliminationStep(through, new_id))
-            chain.append(new_id)
         chains.append(tuple(chain))
 
     return EliminationResult(
-        model.blow_up_all(centres, len(plans)),
-        subscheme,
+        model.blow_up_all(centres, len(chains)),
         tuple(chains),
-        tuple(steps),
-        model.exc_count,
+        tuple(through for through, _ in centres),
     )
 
 
@@ -183,21 +166,20 @@ def transform(E: Divisor, result: EliminationResult, s: int) -> Divisor:
     takes the sum of the coefficients of the curves through its centre in
     the pullback, and 1 plus that sum in K_rel, so its transformed
     coefficient is the sum of the transformed coefficients through its
-    centre, minus s: one integer pass over the steps, with no K_rel
+    centre, minus s: one integer pass over the centres, with no K_rel
     divisor.  Negative output coefficients are allowed, callers test
     effectivity.
     """
-    return Divisor.from_dict(_push_through(result.steps, E.as_dict(), s))
+    return Divisor.from_dict(_push_through(result, E.as_dict(), s))
 
 
-def _push_through(
-    steps: tuple[EliminationStep, ...], coeffs: dict[int, int], s: int
-) -> dict[int, int]:
-    """Give each step's new curve the sum of ``coeffs`` over the curves
-    through its centre, minus s, in creation order; ``coeffs`` is updated
-    in place and returned."""
-    for step in steps:
-        coeffs[step.new_curve] = sum(coeffs.get(c, 0) for c in step.incident) - s
+def _push_through(result: EliminationResult, coeffs: dict[int, int], s: int) -> dict[int, int]:
+    """Give each new curve the sum of ``coeffs`` over the curves through its
+    centre, minus s, in creation order; ``coeffs`` is updated in place and
+    returned."""
+    first = len(result.model.curves) - len(result.centres)
+    for new_curve, through in enumerate(result.centres, first):
+        coeffs[new_curve] = sum(coeffs.get(c, 0) for c in through) - s
     return coeffs
 
 

@@ -204,15 +204,6 @@ class SurfaceModel:
             return self.curves[curve_id]
         raise StructuralError(f"no tracked curve with id {curve_id}")
 
-    def curve_by_name(self, name: str) -> CurveRecord:
-        for rec in self.curves:
-            if rec.name == name:
-                return rec
-        raise StructuralError(f"no tracked curve named {name!r}")
-
-    def resolve(self, ref: int | str) -> int:
-        return self.curve_by_name(ref).id if isinstance(ref, str) else self.curve(ref).id
-
     def self_intersection(self, curve_id: int) -> int:
         c = self.curve(curve_id).cls
         return self.intersect(c, c)

@@ -145,8 +145,8 @@ def build_ladder(
     divisor, steps).
 
     ``steps`` maps a level in b..1 to the nonempty subscheme eliminated
-    there; every other level eliminates nothing.  Each subscheme may
-    reference curves by id or by name against the model of its own level.
+    there; every other level eliminates nothing.  Each subscheme names
+    curves by their ids in the model of its own level.
     The intermediate divisors are not tested here: ``certify_ladder``
     reports a divisor that turns non-effective or zero, and certifies
     nefness, along the descent.
@@ -169,7 +169,7 @@ def descend_step(
     down (E_{i-1} = transform(E_i, a-i), L_{i-1} = L_i - i.K_rel) on the model
     ``level.elim.model``.  The one place a ladder is descended."""
     elim = eliminate(model, sub)
-    level = LadderLevel(i, model, E, L, elim.subscheme, elim)
+    level = LadderLevel(i, model, E, L, sub, elim)
     return level, transform(E, elim, a - i), elim.transform_class(L, i)
 
 

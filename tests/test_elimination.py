@@ -12,11 +12,12 @@ from delpezzo.elimination import (
     transform,
 )
 from delpezzo.lattice import Divisor, StructuralError, SurfaceModel
+from delpezzo.multiplet import build_ladder
 
 
 def test_chain_shape_on_curve():
     F4 = SurfaceModel.hirzebruch(4)
-    res = eliminate(F4, Subscheme((OnCurveDatum("sigma", 2, 3),)))
+    res = eliminate(F4, Subscheme((OnCurveDatum(0, 2, 3),)))
     m = res.model
     (chain,) = res.chains
     assert [m.self_intersection(c) for c in chain] == [-2, -2, -1]
@@ -25,27 +26,24 @@ def test_chain_shape_on_curve():
     assert m.intersection(chain[1], chain[2]) == 1
     assert m.intersection(chain[0], chain[2]) == 0
     # the host is attached below the contact position
-    sigma = m.curve_by_name("sigma").id
-    assert [m.intersection(sigma, c) for c in chain] == [0, 1, 0]
+    assert [m.intersection(0, c) for c in chain] == [0, 1, 0]  # sigma, id 0
     assert res.relative_canonical().as_dict() == {chain[0]: 1, chain[1]: 2, chain[2]: 3}
 
 
 def test_node_chain_attachments():
     F5 = SurfaceModel.hirzebruch(5)
     F5, l1 = F5.add_fiber()
-    res = eliminate(F5, Subscheme((NodeDatum("sigma", "l_1", 3, 3),)))
+    res = eliminate(F5, Subscheme((NodeDatum(0, l1.id, 3, 3),)))
     m = res.model
     (chain,) = res.chains
-    sigma = m.curve_by_name("sigma").id
-    fib = m.curve_by_name("l_1").id
-    assert [m.intersection(sigma, c) for c in chain] == [1, 0, 0]
-    assert [m.intersection(fib, c) for c in chain] == [0, 0, 1]
-    assert m.intersection(sigma, fib) == 0
+    assert [m.intersection(0, c) for c in chain] == [1, 0, 0]
+    assert [m.intersection(l1.id, c) for c in chain] == [0, 0, 1]
+    assert m.intersection(0, l1.id) == 0
 
 
 def test_degree_counts_blow_ups():
     F3 = SurfaceModel.hirzebruch(3)
-    sub = Subscheme((OnCurveDatum("sigma", 1, 2), OnCurveDatum("sigma", 2, 3)))
+    sub = Subscheme((OnCurveDatum(0, 1, 2), OnCurveDatum(0, 2, 3)))
     res = eliminate(F3, sub)
     assert sub.degree == 5
     assert res.model.exc_count == 5
@@ -54,7 +52,7 @@ def test_degree_counts_blow_ups():
 
 def test_transform_on_curve_example():
     F6 = SurfaceModel.hirzebruch(6)
-    res = eliminate(F6, Subscheme((OnCurveDatum("sigma", 2, 4),)))
+    res = eliminate(F6, Subscheme((OnCurveDatum(0, 2, 4),)))
     out = transform(Divisor.from_dict({0: 3}), res, 1)
     (chain,) = res.chains
     assert out.coeff(0) == 3
@@ -64,7 +62,7 @@ def test_transform_on_curve_example():
 def test_transform_node_example():
     F5 = SurfaceModel.hirzebruch(5)
     F5, l1 = F5.add_fiber()
-    res = eliminate(F5, Subscheme((NodeDatum("sigma", "l_1", 3, 3),)))
+    res = eliminate(F5, Subscheme((NodeDatum(0, l1.id, 3, 3),)))
     out = transform(Divisor.from_dict({0: 3, l1.id: 2}), res, 3)
     (chain,) = res.chains
     assert out.coeff(0) == 3
@@ -84,9 +82,9 @@ def test_relative_canonical_coefficient_is_position():
     F7, l1 = F7.add_fiber()
     sub = Subscheme(
         (
-            OnCurveDatum("sigma", 3, 5),
-            NodeDatum("sigma", "l_1", 2, 4),
-            OnCurveDatum("l_1", 1, 2),
+            OnCurveDatum(0, 3, 5),
+            NodeDatum(0, l1.id, 2, 4),
+            OnCurveDatum(l1.id, 1, 2),
         )
     )
     res = eliminate(F7, sub)
@@ -99,7 +97,7 @@ def test_relative_canonical_coefficient_is_position():
 def test_closed_forms_match_tape_pullback_spot():
     # single-curve route, a couple of spot values away from the exhaustive run
     F9 = SurfaceModel.hirzebruch(9)
-    res = eliminate(F9, Subscheme((OnCurveDatum("sigma", 3, 6),)))
+    res = eliminate(F9, Subscheme((OnCurveDatum(0, 3, 6),)))
     out = transform(Divisor.from_dict({0: 4}), res, 2)
     (chain,) = res.chains
     assert [out.coeff(c) for c in chain] == on_curve_coefficients(4, 2, 6, 3)
@@ -108,11 +106,30 @@ def test_closed_forms_match_tape_pullback_spot():
 def test_invalid_data_rejected():
     F3 = SurfaceModel.hirzebruch(3)
     with pytest.raises(StructuralError):
-        OnCurveDatum("sigma", 3, 2)
+        OnCurveDatum(0, 3, 2)
     with pytest.raises(StructuralError):
-        NodeDatum("sigma", "l_1", 0, 2)
+        NodeDatum(0, 1, 0, 2)
     with pytest.raises(StructuralError):
         eliminate(F3, Subscheme((OnCurveDatum("no_such_curve", 1, 1),)))
+    # a datum names a curve of the model below by id: not by name, not by a
+    # negative id or one past the table, and not by the id of a curve that
+    # an earlier point of the same subscheme makes
+    F3, l1 = F3.add_fiber()
+    made = len(F3.curves)  # the first new curve's id
+    for points in (
+        (OnCurveDatum("sigma", 1, 1),),
+        (NodeDatum(0, "l_1", 1, 1),),
+        (OnCurveDatum(-1, 1, 1),),
+        (NodeDatum(-1, l1.id, 1, 1),),
+        (OnCurveDatum(made, 1, 1),),
+        (NodeDatum(0, made + 3, 1, 1),),
+        (OnCurveDatum(0, 1, 1), OnCurveDatum(made, 1, 1)),
+        (OnCurveDatum(0, 1, 1), NodeDatum(0, made, 1, 1)),
+    ):
+        with pytest.raises(StructuralError, match="no tracked curve with id"):
+            eliminate(F3, Subscheme(points))
+        with pytest.raises(StructuralError, match="no tracked curve with id"):
+            build_ladder(4, F3, Divisor.from_dict({0: 1}), 1, {1: Subscheme(points)})
 
 
 @dataclass(frozen=True)
@@ -160,14 +177,14 @@ def _eliminate_reference(model, subscheme):
             chain.append(rec.id)
 
         if isinstance(datum, OnCurveDatum):
-            host = model.resolve(datum.curve)
+            host = datum.curve
             blow(1, host)
             for j in range(2, datum.k + 1):
                 blow(j, chain[-1], host)
             for j in range(datum.k + 1, datum.m + 1):
                 blow(j, chain[-1])
         else:
-            c1, c2 = model.resolve(datum.curve1), model.resolve(datum.curve2)
+            c1, c2 = datum.curve1, datum.curve2
             blow(1, c1, c2)
             for j in range(2, datum.k2 + 1):
                 blow(j, chain[-1], c2)
@@ -180,11 +197,11 @@ def _eliminate_reference(model, subscheme):
 def _reference_cases():
     for m in range(1, 5):
         for k in range(1, m + 1):
-            yield (OnCurveDatum("sigma", k, m),)
-            yield (OnCurveDatum("l_1", k, m),)
-            yield (NodeDatum("sigma", "l_1", k, m),)
-            yield (NodeDatum("l_1", "sigma", k, m),)
-    yield (NodeDatum("l_1", "sigma", 2, 3), OnCurveDatum("sigma", 2, 4))
+            yield (OnCurveDatum(0, k, m),)  # sigma
+            yield (OnCurveDatum(1, k, m),)  # l_1
+            yield (NodeDatum(0, 1, k, m),)
+            yield (NodeDatum(1, 0, k, m),)
+    yield (NodeDatum(1, 0, 2, 3), OnCurveDatum(0, 2, 4))
 
 
 def test_eliminate_matches_the_per_kind_reference():
@@ -197,4 +214,5 @@ def test_eliminate_matches_the_per_kind_reference():
         assert res.model.curves == model.curves, points
         assert res.model == model, points
         assert res.chains == chains, points
-        assert [(s.incident, s.new_curve) for s in res.steps] == list(steps), points
+        first = len(res.model.curves) - len(res.centres)
+        assert list(enumerate(res.centres, first)) == [(new, through) for through, new in steps], points

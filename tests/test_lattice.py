@@ -95,8 +95,6 @@ def test_negative_curve_ids_are_unknown():
     F2, _ = SurfaceModel.hirzebruch(2).add_fiber()
     with pytest.raises(StructuralError, match="no tracked curve with id -1"):
         F2.curve(-1)
-    with pytest.raises(StructuralError, match="no tracked curve with id -2"):
-        F2.resolve(-2)
     with pytest.raises(StructuralError, match="no tracked curve with id -1"):
         F2.blow_up(-1)
     with pytest.raises(StructuralError, match="no tracked curve with id -2"):
@@ -123,7 +121,7 @@ def test_basis_mismatch_is_structural():
             E.class_in(mixed)
         with pytest.raises(StructuralError):
             mixed.fundamental_class(3, E)
-    elim = eliminate(short, Subscheme((OnCurveDatum("sigma", 1, 2),)))
+    elim = eliminate(short, Subscheme((OnCurveDatum(0, 1, 2),)))
     for cls in (long.sigma_class(), elim.model.sigma_class(), bad):
         with pytest.raises(StructuralError):
             elim.transform_class(cls, 1)
@@ -260,7 +258,7 @@ def _canonical_by_chain(model):
 
 def _relative_canonical_by_chain(elim):
     cls = _exc(elim.model)
-    for j in range(elim.base_exc_count, elim.model.exc_count):
+    for j in range(elim.model.exc_count - len(elim.centres), elim.model.exc_count):
         cls = cls + _exc(elim.model, j)
     return cls
 
@@ -290,8 +288,8 @@ def test_one_pass_kernel_matches_the_chain_arithmetic():
 
 
 def _eliminations():
-    """(model below, elimination) of every step of the catalog ladders at
-    a = 4..12 and of the fuzz ladders of seed 0."""
+    """(model below, subscheme, elimination) of every step of the catalog
+    ladders at a = 4..12 and of the fuzz ladders of seed 0."""
     ladders = [
         build_entry_ladder(entry, a, idx)
         for a in range(4, 13)
@@ -299,7 +297,7 @@ def _eliminations():
         for idx in range(len(entry.configs))
     ]
     ladders += random_pseudo_fundamental_ladders(0, 100)
-    return [(lv.model, lv.elim) for lad in ladders for lv in lad.levels if lv.elim is not None]
+    return [(lv.model, lv.delta, lv.elim) for lad in ladders for lv in lad.levels if lv.elim is not None]
 
 
 def test_batched_blow_up_matches_the_incidence():
@@ -307,8 +305,8 @@ def test_batched_blow_up_matches_the_incidence():
     # intersection numbers must be those that the centres' incidence dictates
     eliminations = _eliminations()
     assert len(eliminations) > 100
-    for below, elim in eliminations:
-        above, sub = elim.model, elim.subscheme
+    for below, sub, elim in eliminations:
+        above = elim.model
         K0, K1 = below.canonical_class, above.canonical_class
         assert above.intersect(K1, K1) == below.intersect(K0, K0) - sub.degree
         for rec in below.curves:

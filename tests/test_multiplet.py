@@ -165,8 +165,8 @@ def test_top_minus_one_curve_rejects_an_f1_top_that_meets_sigma_b_times():
     E = Divisor.from_dict({0: 1, fiber.id: 2})
     assert model.intersect(model.fundamental_class(a, E), model.sigma_class()) == b
     steps = {
-        4: Subscheme((OnCurveDatum("sigma", 1, 1),)),
-        3: Subscheme((OnCurveDatum("l_1", 1, 1),) * 3),
+        4: Subscheme((OnCurveDatum(0, 1, 1),)),
+        3: Subscheme((OnCurveDatum(fiber.id, 1, 1),) * 3),
     }
     lad = build_ladder(a, model, E, b, steps)
     assert certify_ladder(lad).failures == ("top_minus_one_curve",)
@@ -379,7 +379,7 @@ def test_identities_check_rejects_a_tampered_subscheme(name, datum, tampered):
 def _a5_step_then_a_point_of_sigma():
     """A5's first step on F_7, then one point of sigma at level 1."""
     top, fiber = SurfaceModel.hirzebruch(7).add_fiber()
-    steps = {3: Subscheme((OnCurveDatum("l_1", 2, 2),)), 1: Subscheme((OnCurveDatum("sigma", 1, 1),))}
+    steps = {3: Subscheme((OnCurveDatum(fiber.id, 2, 2),)), 1: Subscheme((OnCurveDatum(0, 1, 1),))}
     return build_ladder(5, top, Divisor.from_dict({0: 4, fiber.id: 2}), 3, steps)
 
 
@@ -469,8 +469,9 @@ def _dense_levels(lad):
     model, E, L = lad.top.model, lad.top.E, lad.top.L
     dense = []
     for i in range(lad.b, 0, -1):
-        elim = eliminate(model, steps.get(i, Subscheme(())))
-        dense.append(LadderLevel(i, model, E, L, elim.subscheme, elim))
+        sub = steps.get(i, Subscheme(()))
+        elim = eliminate(model, sub)
+        dense.append(LadderLevel(i, model, E, L, sub, elim))
         model, E, L = elim.model, transform(E, elim, a - i), elim.transform_class(L, i)
     dense.append(LadderLevel(0, model, E, L, None, None))
     return dense
@@ -618,7 +619,7 @@ def test_shared_checks_match_the_per_level_references():
         for k, held in enumerate(lad.levels):
             m = held.model
             fiber = m.fiber_class()
-            moves = [fiber, (-m.intersect(held.L, m.curve_by_name("sigma").cls) - 1) * fiber]
+            moves = [fiber, (-m.intersect(held.L, m.curve(0).cls) - 1) * fiber]
             if m.exc_count:
                 moves.append(DivisorClass((0, 0), (0,) * (m.exc_count - 1) + (1,)))
             for D in moves:
@@ -664,7 +665,7 @@ def test_build_ladder_rejects_a_step_outside_the_ladder(level):
     # type I at index 5 has length 3 and one step, at level 1
     top = _entry_ladder(5, "I").top
     with pytest.raises(StructuralError, match=f"step at level {level} is not inside 3..1"):
-        build_ladder(5, top.model, top.E, 3, {level: Subscheme((OnCurveDatum("sigma", 1, 1),))})
+        build_ladder(5, top.model, top.E, 3, {level: Subscheme((OnCurveDatum(0, 1, 1),))})
 
 
 @pytest.mark.parametrize("b", [0, 4, -1])
@@ -686,8 +687,8 @@ def test_certify_ladder_names_the_level_where_the_divisor_fails():
     # The bottom pair is checked whatever failed above it.
     F, fiber = SurfaceModel.hirzebruch(2).add_fiber()
     E = Divisor.from_dict({0: 4, fiber.id: 1})
-    on_sigma = Subscheme((OnCurveDatum("sigma", 1, 1),))
-    on_fiber = Subscheme((OnCurveDatum("l_1", 1, 1),))
+    on_sigma = Subscheme((OnCurveDatum(0, 1, 1),))
+    on_fiber = Subscheme((OnCurveDatum(fiber.id, 1, 1),))
     bottom = ("bottom_effective", "bottom_coefficient_range", "bottom_orthogonality")
     assert certify_ladder(build_ladder(5, F, E, 3, {3: on_sigma})).failures == ("bottom_orthogonality",)
     lad = build_ladder(5, F, E, 3, {3: on_sigma, 2: on_fiber})
@@ -767,12 +768,12 @@ def test_local_checks_boundary_case():
     # admissible exactly when 2i = a + 1
     F = SurfaceModel.hirzebruch(9)
     E = Divisor.from_dict({0: 4})
-    lad = build_ladder(5, F, E, 3, {3: Subscheme((OnCurveDatum("sigma", 1, 2),))})
+    lad = build_ladder(5, F, E, 3, {3: Subscheme((OnCurveDatum(0, 1, 2),))})
     assert local_lemma_checks(lad) == []
 
     F = SurfaceModel.hirzebruch(11)
     E = Divisor.from_dict({0: 5})
-    lad = build_ladder(6, F, E, 3, {3: Subscheme((OnCurveDatum("sigma", 1, 2),))})
+    lad = build_ladder(6, F, E, 3, {3: Subscheme((OnCurveDatum(0, 1, 2),))})
     assert any("2i = a+1" in v for v in local_lemma_checks(lad))
 
 
@@ -848,7 +849,6 @@ def test_value_types_are_slotted_and_stay_frozen():
         next(p for p in points if isinstance(p, OnCurveDatum)),
         next(p for p in points if isinstance(p, NodeDatum)),
         top.delta,
-        top.elim.steps[0],
         top.elim,
         top,
         certify_ladder(lad),
@@ -858,7 +858,7 @@ def test_value_types_are_slotted_and_stay_frozen():
     assert sorted(type(v).__name__ for v in values) == sorted(
         (
             "DivisorClass", "CurveRecord", "Divisor", "OnCurveDatum", "NodeDatum", "Subscheme",
-            "EliminationStep", "EliminationResult", "LadderLevel", "CertificateReport",
+            "EliminationResult", "LadderLevel", "CertificateReport",
             "SearchCell", "WeightedGraph",
         )
     )

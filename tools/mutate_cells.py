@@ -1,11 +1,11 @@
-"""Mutation check of the cell, search, survivor and datum stages: does a
-test fail for each small change?
+"""Mutation check of the cell, search, survivor, datum and elimination
+stages: does a test fail for each small change?
 
 Each mutant changes one expression or statement of one module:
 ``src/delpezzo/enumerator.py`` for the cell and search stages,
 ``src/delpezzo/multiplet.py`` for the survivor stage and
-``src/delpezzo/elimination.py`` for the datum stage.  There is one mutant
-table per stage.
+``src/delpezzo/elimination.py`` for the datum and elimination stages.
+There is one mutant table per stage.
 
 The cell stage (``cell_mutants``):
 
@@ -51,6 +51,17 @@ read:
 - a node's first-branch contact 1 made 0 and 2, its second-branch contact
   k2 moved by +1 and by -1, and its two entries swapped.
 
+The elimination stage (``elimination_mutants``), in the record of an
+elimination, which keeps the curves through each blow-up centre and
+derives each new curve's id from its position:
+
+- ``_push_through``'s first new id moved by +1 and by -1;
+- ``transform_class``'s base count (the exceptional classes below the
+  elimination) moved by +1 and by -1, and the sign of its -s flipped;
+- in ``eliminate``, a chain's continuation along its host,
+  ``(chain[-1], host)``, made ``(chain[-1],)``, and its test ``j <= k``
+  made ``j < k``.
+
 For each mutant the script copies the package to a temporary directory,
 writes the mutated module there and runs the stage's tests against it, with
 a timeout per mutant (a block end moved down by one loops forever) and a
@@ -62,8 +73,8 @@ Run from the repository root, with pytest installed:
 
     python tools/mutate_cells.py
 
-With Python 3.11 on one core of a 2-core x86-64 host the four stages take
-about 5.5 minutes together.
+With Python 3.11 on one core of a 2-core x86-64 host the five stages take
+about 6 minutes together.
 
 Stdlib only; the source is located with ``ast`` and spliced as text, so the
 rest of the module keeps its bytes.
@@ -190,6 +201,21 @@ DATUM_TESTS = (
     "test_search_cell_matches_the_per_level_walk",
     "test_level_one_walk_spends_every_budget_exactly",
     "test_classify_four_exact",
+)
+
+ELIMINATION_TESTS = (
+    "test_chain_shape_on_curve",
+    "test_node_chain_attachments",
+    "test_transform_on_curve_example",
+    "test_transform_node_example",
+    "test_relative_canonical_coefficient_is_position",
+    "test_closed_forms_match_tape_pullback_spot",
+    "test_eliminate_matches_the_per_kind_reference",
+    "test_basis_mismatch_is_structural",
+    "test_one_pass_kernel_matches_the_chain_arithmetic",
+    "test_batched_blow_up_matches_the_incidence",
+    "test_identities_check_matches_the_per_level_rescan",
+    "test_every_catalog_config_passes_certificates",
 )
 
 MEMORY_LIMIT = 2 << 30  # bytes of address space per test run
@@ -388,6 +414,22 @@ def datum_mutants(source: str) -> list[Mutant]:
     return t.out
 
 
+def elimination_mutants(source: str) -> list[Mutant]:
+    t = _Table(source)
+    (first,) = _assigned(_function(t.tree, "_push_through"), "first")
+    t.shift("_push_through: the first new id", first)
+    transform_class = _function(t.tree, "transform_class")
+    (below,) = _assigned(transform_class, "below")
+    t.shift("transform_class: the base count", below)
+    (minus_s,) = [n for n in ast.walk(transform_class) if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)]
+    t.out.append(Mutant("transform_class: the sign of -s", minus_s, "s"))
+    (through,) = _assigned(_function(t.tree, "eliminate"), "through")
+    later = through.orelse  # (chain[-1], host) if j <= k else (chain[-1],)
+    t.out.append(Mutant("eliminate: the continuation along the host dropped", later.body, "(chain[-1],)"))
+    t.out.append(Mutant("eliminate: j <= k made j < k", later.test, "j < k"))
+    return t.out
+
+
 @dataclass(frozen=True)
 class Stage:
     module: str  # the mutated module's file name in src/delpezzo
@@ -412,6 +454,13 @@ STAGES = {
         datum_mutants,
         ("tests/test_elimination.py", "tests/test_lattice.py", "tests/test_multiplet.py", "tests/test_enumerator.py"),
         DATUM_TESTS,
+        {},
+    ),
+    "elimination": Stage(
+        "elimination.py",
+        elimination_mutants,
+        ("tests/test_elimination.py", "tests/test_lattice.py", "tests/test_multiplet.py"),
+        ELIMINATION_TESTS,
         {},
     ),
 }
