@@ -80,10 +80,6 @@ class Subscheme:
     def is_empty(self) -> bool:
         return not self.points
 
-    def contact(self, curve_id: int) -> int:
-        """Total contact order against one tracked curve, summed over points."""
-        return sum(k for p in self.points for c, k in p.contacts if c == curve_id)
-
 
 @dataclass(frozen=True, slots=True)
 class EliminationResult:
@@ -110,12 +106,6 @@ class EliminationResult:
                 f"this elimination, of shape (2,{below})"
             )
         return DivisorClass(cls.base, cls.exc + (-s,) * len(self.centres))
-
-    def relative_canonical(self) -> Divisor:
-        """The relative canonical divisor in terms of strict transforms: the
-        transform of the zero divisor with s = -1, since each new curve
-        carries 1 plus the coefficients of the curves through its centre."""
-        return Divisor.from_dict(_push_through(self, {}, -1))
 
 
 def eliminate(model: SurfaceModel, subscheme: Subscheme) -> EliminationResult:
@@ -170,17 +160,11 @@ def transform(E: Divisor, result: EliminationResult, s: int) -> Divisor:
     divisor.  Negative output coefficients are allowed, callers test
     effectivity.
     """
-    return Divisor.from_dict(_push_through(result, E.as_dict(), s))
-
-
-def _push_through(result: EliminationResult, coeffs: dict[int, int], s: int) -> dict[int, int]:
-    """Give each new curve the sum of ``coeffs`` over the curves through its
-    centre, minus s, in creation order; ``coeffs`` is updated in place and
-    returned."""
+    coeffs = E.as_dict()
     first = len(result.model.curves) - len(result.centres)
     for new_curve, through in enumerate(result.centres, first):
         coeffs[new_curve] = sum(coeffs.get(c, 0) for c in through) - s
-    return coeffs
+    return Divisor.from_dict(coeffs)
 
 
 # Closed-form chain coefficients for the transform of a divisor supported on

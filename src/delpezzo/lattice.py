@@ -148,9 +148,6 @@ class SurfaceModel:
             raise StructuralError("wrong number of base coordinates")
         return DivisorClass(tuple(coords), (0,) * self.exc_count)
 
-    def sigma_class(self) -> DivisorClass:
-        return self.base_class(1, 0)
-
     def fiber_class(self) -> DivisorClass:
         return self.base_class(0, 1)
 
@@ -285,15 +282,6 @@ class SurfaceModel:
             exc = (0,) * m + tuple(tail(count + j))
             curves.append(CurveRecord(count + j, name, DivisorClass((0, 0), exc)))
         return SurfaceModel(self.n, m + new, tuple(curves), self.next_point_index + points)
-
-    # -- base-cone tests (valid on the minimal surface only) ----------------
-
-    def nef_on_base(self, d: DivisorClass) -> bool:
-        """Closed nef criterion on the minimal base; requires no blow-ups."""
-        self._check_class(d)
-        if any(a != 0 for a in d.exc):
-            raise StructuralError("nef criterion only applies to pullback-free classes")
-        return base_nef(self.n, *d.base)
 
     # -- dual graphs ---------------------------------------------------------
 

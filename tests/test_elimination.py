@@ -27,7 +27,7 @@ def test_chain_shape_on_curve():
     assert m.intersection(chain[0], chain[2]) == 0
     # the host is attached below the contact position
     assert [m.intersection(0, c) for c in chain] == [0, 1, 0]  # sigma, id 0
-    assert res.relative_canonical().as_dict() == {chain[0]: 1, chain[1]: 2, chain[2]: 3}
+    assert transform(Divisor(), res, -1).as_dict() == {chain[0]: 1, chain[1]: 2, chain[2]: 3}
 
 
 def test_node_chain_attachments():
@@ -88,7 +88,7 @@ def test_relative_canonical_coefficient_is_position():
         )
     )
     res = eliminate(F7, sub)
-    kyx = res.relative_canonical().as_dict()
+    kyx = transform(Divisor(), res, -1).as_dict()
     for chain in res.chains:
         for pos, cid in enumerate(chain, start=1):
             assert kyx[cid] == pos

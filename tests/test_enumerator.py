@@ -885,19 +885,51 @@ def test_search_cell_counts_the_levels_it_steps_over_against_the_cap(monkeypatch
 def test_search_cost_does_not_depend_on_the_index(monkeypatch):
     # a state walks its own levels and steps over those where no point
     # fits, so classify(a) makes the same search calls at every large index:
-    # one _budgets call per state, no degree test where a step lands
+    # one _budgets call per state, no degree test where a step lands.  From
+    # a = 8 on every cell's tree is the same too: per cell, its offsets
+    # (n - 2a, h0 - a, (n + 2) a - h), its states (_budgets calls), its
+    # candidates, its survivors and its rejections, in search order
     counts = {}
     for name in ("_budgets", "_degrees_feasible", "_subscheme_candidates"):
         def counted(*args, _call=getattr(enumerator, name), _name=name):
             counts[_name] += 1
             return _call(*args)
         monkeypatch.setattr(enumerator, name, counted)
-    seen = []
-    for a in (64, 512, 4096):
+    trees = {}
+
+    def searched(cell, _search=enumerator.search_cell):
+        before = counts["_budgets"]
+        out = _search(cell)
+        a, n, h0, h = cell.a, cell.n, cell.h0, cell.h
+        offsets = (n - 2 * a, h0 - a, (n + 2) * a - h)
+        trees[a].append((offsets, counts["_budgets"] - before, out.candidates, len(out.survivors), out.rejected))
+        return out
+
+    monkeypatch.setattr(enumerator, "search_cell", searched)
+    seen = {}
+    for a in (8, 9, 16, 17, 64, 511, 512, 4096, 4097, 65_536, 65_537):
         counts.update(dict.fromkeys(("_budgets", "_degrees_feasible", "_subscheme_candidates"), 0))
+        trees[a] = []
         assert classify(a).catalog_match
-        seen.append(dict(counts))
-    assert seen == [{"_budgets": 37, "_degrees_feasible": 36, "_subscheme_candidates": 10}] * 3
+        seen[a] = dict(counts)
+    assert trees[8] == [
+        ((-4, 1, 2), 2, 0, 0, {}),
+        ((-4, 1, 1), 1, 0, 0, {}),
+        ((-4, 1, 0), 11, 5, 5, {}),
+        ((-3, 1, 3), 3, 0, 0, {}),
+        ((-3, 1, 2), 2, 0, 0, {}),
+        ((-3, 1, 1), 1, 0, 0, {}),
+        ((-3, 1, 0), 6, 3, 3, {}),
+        ((-2, 1, 2), 2, 0, 0, {}),
+        ((-2, 1, 1), 1, 0, 0, {}),
+        ((-2, 1, 0), 4, 2, 2, {}),
+        ((-1, 1, 1), 1, 0, 0, {}),
+        ((-1, 1, 0), 2, 1, 1, {}),
+        ((0, 1, 0), 1, 1, 1, {}),
+    ]  # 13 cells, 37 states
+    assert all(tree == trees[8] for tree in trees.values())
+    large = [seen[a] for a in seen if a >= 64]
+    assert large == [{"_budgets": 37, "_degrees_feasible": 36, "_subscheme_candidates": 10}] * 7
 
 
 def _datum_options_reference(model, E, i, a, v_cap, be_cap, budgets, forbid_sigma):
@@ -1376,7 +1408,7 @@ def test_level_one_walk_spends_every_budget_exactly(monkeypatch):
         full = enumerator._subscheme_candidates(model, E, 1, a, v_cap, budgets, forbid)
         assert got == [cand for cand in full if cand[0] * (a - 1) == be]
         for _, points in got:
-            assert all(Subscheme(points).contact(c) == r for c, r in budgets.items())
+            assert all(sum(k for p in points for d, k in p.contacts if d == c) == r for c, r in budgets.items())
             nodes += any(isinstance(p, NodeDatum) for p in points)
         count = counts[sum(n >= end for end in ends)]
         count[0] += 1

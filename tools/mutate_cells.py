@@ -1,11 +1,12 @@
-"""Mutation check of the cell, search, survivor, datum and elimination
-stages: does a test fail for each small change?
+"""Mutation check of the cell, search, survivor, datum, elimination, recipe
+and key-map stages: does a test fail for each small change?
 
 Each mutant changes one expression or statement of one module:
-``src/delpezzo/enumerator.py`` for the cell and search stages,
-``src/delpezzo/multiplet.py`` for the survivor stage and
-``src/delpezzo/elimination.py`` for the datum and elimination stages.
-There is one mutant table per stage.
+``src/delpezzo/enumerator.py`` for the cell, search and key-map stages,
+``src/delpezzo/multiplet.py`` for the survivor stage,
+``src/delpezzo/elimination.py`` for the datum and elimination stages and
+``src/delpezzo/catalog.py`` for the recipe stage.  There is one mutant
+table per stage.
 
 The cell stage (``cell_mutants``):
 
@@ -55,12 +56,25 @@ The elimination stage (``elimination_mutants``), in the record of an
 elimination, which keeps the curves through each blow-up centre and
 derives each new curve's id from its position:
 
-- ``_push_through``'s first new id moved by +1 and by -1;
+- ``transform``'s first new id moved by +1 and by -1;
 - ``transform_class``'s base count (the exceptional classes below the
   elimination) moved by +1 and by -1, and the sign of its -s flipped;
 - in ``eliminate``, a chain's continuation along its host,
   ``(chain[-1], host)``, made ``(chain[-1],)``, and its test ``j <= k``
   made ``j < k``.
+
+The recipe stage (``recipe_mutants``), in ``catalog.entry_recipe``, which
+gives the recipe that a catalog configuration is looked up by:
+
+- the steps' ``reverse=True`` dropped, so they run bottom up;
+- the length ``_length(a)`` moved by +1 and by -1.
+
+The key-map stage (``key_map_mutants``), in ``catalog_key_map``, which
+tags survivors and lists the missing configurations:
+
+- the ``raise`` on a key collision deleted;
+- a missing configuration's number ``idx + 1`` made ``idx``;
+- the test ``key is None`` inverted.
 
 For each mutant the script copies the package to a temporary directory,
 writes the mutated module there and runs the stage's tests against it, with
@@ -73,8 +87,8 @@ Run from the repository root, with pytest installed:
 
     python tools/mutate_cells.py
 
-With Python 3.11 on one core of a 2-core x86-64 host the five stages take
-about 6 minutes together.
+With Python 3.11 on one core of a 2-core x86-64 host the seven stages take
+about 7 minutes together.
 
 Stdlib only; the source is located with ``ast`` and spliced as text, so the
 rest of the module keeps its bytes.
@@ -216,6 +230,15 @@ ELIMINATION_TESTS = (
     "test_batched_blow_up_matches_the_incidence",
     "test_identities_check_matches_the_per_level_rescan",
     "test_every_catalog_config_passes_certificates",
+)
+
+RECIPE_TESTS = (
+    "test_catalog_keys_reuse_exactly_the_survivors_ladders",
+    "test_a_configuration_no_survivor_has_is_reported_missing",
+    "test_survivors_of_a_dropped_entry_are_unexpected",
+    "test_two_entries_sharing_a_key_are_a_consistency_error",
+    "test_a_recipe_one_datum_away_lends_no_key",
+    "test_classify_four_exact",
 )
 
 MEMORY_LIMIT = 2 << 30  # bytes of address space per test run
@@ -416,8 +439,8 @@ def datum_mutants(source: str) -> list[Mutant]:
 
 def elimination_mutants(source: str) -> list[Mutant]:
     t = _Table(source)
-    (first,) = _assigned(_function(t.tree, "_push_through"), "first")
-    t.shift("_push_through: the first new id", first)
+    (first,) = _assigned(_function(t.tree, "transform"), "first")
+    t.shift("transform: the first new id", first)
     transform_class = _function(t.tree, "transform_class")
     (below,) = _assigned(transform_class, "below")
     t.shift("transform_class: the base count", below)
@@ -427,6 +450,29 @@ def elimination_mutants(source: str) -> list[Mutant]:
     later = through.orelse  # (chain[-1], host) if j <= k else (chain[-1],)
     t.out.append(Mutant("eliminate: the continuation along the host dropped", later.body, "(chain[-1],)"))
     t.out.append(Mutant("eliminate: j <= k made j < k", later.test, "j < k"))
+    return t.out
+
+
+def recipe_mutants(source: str) -> list[Mutant]:
+    t = _Table(source)
+    recipe = _function(t.tree, "entry_recipe")
+    (steps,) = _calls(recipe, "sorted")
+    t.out.append(Mutant("entry_recipe: reverse=True dropped", steps, f"sorted({t.seg(steps.args[0])})"))
+    (length,) = _calls(recipe, "_length")
+    t.shift("entry_recipe: the length", length)
+    return t.out
+
+
+def key_map_mutants(source: str) -> list[Mutant]:
+    t = _Table(source)
+    key_map = _function(t.tree, "catalog_key_map")
+    own = _own_nodes(key_map)
+    (collision,) = [n for n in own if isinstance(n, ast.Raise)]
+    t.out.append(Mutant("catalog_key_map: delete the raise on a key collision", collision, "pass"))
+    (number,) = [n for n in own if isinstance(n, ast.BinOp) and t.seg(n) == "idx + 1"]
+    t.out.append(Mutant("catalog_key_map: idx + 1 made idx", number, "idx"))
+    (unknown,) = [n for n in own if isinstance(n, ast.Compare) and t.seg(n) == "key is None"]
+    t.out.append(Mutant("catalog_key_map: key is None inverted", unknown, "key is not None"))
     return t.out
 
 
@@ -463,6 +509,8 @@ STAGES = {
         ELIMINATION_TESTS,
         {},
     ),
+    "recipe": Stage("catalog.py", recipe_mutants, ("tests/test_enumerator.py",), RECIPE_TESTS, {}),
+    "key-map": Stage("enumerator.py", key_map_mutants, ("tests/test_enumerator.py",), RECIPE_TESTS, {}),
 }
 
 
