@@ -9,14 +9,14 @@ but they share the entry's volume and index.  Configurations name curves
 by the ids ``top_model`` gives and list points smallest first, as the
 search does, so ``entry_recipe`` needs no model and matches a survivor's.
 
-The two degree-two configurations on the section get separate entries
-("II_1" with one point, "II_2" with two) because their surfaces have
-distinct toric models.
+The degree-two series on the section is split into one entry per
+configuration ("II_1" with one point, "II_2" with two) because their
+surfaces have distinct toric models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .elimination import NodeDatum, OnCurveDatum, Subscheme
@@ -45,12 +45,8 @@ def _partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
     return out
 
 
-def _on_sigma(parts: tuple[int, ...]) -> Subscheme:
-    return Subscheme(tuple(OnCurveDatum(0, m, m) for m in sorted(parts)))
-
-
-def _on_fiber(parts: tuple[int, ...]) -> Subscheme:
-    return Subscheme(tuple(OnCurveDatum(1, m, m) for m in sorted(parts)))
+def _on_curve(curve: int, parts: tuple[int, ...]) -> Subscheme:
+    return Subscheme(tuple(OnCurveDatum(curve, m, m) for m in sorted(parts)))
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ def _sigma_series(a: int, name: str, degree: int) -> CatalogEntry:
         2 * a - degree,
         a - 1,
         (),
-        tuple({1: _on_sigma(parts)} if parts else {} for parts in _partitions(degree)),
+        tuple({1: _on_curve(0, parts)} if parts else {} for parts in _partitions(degree)),
         Fraction(2 * a * a + (4 - degree) * a + 2, a),
     )
 
@@ -84,25 +80,11 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
     """All catalog entries applicable at the given index."""
     if a < 2:
         raise ValueError("catalog starts at index 2")
+    ii = _sigma_series(a, "II", 2)
     entries = [
         _sigma_series(a, "O", 0),
         _sigma_series(a, "I", 1),
-        CatalogEntry(
-            "II_1",
-            2 * a - 2,
-            a - 1,
-            (),
-            ({1: _on_sigma((2,))},),
-            Fraction(2 * a * a + 2 * a + 2, a),
-        ),
-        CatalogEntry(
-            "II_2",
-            2 * a - 2,
-            a - 1,
-            (),
-            ({1: _on_sigma((1, 1))},),
-            Fraction(2 * a * a + 2 * a + 2, a),
-        ),
+        *(replace(ii, name=f"II_{k}", configs=(c,)) for k, c in enumerate(ii.configs, 1)),
         _sigma_series(a, "III", 3),
         _sigma_series(a, "IV", 4),
     ]
@@ -113,7 +95,7 @@ def catalog_entries(a: int) -> list[CatalogEntry]:
                 8,
                 4,
                 (2,),
-                tuple({3: _on_fiber(parts)} for parts in _partitions(2)),
+                tuple({3: _on_curve(1, parts)} for parts in _partitions(2)),
                 Fraction(54, 5),
             )
         )

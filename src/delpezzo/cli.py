@@ -5,13 +5,14 @@ Exit codes: 0 on success (and catalog match, or no comparison below
 index 4 / clean audit / all certificates passing), 1 on a verification
 failure (such as an ``UNEXPECTED`` survivor or a ``MISSING`` catalog
 configuration), 2 on flag errors and on an output file that cannot be
-written, 3 on a ``SearchExplosion``, ``InternalConsistencyError`` or
-``CanonicalizationError``, 141 when the reader of stdout closes it early;
-errors 2 and 3 go to stderr, as JSON under --json, and keep their exit
-code when stderr's reader has closed it.  ``classify`` and ``verify-type``
-certify a surface with ``certify_survivor``: ``verify-type`` exits 1 when
-a check fails, and ``classify`` exits 3 on a survivor that passes the
-ladder certificate, the volume and the index but fails a later check.
+written, 3 on a ``SearchExplosion`` (a cell's search over the state
+cap), an ``InternalConsistencyError`` or a ``CanonicalizationError``, 141
+when the reader of stdout closes it early; errors 2 and 3 go to stderr,
+as JSON under --json, and keep their exit code when stderr's reader has
+closed it.  ``classify`` and ``verify-type`` certify a surface with
+``certify_survivor``: ``verify-type`` exits 1 when a check fails, and
+``classify`` exits 3 on a survivor that passes the ladder certificate, the
+volume and the index but fails a later check.
 ``audit`` refuses, as a flag error, a sweep of more than
 ``AUDIT_WINDOW_CAP`` (2^22) windows (n, h0), which would take about 4.5 s
 or more.  ``classify`` refuses, as a flag error, an index above
@@ -126,9 +127,8 @@ def _cmd_toric(args) -> int:
     idx = gorenstein_index(fan)
     print(f"family {args.family} at a={args.a}")
     print(f"  rays: {', '.join(str(r) for r in fan.rays)}")
-    ins = res.inserted_rays()
-    if ins:
-        for r in ins:
+    if res.inserted:
+        for r in res.inserted:
             d = res.discrepancies[r]
             print(f"  inserted ray {r}: discrepancy {d}, "
                   f"relative anticanonical coefficient {-args.a * d}")

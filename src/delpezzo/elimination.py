@@ -170,7 +170,7 @@ def transform(E: Divisor, result: EliminationResult, s: int) -> Divisor:
 # Closed-form chain coefficients for the transform of a divisor supported on
 # the curves through a single point.  These are the reference that
 # ``test_option_shapes_match_the_coefficient_lists`` holds the enumerator's
-# ``_on_curve_shapes`` and ``_node_shapes`` to, and that the transform tests
+# ``_node_shapes`` to, for both kinds of point, and that the transform tests
 # compare the step-by-step arithmetic of ``transform`` against.
 
 

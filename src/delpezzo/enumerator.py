@@ -62,7 +62,11 @@ from .multiplet import (
 from .elimination import eliminate
 from .multiplet import build_ladder
 
-_CONFIG_CAP = 2_000_000
+# States (prefixes of nonempty eliminations) that one cell's search may pop.
+# Unlike the configurations, which also count the levels a state steps over
+# untested (5 floor((a - 1) / 2) + 38 in all from a = 18 on), the states do
+# not grow with a: from a = 8 on every cell pops the same ones, at most 11.
+_STATE_CAP = 2_000_000
 # Attempts (turns of the draw loop) per ``random_pseudo_fundamental_ladders``
 # call before it returns what it has; 1000 ladders take 4,136-4,526 on seeds
 # 0, 1, 2 and 4242, of which 2,788-3,042 get past ``cell_verdict``.
@@ -82,7 +86,7 @@ CLASSIFY_INDEX_CAP = 1 << 18
 
 
 class SearchExplosion(RuntimeError):
-    """Raised when a cell's search exceeds the configuration cap."""
+    """Raised when a cell's search pops more states than ``_STATE_CAP``."""
 
 
 # -- canonical form -----------------------------------------------------------
@@ -208,19 +212,15 @@ def _rules(a: int, n: int, h0: int) -> tuple[tuple[str, int, int], ...]:
     )
 
 
-def _first_rule(rules, h: int) -> str | None:
-    for name, lo, hi in rules:
-        if lo <= h < hi:
-            return name
-    return None
-
-
 def cell_verdict(a: int, n: int, h0: int, h: int) -> str | None:
     """Name of the first rule of ``_rules`` that kills the cell (h0 >= 1),
     or ``window`` outside n h0 <= h <= (n + 2) a, or None."""
     if not n * h0 <= h <= (n + 2) * a:
         return "window"
-    return _first_rule(_rules(a, n, h0), h)
+    for name, lo, hi in _rules(a, n, h0):
+        if lo <= h < hi:
+            return name
+    return None
 
 
 def _verdict_pieces(a: int, n: int, h0: int) -> list[tuple[int, int, str | None]]:
@@ -397,28 +397,13 @@ class CellOutcome:
     known: dict = field(default_factory=dict)  # survivor recipe (``entry_recipe``) -> key
 
 
-def _on_curve_shapes(a: int, s: int, e: int, m_cap: int, k_cap: int):
-    """Yield the (m, k), k <= min(m, k_cap) and m <= m_cap, for which every
-    coefficient of ``on_curve_coefficients(e, s, m, k)`` lies in 0..a-1, in
-    (m, k) order.
-
-    With s >= 1 the coefficients climb by e - s up to the k-th, k(e - s),
-    then fall by s to the last, e k - s m; so e >= s, k(e - s) <= a - 1 and
-    e k >= s m say it all.  The last one also stops m at e k_top // s.
-    """
-    if e < s:
-        return
-    k_top = min(k_cap, (a - 1) // (e - s)) if e > s else k_cap
-    for m in range(1, min(m_cap, e * k_top // s) + 1):
-        for k in range(-(-s * m // e), min(m, k_top) + 1):
-            yield m, k
-
-
 def _node_shapes(a: int, s: int, e1: int, e2: int, m_cap: int, k_cap: int):
     """Yield the (m, k2), k2 <= min(m, k_cap) and m <= m_cap, for which every
     coefficient of ``node_coefficients(e1, e2, s, m, k2)`` lies in 0..a-1,
     in (m, k2) order.  The caller passes a pair whose first coefficient,
-    e1 + e2 - s, lies in 0..a-1, as ``_node_pairs`` does.
+    e1 + e2 - s, lies in 0..a-1, as ``_node_pairs`` does.  A point on one
+    curve of coefficient e has the chain of a node with e1 = 0 and e2 = e,
+    so ``_datum_options`` takes its shapes from here when e >= s.
 
     With s >= 1 the coefficients move by e2 - s from the first to the k2-th,
     e1 + k2(e2 - s), then fall by s to the last, e1 + k2 e2 - s m; so the
@@ -458,7 +443,8 @@ def _datum_options(model, E, i, a, m_cap, caps, forbid_sigma):
 
     Effectivity of the transformed divisor and the coefficient cap a-1
     (coefficients persist to the bottom) are enforced through the closed
-    chain-coefficient bounds of ``_on_curve_shapes`` and ``_node_shapes``.
+    chain-coefficient bounds of ``_node_shapes``, which an on-curve point of
+    coefficient e reads as a node with first coefficient 0, for e >= s.
     ``spend`` is the datum's ``contacts`` on the divisor's components,
     ((curve, contact), ...); component C takes at most ``caps[C]`` contacts
     in all, its exact orthogonality allowance L.C divided by i.  Points
@@ -472,8 +458,8 @@ def _datum_options(model, E, i, a, m_cap, caps, forbid_sigma):
     sigma = 0 if forbid_sigma else None
     options = []
     for cid, e in E.items:
-        if cid != sigma:
-            for m, k in _on_curve_shapes(a, s, e, m_cap, caps[cid]):
+        if cid != sigma and e >= s:
+            for m, k in _node_shapes(a, s, 0, e, m_cap, caps[cid]):
                 d = OnCurveDatum(cid, k, m)
                 options.append((d, None, d.contacts))  # cid is in E's support
 
@@ -583,16 +569,11 @@ def _budgets(model: SurfaceModel, E: Divisor, L: DivisorClass) -> tuple[int, dic
     return be, budgets
 
 
-# The keys of a survivor's ``certificates`` record, each with the check of
-# ``certify_survivor`` that vouches for it.
-_CERTIFICATE_KEYS = {
-    "ladder": "ladder",
-    "basic_pair": "ladder",
-    "identities": "identities",
-    "volume_at_least_2a": "volume",
-    "index_is_a": "index",
-    "index_certificate": "index_certificate",
-}
+# Every survivor's ``certificates`` record: ``finish`` records a survivor
+# only after all seven checks of ``certify_survivor`` passed.
+_CERTIFICATES = dict.fromkeys(
+    ("ladder", "basic_pair", "identities", "volume_at_least_2a", "index_is_a", "index_certificate"), True
+)
 
 
 def search_cell(cell: SearchCell) -> CellOutcome:
@@ -626,8 +607,7 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             reject("certificates:" + ",".join(failures) if check == "ladder" else check)
             return
         pair = ladder.bottom_pair
-        certificates = {key: not checks[name] for key, name in _CERTIFICATE_KEYS.items()}
-        record = ladder_json(ladder, certificates)
+        record = ladder_json(ladder, _CERTIFICATES)
         key = canonical_form(pair)
         out.known[n, ladder.top.E, b, tuple((lv.i, lv.delta) for lv in ladder.levels[:-1])] = key
         out.survivors.append({
@@ -639,7 +619,7 @@ def search_cell(cell: SearchCell) -> CellOutcome:
             "E0": record["E_0"],
             "dual_graph": pair.divisor_graph.to_dot(),
             "multiplet": record,
-            "index_certificate": certificates["index_certificate"],
+            "index_certificate": _CERTIFICATES["index_certificate"],
         })
 
     # Depth-first over ladder states (i, model, E, L, spent, levels), one per
@@ -657,13 +637,16 @@ def search_cell(cell: SearchCell) -> CellOutcome:
     # be = d(a - 1) > 0 and keeps the degree d alone, with no empty
     # subscheme.  Children pushed per level pop lowest level first: the
     # preorder of one node per level, empty child first.  Each level walked
-    # is a configuration; ``_CONFIG_CAP`` is checked once per state, after
-    # its walk.
+    # is a configuration; ``_STATE_CAP`` bounds the states popped.
     stack = []
     for parts in reversed(_partitions(f, a - 1)):
         model, E = top_model(n, c0, parts)
         stack.append((b, model, E, model.fundamental_class(a, E), 0, []))
+    states = 0
     while stack:
+        states += 1
+        if states > _STATE_CAP:
+            raise SearchExplosion(f"state cap exceeded in cell {cell}")
         entry, model, E, L, spent, levels = stack.pop()
         i = entry
         be, budgets = _budgets(model, E, L)
@@ -688,8 +671,6 @@ def search_cell(cell: SearchCell) -> CellOutcome:
                     break
                 i -= 1
         out.configs += entry - i + 1
-        if out.configs > _CONFIG_CAP:
-            raise SearchExplosion(f"configuration cap exceeded in cell {cell}")
     return out
 
 

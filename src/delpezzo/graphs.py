@@ -12,6 +12,7 @@ Vertex names play no part.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 _PERM_CAP = 2_000_000
@@ -106,32 +107,24 @@ def canonical_key(g: WeightedGraph) -> tuple:
         else:
             groups.append([v])
 
-    # Degree-zero classes are inert: any ordering gives the same encoding.
-    fixed: list[list[int]] = []
-    movable: list[list[int]] = []
+    # The orders to try, per colour class.  Degree-zero classes are inert:
+    # any ordering gives the same encoding.
+    orders = []
     total = 1
     for grp in groups:
         if len(grp) == 1 or all(g.degree(v) == 0 for v in grp):
-            fixed.append(grp)
-            movable.append([])
+            orders.append((grp,))
         else:
-            fixed.append([])
-            movable.append(grp)
-            for t in range(2, len(grp) + 1):
-                total *= t
+            orders.append(itertools.permutations(grp))
+            total *= math.factorial(len(grp))
             if total > _PERM_CAP:
                 raise CanonicalizationError(
                     f"too many candidate labelings ({total}) for a graph on {n} vertices"
                 )
 
     best = None
-    perm_sets = [
-        itertools.permutations(grp) if grp else ((),) for grp in movable
-    ]
-    for choice in itertools.product(*perm_sets):
-        order: list[int] = []
-        for grp_fixed, grp_perm in zip(fixed, choice):
-            order.extend(grp_fixed if grp_fixed else grp_perm)
+    for choice in itertools.product(*orders):
+        order = list(itertools.chain.from_iterable(choice))
         pos = {v: i for i, v in enumerate(order)}
         enc_weights = tuple(g.weights[v] for v in order)
         enc_edges = tuple(sorted(tuple(sorted((pos[a], pos[b]))) for a, b in g.edges))

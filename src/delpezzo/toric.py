@@ -117,14 +117,8 @@ class ResolvedFan:
 
     original: Fan2D
     fan: Fan2D
-    inserted: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
+    inserted: tuple[tuple[int, int], ...]  # the inserted rays, in fan order
     discrepancies: dict[tuple[int, int], Fraction]
-
-    def inserted_rays(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for _, chain in self.inserted:
-            out.extend(chain)
-        return tuple(out)
 
     def self_intersections(self) -> dict[tuple[int, int], int]:
         rays = self.fan.rays
@@ -136,9 +130,9 @@ class ResolvedFan:
         return out
 
     def report_json(self, a: int) -> dict:
-        discs = [self.discrepancies[r] for r in self.inserted_rays()]
+        discs = [self.discrepancies[r] for r in self.inserted]
         return {
-            "inserted": [list(r) for r in self.inserted_rays()],
+            "inserted": [list(r) for r in self.inserted],
             "discrepancies": [f"{d.numerator}/{d.denominator}" for d in discs],
             "index": gorenstein_index(self.original),
             "volume": str(anticanonical_square(self.original)),
@@ -158,8 +152,7 @@ def hj_resolve(fan: Fan2D) -> ResolvedFan:
     for v, w in fan.cones():
         new_rays.append(v)
         chain = _resolve_cone(v, w)
-        if chain:
-            inserted.append(((v[0], v[1]), tuple(chain)))
+        inserted.extend(chain)
         for u in chain:
             p, q = _barycentric(u, v, w)
             disc = p + q - 1
@@ -251,10 +244,9 @@ def exceptional_graph(fan: Fan2D, a: int) -> WeightedGraph:
     res = hj_resolve(fan)
     rays = res.fan.rays
     selfint = res.self_intersections()
-    ins = res.inserted_rays()
-    index = {r: i for i, r in enumerate(ins)}
+    index = {r: i for i, r in enumerate(res.inserted)}
     weights = []
-    for r in ins:
+    for r in res.inserted:
         coeff = -a * res.discrepancies[r]
         if coeff.denominator != 1:
             raise FanError(f"-{a}K is not Cartier along {r}")

@@ -131,7 +131,7 @@ def test_criterion_3_resolution_fidelity():
     graphs of the three split families match the multiplet descents."""
     for a in range(2, 11):
         res = hj_resolve(family_fan("I", a))
-        assert res.inserted_rays() == ((0, -1),)
+        assert res.inserted == ((0, -1),)
         assert -a * res.discrepancies[(0, -1)] == a - 1
         for family, entry in (("I", "I"), ("II1", "II_1"), ("II2", "II_2")):
             toric_side = exceptional_graph(family_fan(family, a), a)

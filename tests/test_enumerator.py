@@ -4,11 +4,11 @@ import json
 import random
 import re
 from dataclasses import fields, replace
-from math import isqrt
+from math import factorial, isqrt
 
 import pytest
 
-from delpezzo import catalog, enumerator, multiplet
+from delpezzo import catalog, enumerator, graphs, multiplet
 from delpezzo.catalog import (
     _partitions,
     build_entry_ladder,
@@ -47,7 +47,7 @@ from delpezzo.enumerator import (
     random_pseudo_fundamental_ladders,
     search_cell,
 )
-from delpezzo.graphs import WeightedGraph, canonical_key
+from delpezzo.graphs import CanonicalizationError, WeightedGraph, canonical_key
 from delpezzo.lattice import Divisor
 from delpezzo.multiplet import (
     BasicPair,
@@ -420,6 +420,22 @@ def test_canonical_key_is_relabeling_invariant():
             {(perm.index(i), perm.index(j)) for i, j in edges},
         )
         assert canonical_key(g) == canonical_key(g2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_canonical_key_refuses_a_class_over_the_labeling_cap(monkeypatch, k):
+    # a star whose k leaves share one colour class has k! candidate labelings
+    star = WeightedGraph.build([(-k, 1)] + [(-2, 1)] * k, [(0, j) for j in range(1, k + 1)])
+    labelings = factorial(k)
+    monkeypatch.setattr(graphs, "_PERM_CAP", labelings - 1)
+    with pytest.raises(
+        CanonicalizationError,
+        match=re.escape(f"too many candidate labelings ({labelings}) for a graph on {k + 1} vertices"),
+    ):
+        canonical_key(star)
+    monkeypatch.setattr(graphs, "_PERM_CAP", labelings)
+    weights, edges = canonical_key(star)
+    assert sorted(weights) == sorted(star.weights) and len(edges) == k
 
 
 def test_classify_refuses_an_index_over_the_cap_before_it_starts(monkeypatch):
@@ -819,8 +835,6 @@ def _search_cell_per_level(cell):
     while stack:
         i, model, E, L, spent, levels, found = stack.pop()
         out.configs += 1
-        if out.configs > enumerator._CONFIG_CAP:
-            raise SearchExplosion(f"configuration cap exceeded in cell {cell}")
         if found is None:
             found = enumerator._budgets(model, E, L)
         if found is None:
@@ -864,22 +878,47 @@ def test_search_cell_matches_the_per_level_walk():
         assert _outcome(search_cell(cell)) == _outcome(_search_cell_per_level(cell)), cell
 
 
-def test_search_cell_counts_the_levels_it_steps_over_against_the_cap(monkeypatch):
-    trials = 0
+def _states(cell, monkeypatch):
+    """The configurations of the cell's search and the states it pops, one
+    ``_budgets`` call each."""
+    states = 0
+
+    def counted(*args, _budgets=enumerator._budgets):
+        nonlocal states
+        states += 1
+        return _budgets(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(enumerator, "_budgets", counted)
+        configs = search_cell(cell).configs
+    return configs, states
+
+
+def test_search_cell_counts_its_states_against_the_cap(monkeypatch):
+    # the cap bounds the states popped, not the configurations, which also
+    # count the levels a state steps over untested
+    trials = stepped = 0
     for a in (6, 9, 12, 20):
         for cell in generate_cells(a)[0]:
-            configs = search_cell(cell).configs
-            for cap, raises in ((configs - 1, True), (configs, False)):
-                monkeypatch.setattr(enumerator, "_CONFIG_CAP", cap)
-                for search in (search_cell, _search_cell_per_level):
-                    if raises:
-                        with pytest.raises(SearchExplosion):
-                            search(cell)
-                    else:
-                        search(cell)
+            configs, states = _states(cell, monkeypatch)
+            stepped += configs > states
+            for cap, raises in ((states - 1, True), (states, False)):
+                monkeypatch.setattr(enumerator, "_STATE_CAP", cap)
+                if raises:
+                    with pytest.raises(SearchExplosion, match="state cap exceeded"):
+                        search_cell(cell)
+                else:
+                    search_cell(cell)
                 trials += 1
             monkeypatch.undo()
-    assert trials > 100
+    assert trials > 100 and stepped > 10
+    # a cap below the largest cell's state count stops classify(64)
+    largest = max(_states(cell, monkeypatch)[1] for cell in generate_cells(64)[0])
+    monkeypatch.setattr(enumerator, "_STATE_CAP", largest - 1)
+    with pytest.raises(SearchExplosion):
+        classify(64)
+    monkeypatch.setattr(enumerator, "_STATE_CAP", largest)
+    assert classify(64).catalog_match
 
 
 def test_search_cost_does_not_depend_on_the_index(monkeypatch):
@@ -1105,9 +1144,13 @@ def test_option_shapes_match_the_coefficient_lists():
                     if all(0 <= c < a for c in on_curve_coefficients(e, s, m, k))
                 ]
                 shapes += len(want)
+                if e < s:  # _datum_options asks for no shape here
+                    assert not want, (a, s, e)
+                    continue
                 for m_cap in range(1, 7):
                     for k_cap in range(1, m_cap + 1):
-                        got = list(enumerator._on_curve_shapes(a, s, e, m_cap, k_cap))
+                        # an on-curve point is a node whose first branch has coefficient 0
+                        got = list(enumerator._node_shapes(a, s, 0, e, m_cap, k_cap))
                         assert got == [x for x in want if x[0] <= m_cap and x[1] <= k_cap], (a, s, e)
             for e1, e2 in itertools.product(range(a + 1), repeat=2):
                 if not 0 <= e1 + e2 - s < a:

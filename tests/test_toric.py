@@ -55,7 +55,7 @@ def test_ext_gcd_of_consecutive_fibonacci_numbers_takes_no_stack():
 def test_smooth_fan_has_no_insertions():
     p2 = Fan2D(((1, 0), (0, 1), (-1, -1)))
     res = hj_resolve(p2)
-    assert res.inserted_rays() == ()
+    assert res.inserted == ()
     assert _unimodular(p2)
 
 
@@ -75,7 +75,7 @@ def test_hirzebruch_fan_convention():
 @pytest.mark.parametrize("a", range(2, 11))
 def test_family_one_resolution(a):
     res = hj_resolve(family_fan("I", a))
-    assert res.inserted_rays() == ((0, -1),)
+    assert res.inserted == ((0, -1),)
     d = res.discrepancies[(0, -1)]
     assert d == Fraction(-(a - 1), a)
     assert -a * d == a - 1
@@ -85,7 +85,7 @@ def test_family_one_resolution(a):
 def test_weighted_plane_resolution():
     fan = family_fan("O", 4)
     res = hj_resolve(fan)
-    assert res.inserted_rays() == ((0, -1),)
+    assert res.inserted == ((0, -1),)
     assert res.discrepancies[(0, -1)] == Fraction(-3, 4)
     assert anticanonical_square(fan) == Fraction(25, 2)
 
@@ -95,9 +95,9 @@ def test_du_val_chain_walk():
     # three cones of this fan are already smooth
     fan = Fan2D(((1, 0), (1, 5), (0, 1), (-1, -1)))
     res = hj_resolve(fan)
-    assert res.inserted_rays() == ((1, 1), (1, 2), (1, 3), (1, 4))
+    assert res.inserted == ((1, 1), (1, 2), (1, 3), (1, 4))
     si = res.self_intersections()
-    for r in res.inserted_rays():
+    for r in res.inserted:
         assert si[r] == -2
         assert res.discrepancies[r] == 0
     assert gorenstein_index(fan) == 1
@@ -146,7 +146,7 @@ def test_resolution_minimality():
         for d in res.discrepancies.values():
             assert Fraction(-1) < d <= 0
         rays = list(res.fan.rays)
-        for r in res.inserted_rays():
+        for r in res.inserted:
             restricted = tuple(v for v in rays if v != r)
             assert not _unimodular(Fan2D(restricted))
 

@@ -32,8 +32,10 @@ The search stage (``search_mutants``):
   ``_degrees_feasible``, the clamp ``i = min(i, v_left)``, the
   ``_level_below`` jump, level 1's degree filter ``keep`` and the level-1
   stop ``if i == 1 and be: break``;
-- each bound of ``_on_curve_shapes``, ``_node_shapes``, ``_node_pairs`` and
-  ``_level_below`` moved by +1 and by -1.
+- each bound of ``_node_shapes``, ``_node_pairs`` and ``_level_below``
+  moved by +1 and by -1, and so the bound s of ``_datum_options``' test
+  ``e >= s``, which lets an on-curve point of coefficient e take the
+  shapes of a node whose first branch has coefficient 0.
 
 The survivor stage (``survivor_mutants``), in ``certify_survivor``:
 
@@ -146,7 +148,7 @@ SEARCH_TESTS = (
     "test_search_cell_refuses_a_cell_outside_the_search_model",
     "test_volume_rejects_what_the_allowance_would_let_through",
     "test_search_cell_matches_the_per_level_walk",
-    "test_search_cell_counts_the_levels_it_steps_over_against_the_cap",
+    "test_search_cell_counts_its_states_against_the_cap",
     "test_search_cost_does_not_depend_on_the_index",
     "test_subscheme_candidates_match_the_recursive_reference",
     "test_option_shapes_match_the_coefficient_lists",
@@ -179,8 +181,8 @@ CELL_EQUIVALENT = {
 }
 
 SEARCH_EQUIVALENT = {
-    "_on_curve_shapes: e < s, bound s -1": (
-        "at e = s - 1 the k range starts at s m / e > m, so it is empty; the return only saves the loop"
+    "_datum_options: on-curve e >= s, bound s -1": (
+        "at e = s - 1 >= 1 the k2 range starts at s m / e > m, so it is empty; the test only saves the loop"
     ),
     "_node_shapes: m from -1": "at m = 0 the k2 range 1..min(m, k_cap) is empty",
 }
@@ -369,13 +371,11 @@ def search_mutants(source: str) -> list[Mutant]:
     (stop,) = [n for n in ifs if isinstance(n.body[0], ast.Break) and isinstance(n.test, ast.BoolOp)]
     t.out.append(Mutant("search_cell: delete the level-1 stop", stop, "pass"))
 
-    curve = _function(t.tree, "_on_curve_shapes")
-    early = next(n for n in ast.walk(curve) if isinstance(n, ast.If)).test
-    t.shift("_on_curve_shapes: e < s, bound s", early.comparators[0])
-    t.shift("_on_curve_shapes: k_top's (a - 1) // (e - s)", _calls(curve, "min")[0].args[1])
-    m_range, k_range = _calls(curve, "range")
-    t.shift_range("_on_curve_shapes: m", m_range)
-    t.shift_range("_on_curve_shapes: k", k_range)
+    options = _function(t.tree, "_datum_options")
+    (on_curve,) = [
+        n for n in ast.walk(options) if isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.GtE)
+    ]
+    t.shift("_datum_options: on-curve e >= s, bound s", on_curve.comparators[0])
 
     node = _function(t.tree, "_node_shapes")
     t.shift("_node_shapes: k_cap's (a - 1 - e1) // (e2 - s)", _calls(node, "min")[0].args[1])
